@@ -15,7 +15,6 @@ from .errors import (
     NoFiniteAxis,
     ParallelLines,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
 from .screws import Displacement, OrientedLine, ScrewParams
 from .isogram import (
@@ -48,6 +47,9 @@ from .linkage import (
 from .oracle import LoopProblem, LoopSolution, jacobian_nullity, solve_loop
 
 __version__ = "0.1.0"
+
+# Only one (pure-Python) backend remains; layerbench/worker.py records this in every run.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",

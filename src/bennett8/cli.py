@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
             families[key] = max(families.get(key, 0.0), val)
 
     mob = linkage.mobility_check(v, [g for g in grid[:: max(1, len(grid) // 5)]])
-    bad_mob = [m for m in mob if m.status == "ok" and m.nullity != 1]
+    bad_mob = [m for m in mob if m.status != "ok" or m.nullity != 1]
     ok = not failures and not bad_mob and all(val < args.tol for val in families.values())
 
     for key in sorted(families):

@@ -22,7 +22,7 @@ import numpy as np
 from . import screws, sphere
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec
 from .isogram import Branch, SphericalIsogramSpec, coupled_angle, transmission_coefficient
-from .oracle import numeric_nullity
+from .oracle import matrix_nullity
 from .screws import OrientedLine
 from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
 
@@ -885,35 +885,6 @@ def symmetry_report_spatial(pose: SpatialEightBarPose) -> dict[str, float]:
 # Mobility
 # ---------------------------------------------------------------------------
 
-_BARS = ("g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3")
-
-
-def _cube_tree():
-    """Deterministic BFS spanning tree of the linkgraph; returns the parent
-    joint chain per bar and the chord joints."""
-    edges = [(f"g{i}", f"h{j}", f"R{i}{j}") for i in range(4) for j in range(4) if i != j]
-    adj: dict[str, list[tuple[str, str]]] = {b: [] for b in _BARS}
-    for a, b, key in edges:
-        adj[a].append((b, key))
-        adj[b].append((a, key))
-    for b in adj:
-        adj[b].sort()
-    parent: dict[str, tuple[str, str] | None] = {"g0": None}
-    order = ["g0"]
-    queue = ["g0"]
-    tree_joints = set()
-    while queue:
-        cur = queue.pop(0)
-        for nxt, key in adj[cur]:
-            if nxt not in parent:
-                parent[nxt] = (cur, key)
-                tree_joints.add(key)
-                order.append(nxt)
-                queue.append(nxt)
-    chords = [(a, b, key) for a, b, key in edges if key not in tree_joints]
-    return parent, order, chords
-
-
 @dataclass(frozen=True)
 class MobilitySample:
     phi1: float
@@ -921,70 +892,38 @@ class MobilitySample:
     nullity: int | None
 
 
-def _spherical_mobility_residual(pose: EightBarPose):
-    parent, order, chords = _cube_tree()
-    axes = {key: tuple(pose.joints[key].v) for key in JOINT_KEYS}
-    joint_index = {key: idx for idx, key in enumerate(sorted(JOINT_KEYS))}
-    from . import kernels
+def _mobility_jacobian(pose: EightBarPose | SpatialEightBarPose) -> np.ndarray:
+    """Exact closure Jacobian of the assembled pose in its 12 joint rates.
 
-    def residual(theta: np.ndarray) -> np.ndarray:
-        disp: dict[str, tuple] = {"g0": (1.0, 0.0, 0.0, 0.0)}
-        for bar in order[1:]:
-            par, key = parent[bar]
-            ang = theta[joint_index[key]]
-            ax = axes[key]
-            c, s = np.cos(ang / 2), np.sin(ang / 2)
-            q = (c, s * ax[0], s * ax[1], s * ax[2])
-            disp[bar] = kernels.quat_mul(disp[par], q)
-        out = np.empty(3 * len(chords))
-        for idx, (a, b, key) in enumerate(chords):
-            ang = theta[joint_index[key]]
-            ax = axes[key]
-            c, s = np.cos(ang / 2), np.sin(ang / 2)
-            q = (c, s * ax[0], s * ax[1], s * ax[2])
-            m = kernels.quat_mul(kernels.quat_mul(disp[a], q), kernels.quat_conj(disp[b]))
-            sgn = 1.0 if m[0] >= 0 else -1.0
-            out[3 * idx : 3 * idx + 3] = (sgn * m[1], sgn * m[2], sgn * m[3])
-        return out
-
-    return residual
-
-
-def _spatial_mobility_residual(pose: SpatialEightBarPose):
-    parent, order, chords = _cube_tree()
-    joint_index = {key: idx for idx, key in enumerate(sorted(JOINT_KEYS))}
-    hinge_of = {key: pose.hinges[f"I{key[1]}{key[2]}"] for key in JOINT_KEYS}
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        ident = screws.Displacement.identity()
-        disp: dict[str, screws.Displacement] = {"g0": ident}
-        for bar in order[1:]:
-            par, key = parent[bar]
-            rot = screws.rotation_about_line(hinge_of[key], theta[joint_index[key]])
-            disp[bar] = screws.compose(disp[par], rot)
-        out = np.empty(7 * len(chords))
-        for idx, (a, b, key) in enumerate(chords):
-            rot = screws.rotation_about_line(hinge_of[key], theta[joint_index[key]])
-            m = screws.compose(screws.compose(disp[a], rot), screws.inverse(disp[b]))
-            qr, qd = m.q_r, m.q_d
-            sgn = 1.0 if qr[0] >= 0 else -1.0
-            out[7 * idx : 7 * idx + 7] = (
-                sgn * qr[1],
-                sgn * qr[2],
-                sgn * qr[3],
-                sgn * qd[0],
-                sgn * qd[1],
-                sgn * qd[2],
-                sgn * qd[3],
-            )
-        return out
-
-    return residual
+    Davies' method: the joint twists around every face loop of the cube
+    graph sum to zero, so each face in CELLS contributes one block with
+    column +-s for each of its joints R_ij. The screw s is the unit joint
+    vector (spherical) or the hinge's Pluecker vector (d, m / L) with
+    m = V x d and L = a1 + a2, so the spectrum does not depend on the unit
+    of length (spatial). The sign is + where the loop crosses R_ij from g_i
+    into h_j. Any five faces form a cycle basis; the sixth adds no rank.
+    """
+    if isinstance(pose, SpatialEightBarPose):
+        scale = 1.0 / sum(pose.spec.a)
+        screw = {}
+        for key in JOINT_KEYS:
+            line = pose.hinges[f"I{key[1:]}"]
+            screw[key] = np.concatenate([line.d, scale * line.m])
+    else:
+        screw = {key: pose.joints[key].v for key in JOINT_KEYS}
+    rows = len(screw[JOINT_KEYS[0]])
+    jac = np.zeros((rows * len(CELLS), len(JOINT_KEYS)))
+    for face, (quad, sides) in enumerate(CELLS):
+        for k, key in enumerate(quad):
+            # joint k of the face joins side k-1 to side k
+            sign = 1.0 if sides[k - 1][0] == "g" else -1.0
+            jac[rows * face : rows * (face + 1), JOINT_KEYS.index(key)] = sign * screw[key]
+    return jac
 
 
 def mobility_check(spec, phi_samples) -> list[MobilitySample]:
-    """Numeric Jacobian nullity of the full loop-closure system (all 12
-    joint angles, base fixed) at each sampled pose; 1 at regular poses."""
+    """Nullity of the exact loop-closure Jacobian (all 12 joint rates, base
+    fixed) at each sampled pose; 1 at regular poses."""
     v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
     spatial = isinstance(v, ValidatedSpatial)
     out: list[MobilitySample] = []
@@ -997,11 +936,7 @@ def mobility_check(spec, phi_samples) -> list[MobilitySample]:
         except ClosureFailure:
             out.append(MobilitySample(phi1, "assembly-failed", None))
             continue
-        residual = (
-            _spatial_mobility_residual(pose) if spatial else _spherical_mobility_residual(pose)
-        )
-        nullity = numeric_nullity(residual, np.zeros(len(JOINT_KEYS)))
-        out.append(MobilitySample(phi1, "ok", nullity))
+        out.append(MobilitySample(phi1, "ok", matrix_nullity(_mobility_jacobian(pose))))
     return out
 
 

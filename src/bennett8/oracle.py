@@ -15,10 +15,63 @@ local x of a Denavit-Hartenberg style frame chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import cos, sin
 
 import numpy as np
 
-from . import kernels
+# Central-difference step of the numeric Jacobians, and the rank rule: a
+# singular value below SV_RATIO times the largest counts as zero.
+FD_STEP = 1e-6
+SV_RATIO = 1e-7
+
+
+def _quat_mul(a, b):
+    """Hamilton product of (w, x, y, z) quaternions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _dq_mul(a, b):
+    """Dual-quaternion product of flat 8-tuples (real part first)."""
+    ar, ad, br, bd = a[:4], a[4:], b[:4], b[4:]
+    d1 = _quat_mul(ar, bd)
+    d2 = _quat_mul(ad, br)
+    return _quat_mul(ar, br) + (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], d1[3] + d2[3])
+
+
+def _loop_closure_quat(thetas, arcs):
+    """Product over the loop of Rz(theta_k) * Rx(arc_k), as one (w, x, y, z)
+    quaternion; it equals +-identity exactly when the loop closes."""
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    for th, al in zip(thetas, arcs):
+        ch, sh = cos(0.5 * th), sin(0.5 * th)
+        # M *= Rz(th)
+        w, x, y, z = (w * ch - z * sh, x * ch + y * sh, y * ch - x * sh, z * ch + w * sh)
+        ca, sa = cos(0.5 * al), sin(0.5 * al)
+        # M *= Rx(al)
+        w, x, y, z = (w * ca - x * sa, x * ca + w * sa, y * ca + z * sa, z * ca - y * sa)
+    return (w, x, y, z)
+
+
+def _loop_closure_dq(thetas, arcs, lens):
+    """Spatial analogue of _loop_closure_quat: Rz(theta) followed by a screw
+    about x with twist arc_k and translation len_k, multiplied around the loop.
+    """
+    m = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for th, al, ln in zip(thetas, arcs, lens):
+        ch, sh = cos(0.5 * th), sin(0.5 * th)
+        rz = (ch, 0.0, 0.0, sh, 0.0, 0.0, 0.0, 0.0)
+        ca, sa = cos(0.5 * al), sin(0.5 * al)
+        hl = 0.5 * ln
+        sx = (ca, sa, 0.0, 0.0, -hl * sa, hl * ca, 0.0, 0.0)
+        m = _dq_mul(m, _dq_mul(rz, sx))
+    return m
 
 
 @dataclass(frozen=True)
@@ -50,10 +103,10 @@ class LoopProblem:
     def residual(self, angles) -> np.ndarray:
         """Closure residual at a full joint vector (identity product = 0)."""
         if self.offsets is None:
-            w, x, y, z = kernels.loop_closure_quat(list(angles), list(self.arcs))
+            w, x, y, z = _loop_closure_quat(list(angles), list(self.arcs))
             s = 1.0 if w >= 0 else -1.0
             return np.array([s * x, s * y, s * z])
-        m = kernels.loop_closure_dq(list(angles), list(self.arcs), list(self.offsets))
+        m = _loop_closure_dq(list(angles), list(self.arcs), list(self.offsets))
         s = 1.0 if m[0] >= 0 else -1.0
         return np.array([s * m[1], s * m[2], s * m[3], s * m[4], s * m[5], s * m[6], s * m[7]])
 
@@ -67,16 +120,16 @@ class LoopSolution:
     residual_history: tuple[float, ...] = field(default=())
 
 
-def _fd_jacobian(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def _fd_jacobian(fn, x: np.ndarray) -> np.ndarray:
     """Central finite differences, column per variable."""
     r0 = fn(x)
     jac = np.empty((r0.size, x.size))
     for k in range(x.size):
         xp = x.copy()
         xm = x.copy()
-        xp[k] += step
-        xm[k] -= step
-        jac[:, k] = (fn(xp) - fn(xm)) / (2 * step)
+        xp[k] += FD_STEP
+        xm[k] -= FD_STEP
+        jac[:, k] = (fn(xp) - fn(xm)) / (2 * FD_STEP)
     return jac
 
 
@@ -125,42 +178,23 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
     return LoopSolution(tuple(full), rn, rn < tol, it, tuple(history))
 
 
-def numeric_nullity(
-    residual_fn,
-    x0: np.ndarray,
-    fd_step: float = 1e-6,
-    sv_ratio: float = 1e-7,
-) -> int:
-    """Nullity of the finite-difference Jacobian of residual_fn at x0.
-
-    Singular values below sv_ratio times the largest count as zero; for a
-    wide Jacobian the missing rows count toward the nullity as well, so this
-    is the dimension of the null space in all shapes.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    jac = _fd_jacobian(residual_fn, x0, fd_step)
+def matrix_nullity(jac: np.ndarray) -> int:
+    """Dimension of the null space of jac: columns minus rank, where singular
+    values below SV_RATIO times the largest count as zero. For a wide matrix
+    the missing rows count toward the nullity as well."""
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
-        return int(x0.size)
-    rank = int(np.sum(sv >= sv_ratio * sv[0]))
-    return int(x0.size) - rank
+        return int(jac.shape[1])
+    return int(jac.shape[1]) - int(np.sum(sv >= SV_RATIO * sv[0]))
 
 
-def jacobian_nullity(
-    problem: LoopProblem,
-    solution: LoopSolution,
-    fd_step: float = 1e-6,
-    sv_ratio: float = 1e-7,
-) -> int:
+def jacobian_nullity(problem: LoopProblem, solution: LoopSolution) -> int:
     """Closure-Jacobian nullity at a solved pose, driving joint included as
     an unknown. 1 means a one-parameter motion through the pose."""
     if solution.residual_norm > 1e-9:
         raise ValueError("jacobian_nullity needs a solved pose (residual < 1e-9)")
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return problem.residual(x)
-
-    return numeric_nullity(fn, np.array(solution.angles), fd_step, sv_ratio)
+    angles = np.array(solution.angles, dtype=float)
+    return matrix_nullity(_fd_jacobian(problem.residual, angles))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,17 @@ def test_verify_passes_and_fails_by_tolerance(tmp_path, capsys):
     assert main(["verify", path, "--phi-grid", "5", "--tol", "1e-20"]) == 2
 
 
+def test_verify_fails_mobility_on_unassembled_sample(tmp_path, capsys, monkeypatch):
+    # a sampled pose that did not assemble certifies nothing about mobility
+    from bennett8 import linkage
+
+    failed = [linkage.MobilitySample(0.5, "assembly-failed", None)]
+    monkeypatch.setattr(linkage, "mobility_check", lambda spec, phis: failed)
+    path = write_spec(tmp_path, SPH)
+    assert main(["verify", path, "--phi-grid", "7"]) == 2
+    assert "FAIL mobility" in capsys.readouterr().out
+
+
 def test_verify_spatial(tmp_path, capsys):
     path = write_spec(tmp_path, SPA)
     assert main(["verify", path, "--phi-grid", "5"]) == 0

@@ -1,4 +1,7 @@
 """8-bar assembly, validation, symmetry reports, mobility, sweeps."""
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,9 @@ from bennett8.errors import CollapsedPose, InvalidSpec
 from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from bennett8.linkage import (
     CELLS,
+    JOINT_KEYS,
     EightBarSpec,
+    SpatialEightBarPose,
     SpatialEightBarSpec,
     assemble_spatial,
     assemble_spherical,
@@ -18,7 +23,16 @@ from bennett8.linkage import (
     sweep,
     symmetry_report_spatial,
     validate_spec,
+    _mobility_jacobian,
 )
+from bennett8.oracle import (
+    jacobian_nullity,
+    matrix_nullity,
+    problem_from_spatial_joints,
+    problem_from_spherical_vertices,
+    solve_loop,
+)
+from bennett8.scene import load_spec
 from bennett8.sphere import arc_point, lies_on, spherical_distance
 from conftest import random_eightbar_spec, random_spatial_spec
 
@@ -277,6 +291,75 @@ def test_mobility_skips_aligned_samples():
     assert samples[0].status == "aligned-bifurcation"
     assert samples[0].nullity is None
     assert samples[1].nullity == 1
+
+
+SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
+# the regular poses of acceptance criterion 6
+CRITERION_6_ANGLES = [a for a in np.linspace(-2.4, 2.4, 12) if abs(a) > 0.2][:10]
+
+
+@pytest.fixture(
+    scope="module", params=["spherical-demo", "spatial-demo", "spherical-random", "spatial-random"]
+)
+def jacobian_poses(request):
+    """Poses at the criterion-6 angles of a demo spec or of three random
+    specs of one kind."""
+    kind = request.param
+    if kind.endswith("demo"):
+        specs = [load_spec(os.path.join(SPECS, f"{kind[:-5]}8_demo.json"))]
+    else:
+        rng = np.random.default_rng(74)
+        draw = random_eightbar_spec if kind == "spherical-random" else random_spatial_spec
+        specs = [draw(rng) for _ in range(3)]
+    assemble = assemble_spatial if kind.startswith("spatial") else assemble_spherical
+    return [assemble(spec, phi) for spec in specs for phi in CRITERION_6_ANGLES]
+
+
+def _face_problem(pose, quad):
+    if isinstance(pose, SpatialEightBarPose):
+        hinges = [f"I{k[1:]}" for k in quad]
+        return problem_from_spatial_joints(
+            [pose.hinges[k].d for k in hinges], [pose.vertices[k] for k in hinges]
+        )
+    return problem_from_spherical_vertices([pose.joints[k].v for k in quad])
+
+
+def test_mobility_jacobian_faces_match_oracle(jacobian_poses):
+    # each face block, on its own four joints, is the four-bar's closure
+    # Jacobian: nullity 1, as the oracle's finite differences find
+    for pose in jacobian_poses:
+        jac = _mobility_jacobian(pose)
+        rows = jac.shape[0] // len(CELLS)
+        for face, (quad, _sides) in enumerate(CELLS):
+            block = jac[rows * face : rows * (face + 1), [JOINT_KEYS.index(k) for k in quad]]
+            problem = _face_problem(pose, quad)
+            assert matrix_nullity(block) == jacobian_nullity(problem, solve_loop(problem)) == 1
+
+
+def test_mobility_jacobian_spectrum_gap(jacobian_poses):
+    # one zero singular value, well separated from the other eleven
+    for pose in jacobian_poses:
+        sv = np.linalg.svd(_mobility_jacobian(pose), compute_uv=False)
+        assert sv.size == len(JOINT_KEYS)
+        assert sv[11] / sv[0] < 1e-10
+        assert sv[10] / sv[0] > 1e-4
+
+
+def test_mobility_jacobian_spectrum_ignores_length_unit():
+    def ratios(scale):
+        spec = replace(SAMPLE_SPATIAL, a1=scale * SAMPLE_SPATIAL.a1, a2=scale * SAMPLE_SPATIAL.a2)
+        sv = np.linalg.svd(_mobility_jacobian(assemble_spatial(spec, 0.9)), compute_uv=False)
+        return sv[:11] / sv[0]
+
+    for scale in (1e-3, 1e3):
+        assert np.allclose(ratios(scale), ratios(1.0), rtol=1e-9, atol=0)
+
+
+def test_mobility_jacobian_needs_the_loop_signs(jacobian_poses):
+    # without the crossing signs the joint screws are independent: the
+    # nullity 1 comes from the sign convention, not from the screws alone
+    for pose in jacobian_poses:
+        assert matrix_nullity(np.abs(_mobility_jacobian(pose))) == 0
 
 
 def test_incompatible_third_cell_cannot_close():

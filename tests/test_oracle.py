@@ -5,6 +5,8 @@ import pytest
 from bennett8.isogram import SphericalIsogramSpec, solve_spherical_isogram
 from bennett8.oracle import (
     LoopProblem,
+    _loop_closure_dq,
+    _loop_closure_quat,
     dh_from_spatial_joints,
     dh_from_spherical_vertices,
     jacobian_nullity,
@@ -32,6 +34,57 @@ def test_loop_product_vanishes_on_closed_polygon():
         verts, _ = _cell_vertices(spec, random_driving_angle(rng))
         problem = problem_from_spherical_vertices(verts)
         assert np.linalg.norm(problem.residual(np.array(problem.angles))) < 1e-12
+
+
+def _qmul(a, b):
+    """Hamilton product of (w, x, y, z) quaternions, written out."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _dqmul(a, b):
+    """(ar + e ad)(br + e bd) = ar br + e (ar bd + ad br), with e^2 = 0."""
+    dual = np.add(_qmul(a[0], b[1]), _qmul(a[1], b[0]))
+    return _qmul(a[0], b[0]), tuple(dual)
+
+
+def test_loop_closure_composition():
+    # the loop products equal explicit alternating Rz / Rx (screw about x)
+    # products; a screw's dual part is t r / 2 for translation t along x
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        th = rng.uniform(-3, 3, size=4)
+        ar = rng.uniform(0.1, 3, size=4)
+        ln = rng.uniform(0, 2, size=4)
+        m = (1.0, 0.0, 0.0, 0.0)
+        dq = (m, (0.0, 0.0, 0.0, 0.0))
+        for t, a, d in zip(th, ar, ln):
+            rz = (np.cos(t / 2), 0.0, 0.0, np.sin(t / 2))
+            rx = (np.cos(a / 2), np.sin(a / 2), 0.0, 0.0)
+            screw = (rx, _qmul((0.0, d / 2, 0.0, 0.0), rx))
+            m = _qmul(_qmul(m, rz), rx)
+            dq = _dqmul(_dqmul(dq, (rz, (0.0, 0.0, 0.0, 0.0))), screw)
+        assert np.allclose(_loop_closure_quat(list(th), list(ar)), m, atol=1e-13)
+        assert np.allclose(_loop_closure_dq(list(th), list(ar), list(ln)), dq[0] + dq[1], atol=1e-13)
+
+
+def test_dq_unit_norm_preserved():
+    # long spatial loop products stay unit dual quaternions (norm and Study part)
+    rng = np.random.default_rng(5)
+    th = rng.uniform(-3, 3, size=100)
+    ar = rng.uniform(-3, 3, size=100)
+    ln = rng.uniform(-2, 2, size=100)
+    m = _loop_closure_dq(list(th), list(ar), list(ln))
+    qr = np.array(m[:4])
+    qd = np.array(m[4:])
+    assert abs(np.linalg.norm(qr) - 1) < 1e-10
+    assert abs(np.dot(qr, qd)) < 1e-10
 
 
 def test_solve_loop_converges_back_after_perturbation():
