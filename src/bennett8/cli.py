@@ -79,66 +79,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _cell_pose_scene(spec, phi: float, segments: int) -> dict:
-    if isinstance(spec, SphericalIsogramSpec):
-        g0 = OrientedGreatCircle(np.array([0.0, 0.0, 1.0]))
-        pose = solve_spherical_isogram(spec, g0, SpherePoint.of(1.0, 0.0, 0.0), phi)
-        bars = [
-            scene._circle_entry(label, circ, segments)
-            for label, circ in zip(("basis", "arm_b", "coupler", "arm_a"), pose.side_circles)
-        ]
-        joints = [
-            {"id": label, "position": scene._vec(p.v)}
-            for label, p in zip(("A", "B", "C", "D"), pose.vertices)
-        ]
-        from .isogram import arm_joint_offset
-        from .sphere import spherical_distance
-
-        arm = abs(arm_joint_offset(spec))
-        expect = (spec.alpha, arm, spec.alpha, arm)
-        verts = pose.vertices
-        residual = max(
-            abs(spherical_distance(verts[k], verts[(k + 1) % 4]) - e)
-            for k, e in enumerate(expect)
-        )
-        return {
-            "schema_version": scene.SCHEMA_VERSION,
-            "kind": "spherical-isogram",
-            "phi1": phi,
-            "phi2": pose.phi2,
-            "bars": bars,
-            "joints": joints,
-            "symmetry": None,
-            "residuals": {"closure": residual},
-        }
-    base = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    pose = solve_bennett_isogram(spec, base, np.zeros(3), phi)
-    verts = list(pose.vertices)
-    bars = [
-        scene._line_entry(label, line, verts, segments)
-        for label, line in zip(("base", "arm_b", "coupler", "arm_a"), pose.side_lines)
-    ]
-    joints = [
-        {"id": label, "position": scene._vec(v), "direction": scene._vec(h.d)}
-        for label, v, h in zip(("A", "B", "C", "D"), pose.vertices, pose.hinges)
-    ]
-    from .screws import dual_angle
-
-    ang_ab, off_ab = dual_angle(pose.hinge_a, pose.hinge_b)
-    ang_cd, off_cd = dual_angle(pose.hinge_c, pose.hinge_d)
-    residual = max(abs(ang_ab - ang_cd), abs(off_ab - off_cd))
-    return {
-        "schema_version": scene.SCHEMA_VERSION,
-        "kind": "bennett-isogram",
-        "phi1": phi,
-        "phi2": pose.phi2,
-        "bars": bars,
-        "joints": joints,
-        "symmetry": None,
-        "residuals": {"closure": residual},
-    }
-
-
 def cmd_pose(args) -> int:
     try:
         spec = scene.load_spec(args.spec)
@@ -147,12 +87,15 @@ def cmd_pose(args) -> int:
     try:
         if isinstance(spec, EightBarSpec):
             pose = linkage.assemble_spherical(spec, args.phi)
-            doc = scene.scene_from_pose(pose, args.segments)
         elif isinstance(spec, SpatialEightBarSpec):
             pose = linkage.assemble_spatial(spec, args.phi)
-            doc = scene.scene_from_pose(pose, args.segments)
+        elif isinstance(spec, SphericalIsogramSpec):
+            g0 = OrientedGreatCircle(np.array([0.0, 0.0, 1.0]))
+            pose = solve_spherical_isogram(spec, g0, SpherePoint.of(1.0, 0.0, 0.0), args.phi)
         else:
-            doc = _cell_pose_scene(spec, args.phi, args.segments)
+            base = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+            pose = solve_bennett_isogram(spec, base, np.zeros(3), args.phi)
+        doc = scene.scene_from_pose(pose, args.segments)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
     except (ClosureFailure, CollapsedPose) as exc:
@@ -171,12 +114,10 @@ def cmd_pose(args) -> int:
     return 0
 
 
-def _sweep_rows(spec, args):
-    samples = linkage.sweep(spec, args.phi_from, args.phi_to, args.samples, args.uniform_angle)
-    spatial = isinstance(spec, SpatialEightBarSpec)
-    family_keys = (
-        linkage.FAMILY_KEYS_SPATIAL if spatial else linkage.FAMILY_KEYS_SPHERICAL
-    )
+def _sweep_rows(v, grid):
+    samples = linkage.sweep(v, grid)
+    spatial = isinstance(v, linkage.ValidatedSpatial)
+    family_keys = linkage.FAMILIES_SPATIAL if spatial else linkage.FAMILIES_SPHERICAL
     point_keys = list(linkage.HINGE_KEYS if spatial else linkage.JOINT_KEYS)
     point_keys.sort()
     header = ["phi1"]
@@ -205,10 +146,11 @@ def cmd_sweep(args) -> int:
         spec = scene.load_spec(args.spec)
         if not isinstance(spec, (EightBarSpec, SpatialEightBarSpec)):
             raise InvalidSpec("sweep expects a spherical8 or spatial8 spec")
-        linkage.validate_spec(spec)
+        v = linkage.validate_spec(spec)
+        grid = linkage.phi_grid(args.phi_from, args.phi_to, args.samples, args.uniform_angle)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
-    rows = _sweep_rows(spec, args)
+    rows = _sweep_rows(v, grid)
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -225,34 +167,18 @@ def cmd_verify(args) -> int:
         if not isinstance(spec, (EightBarSpec, SpatialEightBarSpec)):
             raise InvalidSpec("verify expects a spherical8 or spatial8 spec")
         v = linkage.validate_spec(spec)
+        margin = 0.15
+        grid = linkage.phi_grid(-np.pi + margin, np.pi - margin, args.phi_grid)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
 
-    spatial = isinstance(spec, SpatialEightBarSpec)
-    margin = 0.15
-    grid = linkage.phi_grid(-np.pi + margin, np.pi - margin, args.phi_grid)
-    grid = [p for p in grid if abs(p) > 0.05]
-
+    samples = linkage.sweep(v, [p for p in grid if abs(p) > 0.05])
     families: dict[str, float] = {}
-    failures: list[str] = []
-    for phi in grid:
-        try:
-            if spatial:
-                pose = linkage.assemble_spatial(v, phi)
-                rep = linkage.symmetry_report_spatial(pose)
-                fam = linkage._spatial_families(pose, rep)
-            else:
-                pose = linkage.assemble_spherical(v, phi)
-                rep = linkage.halfturn_products_report(pose)
-                fam = linkage._spherical_families(pose, rep)
-                fam["triple_centers_aligned"] = _triple_alignment(pose)
-        except (ClosureFailure, CollapsedPose) as exc:
-            failures.append(f"phi={phi:.6g}: {type(exc).__name__}: {exc}")
-            continue
-        for key, val in fam.items():
+    for s in samples:
+        for key, val in (s.families or {}).items():
             families[key] = max(families.get(key, 0.0), val)
-
-    mob = linkage.mobility_check(v, [g for g in grid[:: max(1, len(grid) // 5)]])
+    failures = [f"phi={s.phi1:.6g}: {s.error}" for s in samples if s.error]
+    mob = linkage.mobility_check(samples[:: max(1, len(samples) // 5)])
     bad_mob = [m for m in mob if m.status != "ok" or m.nullity != 1]
     ok = not failures and not bad_mob and all(val < args.tol for val in families.values())
 
@@ -265,12 +191,6 @@ def cmd_verify(args) -> int:
     for line in failures:
         print(f"FAIL assembly             {line}")
     return 0 if ok else 2
-
-
-def _triple_alignment(pose) -> float:
-    """Coplanarity through O of the first three symmetry centers."""
-    s1, s2, s3 = (c.v for c in pose.centers[:3])
-    return float(abs(np.dot(np.cross(s1, s2), s3)))
 
 
 def cmd_derive(args) -> int:

@@ -574,6 +574,8 @@ def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
 
     stack = np.array([c.v for c in pose.centers])
     rep["centers_on_n"] = float(np.max(np.abs(stack @ n.n)))
+    # coplanarity through O of the first three centers
+    rep["triple_centers_aligned"] = float(abs(np.dot(np.cross(stack[0], stack[1]), stack[2])))
     for quad_key, quad in (
         ("joint_band_10", ("R10", "R01", "R23", "R32")),
         ("joint_band_20", ("R20", "R02", "R31", "R13")),
@@ -921,28 +923,65 @@ def _mobility_jacobian(pose: EightBarPose | SpatialEightBarPose) -> np.ndarray:
     return jac
 
 
-def mobility_check(spec, phi_samples) -> list[MobilitySample]:
+def mobility_check(samples) -> list[MobilitySample]:
     """Nullity of the exact loop-closure Jacobian (all 12 joint rates, base
-    fixed) at each sampled pose; 1 at regular poses."""
-    v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
-    spatial = isinstance(v, ValidatedSpatial)
+    fixed) at the pose of each sweep sample; 1 at regular poses."""
     out: list[MobilitySample] = []
-    for phi1 in phi_samples:
-        if _is_aligned_angle(phi1):
-            out.append(MobilitySample(phi1, "aligned-bifurcation", None))
-            continue
-        try:
-            pose = assemble_spatial(v, phi1) if spatial else assemble_spherical(v, phi1)
-        except ClosureFailure:
-            out.append(MobilitySample(phi1, "assembly-failed", None))
-            continue
-        out.append(MobilitySample(phi1, "ok", matrix_nullity(_mobility_jacobian(pose))))
+    for s in samples:
+        if s.pose is None:
+            out.append(MobilitySample(s.phi1, "assembly-failed", None))
+        elif s.pose.aligned:
+            out.append(MobilitySample(s.phi1, "aligned-bifurcation", None))
+        else:
+            out.append(MobilitySample(s.phi1, "ok", matrix_nullity(_mobility_jacobian(s.pose))))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Sweep
+# Invariant families and sweep
 # ---------------------------------------------------------------------------
+
+# Each family gates the maximum of its invariants: the keys of the pose's
+# report plus the pose-level residuals `closure` and `incidence`, which are
+# families of their own. Every invariant is in exactly one family; the
+# family order is the order of the sweep CSV's res_* columns.
+FAMILIES_SPHERICAL: dict[str, tuple[str, ...]] = {
+    "closure": ("closure",),
+    "incidence": ("incidence",),
+    "centers": ("centers_on_n", "triple_centers_aligned"),
+    "products": (
+        "sigma1_swaps_g0_g3", "sigma1_swaps_h1_h2", "sigma2_swaps_g0_g1", "sigma2_swaps_h2_h3",
+        "sigma3_swaps_g0_g2", "sigma3_swaps_h3_h1", "sigma4_swaps_g1_g2", "sigma5_swaps_g2_g3",
+        "sigma6_swaps_g3_g1", "sigma3_conjugates_rho21", "tau321_involutive", "tau321_halfturn",
+        "tau321_axis_in_h1", "tau321_axis_in_n", "tau654_halfturn", "tau654_axis_in_g1",
+        "tau654_axis_in_n", "rho42_eq_rho51", "rho62_eq_rho53", "rho61_eq_rho43",
+        "rho54_eq_rho12", "rho65_eq_rho23", "rho46_eq_rho31",
+    ),
+    "mapping": (
+        *(
+            f"{rho}_{what}"
+            for rho in ("rho61", "rho42", "rho53")
+            for what in ("maps_g0", "maps_h", "axis_on_N")
+        ),
+        "joint_band_10", "joint_band_20", "joint_band_30", "cohort_angles_g", "cohort_angles_h",
+    ),
+    "bisector": (
+        "tau_axes_mirror_t1", "tau_axes_mirror_t2",
+        *(f"{t}_swaps_{pair}" for t in ("t1", "t2") for pair in ("S1S4", "S2S5", "S3S6")),
+        *(f"bisector_{t}_g{i}h{i}" for i in range(4) for t in ("t1", "t2")),
+    ),
+}
+FAMILIES_SPATIAL: dict[str, tuple[str, ...]] = {
+    "closure": ("closure",),
+    "cells": ("cells", "spherical_image"),
+    "perpendicular": tuple(f"s{k}_{what}" for k in range(1, 7) for what in ("meets_n", "orth_n")),
+    "helical": ("helix_g0g1", "helix_h1h0", "helix_g0g2", "helix_h2h0", "helix_g0g3", "helix_h3h0"),
+    "axis_t": (
+        "t_meets_n", "t_orth_n", "t_swaps_s1s4", "t_swaps_s2s5", "t_swaps_s3s6",
+        *(f"cp_mirror_g{i}h{i}" for i in range(4)),
+    ),
+    "cohorts": ("g_dists_to_n", "h_dists_to_n", "g_angles_to_n", "h_angles_to_n"),
+}
 
 
 @dataclass(frozen=True)
@@ -951,10 +990,6 @@ class SweepSample:
     pose: EightBarPose | SpatialEightBarPose | None
     families: dict[str, float] | None
     error: str | None
-
-
-FAMILY_KEYS_SPHERICAL = ("closure", "incidence", "centers", "products", "mapping", "bisector")
-FAMILY_KEYS_SPATIAL = ("closure", "cells", "perpendicular", "helical", "axis_t", "cohorts")
 
 
 def phi_grid(phi_from: float, phi_to: float, n: int, uniform_angle: bool = False) -> list[float]:
@@ -973,69 +1008,38 @@ def phi_grid(phi_from: float, phi_to: float, n: int, uniform_angle: bool = False
     return [float(2 * np.arctan(t)) for t in ts]
 
 
-def _spherical_families(pose: EightBarPose, report: dict[str, float] | None) -> dict[str, float]:
-    fam = {"closure": pose.closure_residual}
-    fam["incidence"] = max(
-        max(
-            sphere.lies_on(pose.joints[k], pose.g[int(k[1])]),
-            sphere.lies_on(pose.joints[k], pose.h[int(k[2])]),
+def _families(pose, report: dict[str, float] | None) -> dict[str, float]:
+    """Family maxima of one pose. An aligned pose has no report, so only its
+    pose-level families are present."""
+    values = {"closure": pose.closure_residual}
+    if isinstance(pose, SpatialEightBarPose):
+        table = FAMILIES_SPATIAL
+    else:
+        table = FAMILIES_SPHERICAL
+        values["incidence"] = max(
+            max(sphere.lies_on(p, pose.g[int(k[1])]), sphere.lies_on(p, pose.h[int(k[2])]))
+            for k, p in pose.joints.items()
         )
-        for k in JOINT_KEYS
-    )
-    if report is None:
-        return fam
-    fam["centers"] = report["centers_on_n"]
-    fam["products"] = max(
-        report[k]
-        for k in report
-        if k.startswith(("sigma", "tau321_involutive")) or "_eq_" in k
-    )
-    fam["mapping"] = max(
-        report[k] for k in report if "_maps_" in k or k.endswith("_axis_on_N")
-    )
-    fam["bisector"] = max(
-        report[k] for k in report if k.startswith(("bisector", "t1_swaps", "t2_swaps"))
-    )
-    return fam
+    names = tuple(values) if report is None else tuple(table)
+    values.update(report or {})
+    return {name: max(values[k] for k in table[name]) for name in names}
 
 
-def _spatial_families(pose: SpatialEightBarPose, report: dict[str, float] | None) -> dict[str, float]:
-    fam = {"closure": pose.closure_residual}
-    if report is None:
-        return fam
-    fam["cells"] = report["cells"]
-    fam["perpendicular"] = max(
-        report[k] for k in report if k.startswith("s") and ("_meets_n" in k or "_orth_n" in k)
-    )
-    fam["helical"] = max(report[k] for k in report if k.startswith("helix"))
-    fam["axis_t"] = max(
-        report[k] for k in report if k.startswith(("t_meets_n", "t_orth_n", "t_swaps", "cp_mirror"))
-    )
-    fam["cohorts"] = max(
-        report[k] for k in report if k.endswith(("dists_to_n", "angles_to_n"))
-    )
-    return fam
-
-
-def sweep(spec, phi_from: float, phi_to: float, n: int, uniform_angle: bool = False) -> list[SweepSample]:
-    """Pose summaries plus per-family residual maxima over an angle grid.
+def sweep(spec, phis) -> list[SweepSample]:
+    """Poses plus per-family residual maxima at each angle of phis.
 
     Per-sample failures are recorded in the output and do not abort the sweep.
     """
     v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
     spatial = isinstance(v, ValidatedSpatial)
+    assemble = assemble_spatial if spatial else assemble_spherical
+    report_of = symmetry_report_spatial if spatial else halfturn_products_report
     samples: list[SweepSample] = []
-    for phi1 in phi_grid(phi_from, phi_to, n, uniform_angle):
+    for phi1 in phis:
         try:
-            if spatial:
-                pose = assemble_spatial(v, phi1)
-                report = None if pose.aligned else symmetry_report_spatial(pose)
-                fam = _spatial_families(pose, report)
-            else:
-                pose = assemble_spherical(v, phi1)
-                report = None if pose.aligned else halfturn_products_report(pose)
-                fam = _spherical_families(pose, report)
-            samples.append(SweepSample(phi1, pose, fam, None))
+            pose = assemble(v, phi1)
+            report = None if pose.aligned else report_of(pose)
+            samples.append(SweepSample(phi1, pose, _families(pose, report), None))
         except (ClosureFailure, CollapsedPose) as exc:
             samples.append(SweepSample(phi1, None, None, f"{type(exc).__name__}: {exc}"))
     return samples

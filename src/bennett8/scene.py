@@ -14,15 +14,21 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidSpec
-from .isogram import BennettIsogramSpec, SphericalIsogramSpec
+from .isogram import (
+    BennettIsogramPose,
+    BennettIsogramSpec,
+    SphericalIsogramPose,
+    SphericalIsogramSpec,
+    arm_joint_offset,
+)
 from .linkage import (
     EightBarPose,
     EightBarSpec,
     SpatialEightBarPose,
     SpatialEightBarSpec,
 )
-from .screws import OrientedLine
-from .sphere import OrientedGreatCircle
+from .screws import OrientedLine, dual_angle
+from .sphere import OrientedGreatCircle, spherical_distance
 
 SCHEMA_VERSION = 1
 
@@ -147,11 +153,16 @@ def _line_entry(label: str, line: OrientedLine, anchors, segments: int) -> dict[
     }
 
 
-def scene_from_pose(pose: EightBarPose | SpatialEightBarPose, segments: int = 128) -> dict[str, Any]:
-    """Scene document for one pose: bars, joints, symmetry elements, residuals."""
+def scene_from_pose(pose, segments: int = 128) -> dict[str, Any]:
+    """Scene document for one pose of an 8-bar linkage or of a single cell:
+    bars, joints, symmetry elements, residuals."""
     if isinstance(pose, EightBarPose):
         return _scene_spherical(pose, segments)
-    return _scene_spatial(pose, segments)
+    if isinstance(pose, SpatialEightBarPose):
+        return _scene_spatial(pose, segments)
+    if isinstance(pose, SphericalIsogramPose):
+        return _scene_spherical_cell(pose, segments)
+    return _scene_bennett_cell(pose, segments)
 
 
 def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
@@ -228,6 +239,59 @@ def _scene_spatial(pose: SpatialEightBarPose, segments: int) -> dict[str, Any]:
         "joints": joints,
         "symmetry": symmetry,
         "residuals": residuals,
+    }
+
+
+def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str, Any]:
+    bars = [
+        _circle_entry(label, circ, segments)
+        for label, circ in zip(("basis", "arm_b", "coupler", "arm_a"), pose.side_circles)
+    ]
+    joints = [
+        {"id": label, "position": _vec(p.v)} for label, p in zip(("A", "B", "C", "D"), pose.vertices)
+    ]
+    # side arcs against the design: alpha on base and coupler, the arm offset on the arms
+    arm = abs(arm_joint_offset(pose.spec))
+    expect = (pose.spec.alpha, arm, pose.spec.alpha, arm)
+    verts = pose.vertices
+    residual = max(
+        abs(spherical_distance(verts[k], verts[(k + 1) % 4]) - e) for k, e in enumerate(expect)
+    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "spherical-isogram",
+        "phi1": pose.phi1,
+        "phi2": pose.phi2,
+        "bars": bars,
+        "joints": joints,
+        "symmetry": None,
+        "residuals": {"closure": residual},
+    }
+
+
+def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, Any]:
+    verts = list(pose.vertices)
+    bars = [
+        _line_entry(label, line, verts, segments)
+        for label, line in zip(("base", "arm_b", "coupler", "arm_a"), pose.side_lines)
+    ]
+    joints = [
+        {"id": label, "position": _vec(v), "direction": _vec(h.d)}
+        for label, v, h in zip(("A", "B", "C", "D"), pose.vertices, pose.hinges)
+    ]
+    # opposite hinges keep equal dual angles
+    ang_ab, off_ab = dual_angle(pose.hinge_a, pose.hinge_b)
+    ang_cd, off_cd = dual_angle(pose.hinge_c, pose.hinge_d)
+    residual = max(abs(ang_ab - ang_cd), abs(off_ab - off_cd))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "bennett-isogram",
+        "phi1": pose.phi1,
+        "phi2": pose.phi2,
+        "bars": bars,
+        "joints": joints,
+        "symmetry": None,
+        "residuals": {"closure": residual},
     }
 
 

@@ -195,10 +195,6 @@ def circle_distance(g1: OrientedGreatCircle, g2: OrientedGreatCircle) -> float:
     return float(np.linalg.norm(g1.n - g2.n))
 
 
-def unoriented_circle_distance(g1: OrientedGreatCircle, g2: OrientedGreatCircle) -> float:
-    return float(min(np.linalg.norm(g1.n - g2.n), np.linalg.norm(g1.n + g2.n)))
-
-
 def symmetry_centers(
     g1: OrientedGreatCircle, g2: OrientedGreatCircle
 ) -> tuple[SpherePoint, SpherePoint, OrientedGreatCircle]:
@@ -254,9 +250,3 @@ def lies_on(p: SpherePoint, g: OrientedGreatCircle) -> float:
 def arc_point(g: OrientedGreatCircle, p: SpherePoint, s: float) -> SpherePoint:
     """Point at signed arc s from p along the oriented circle g (p must lie on g)."""
     return apply(rotation_about(g.pole(), s), p)
-
-
-def tangent_at(g: OrientedGreatCircle, p: SpherePoint) -> np.ndarray:
-    """Unit tangent of the oriented circle at a point of it."""
-    t = np.cross(g.n, p.v)
-    return t / np.linalg.norm(t)

@@ -24,6 +24,7 @@ from bennett8.linkage import (
     assemble_spherical,
     halfturn_products_report,
     mobility_check,
+    sweep,
     symmetry_report_spatial,
     validate_spec,
 )
@@ -229,8 +230,8 @@ def test_criterion_6_mobility():
         cell_ok = cell_ok and sol.converged and jacobian_nullity(problem, sol) == 1
 
     angles = [a for a in np.linspace(-2.4, 2.4, 12) if abs(a) > 0.2][:10]
-    sph = mobility_check(random_eightbar_spec(rng), angles)
-    spa = mobility_check(random_spatial_spec(rng), angles)
+    sph = mobility_check(sweep(random_eightbar_spec(rng), angles))
+    spa = mobility_check(sweep(random_spatial_spec(rng), angles))
     sph_ok = all(m.status == "ok" and m.nullity == 1 for m in sph) and len(sph) == 10
     spa_ok = all(m.status == "ok" and m.nullity == 1 for m in spa) and len(spa) == 10
 

@@ -1,10 +1,14 @@
 """Command-line front end: exit codes, file formats, determinism."""
 import json
+import os
 
 import numpy as np
 import pytest
 
+from bennett8 import linkage
 from bennett8.cli import main
+
+SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
 
 SPH = {
     "schema_version": 1,
@@ -155,10 +159,8 @@ def test_verify_passes_and_fails_by_tolerance(tmp_path, capsys):
 
 def test_verify_fails_mobility_on_unassembled_sample(tmp_path, capsys, monkeypatch):
     # a sampled pose that did not assemble certifies nothing about mobility
-    from bennett8 import linkage
-
     failed = [linkage.MobilitySample(0.5, "assembly-failed", None)]
-    monkeypatch.setattr(linkage, "mobility_check", lambda spec, phis: failed)
+    monkeypatch.setattr(linkage, "mobility_check", lambda samples: failed)
     path = write_spec(tmp_path, SPH)
     assert main(["verify", path, "--phi-grid", "7"]) == 2
     assert "FAIL mobility" in capsys.readouterr().out
@@ -169,6 +171,50 @@ def test_verify_spatial(tmp_path, capsys):
     assert main(["verify", path, "--phi-grid", "5"]) == 0
     out = capsys.readouterr().out
     assert "helical" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "demo, assembler",
+    [("spherical8_demo.json", "assemble_spherical"), ("spatial8_demo.json", "assemble_spatial")],
+)
+def test_verify_assembles_each_grid_angle_once(demo, assembler, capsys, monkeypatch):
+    # mobility reuses the poses of the grid instead of assembling them again
+    original = getattr(linkage, assembler)
+    angles = []
+
+    def counting(spec, phi1):
+        angles.append(phi1)
+        return original(spec, phi1)
+
+    monkeypatch.setattr(linkage, assembler, counting)
+    assert main(["verify", os.path.join(SPECS, demo)]) == 0
+    assert len(angles) == 24
+    assert len(set(angles)) == 24
+
+
+def test_verify_gates_the_tau_halfturns(capsys, monkeypatch):
+    original = linkage.halfturn_products_report
+    monkeypatch.setattr(
+        linkage, "halfturn_products_report", lambda pose: {**original(pose), "tau321_halfturn": 1.0}
+    )
+    assert main(["verify", os.path.join(SPECS, "spherical8_demo.json")]) == 2
+    assert "FAIL products" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "{spec}", "--from", "0", "--to", "1", "--samples", "1"],
+        ["verify", "{spec}", "--phi-grid", "1"],
+    ],
+)
+def test_short_grid_is_a_validation_failure(tmp_path, capsys, argv):
+    path = write_spec(tmp_path, SPH)
+    assert main([a.format(spec=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag == {"error": "ValueError", "message": "need at least two samples"}
 
 
 def test_derive_round_trip(tmp_path, capsys):

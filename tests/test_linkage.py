@@ -9,10 +9,13 @@ from bennett8.errors import CollapsedPose, InvalidSpec
 from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from bennett8.linkage import (
     CELLS,
+    FAMILIES_SPATIAL,
+    FAMILIES_SPHERICAL,
     JOINT_KEYS,
     EightBarSpec,
     SpatialEightBarPose,
     SpatialEightBarSpec,
+    SweepSample,
     assemble_spatial,
     assemble_spherical,
     derive_spec,
@@ -280,17 +283,23 @@ def test_spatial_spherical_image():
 
 
 def test_mobility_nullity_one():
-    samples = mobility_check(SAMPLE, [0.4, -0.9, 1.7])
+    samples = mobility_check(sweep(SAMPLE, [0.4, -0.9, 1.7]))
     assert all(m.status == "ok" and m.nullity == 1 for m in samples)
-    samples = mobility_check(SAMPLE_SPATIAL, [0.4, -0.9])
+    samples = mobility_check(sweep(SAMPLE_SPATIAL, [0.4, -0.9]))
     assert all(m.status == "ok" and m.nullity == 1 for m in samples)
 
 
 def test_mobility_skips_aligned_samples():
-    samples = mobility_check(SAMPLE, [0.0, 0.5])
+    samples = mobility_check(sweep(SAMPLE, [0.0, 0.5]))
     assert samples[0].status == "aligned-bifurcation"
     assert samples[0].nullity is None
     assert samples[1].nullity == 1
+
+
+def test_mobility_reports_unassembled_samples():
+    failed = SweepSample(0.5, None, None, "ClosureFailure: synthetic")
+    (sample,) = mobility_check([failed])
+    assert (sample.phi1, sample.status, sample.nullity) == (0.5, "assembly-failed", None)
 
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
@@ -403,7 +412,7 @@ def test_phi_grid_endpoints_and_fallback():
 
 
 def test_sweep_regular_through_flip_pose():
-    samples = sweep(SAMPLE, np.pi - 0.3, np.pi + 0.3, 7)
+    samples = sweep(SAMPLE, phi_grid(np.pi - 0.3, np.pi + 0.3, 7))
     for s in samples:
         assert s.error is None
         assert s.families["closure"] < 1e-8
@@ -412,16 +421,38 @@ def test_sweep_regular_through_flip_pose():
 
 
 def test_sweep_endpoints_only():
-    samples = sweep(SAMPLE, -1.0, 1.0, 2)
+    samples = sweep(SAMPLE, phi_grid(-1.0, 1.0, 2))
     assert [s.phi1 for s in samples] == [-1.0, 1.0]
 
 
 def test_sweep_spatial():
-    samples = sweep(SAMPLE_SPATIAL, -1.0, 1.0, 5)
+    samples = sweep(SAMPLE_SPATIAL, phi_grid(-1.0, 1.0, 5))
     for s in samples:
         assert s.error is None
         worst = max(v for v in s.families.values())
         assert worst < 1e-8
+
+
+@pytest.mark.parametrize(
+    "demo, pose_level, table",
+    [
+        ("spherical8_demo.json", {"closure", "incidence"}, FAMILIES_SPHERICAL),
+        ("spatial8_demo.json", {"closure"}, FAMILIES_SPATIAL),
+    ],
+)
+def test_family_table_covers_every_invariant_once(demo, pose_level, table):
+    spec = load_spec(os.path.join(SPECS, demo))
+    (sample,) = sweep(spec, [0.8])
+    pose = sample.pose
+    if isinstance(pose, SpatialEightBarPose):
+        report = symmetry_report_spatial(pose)
+    else:
+        report = halfturn_products_report(pose)
+    keys = [k for family in table.values() for k in family]
+    assert all(table.values())
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(report) | pose_level
+    assert list(sample.families) == list(table)
 
 
 def test_assembly_angles_agree_with_oracle_closure():
@@ -458,7 +489,7 @@ def test_sweep_records_per_sample_errors(monkeypatch):
         return original(v, phi1)
 
     monkeypatch.setattr(linkage_mod, "_assemble_spherical_regular", flaky)
-    samples = sweep(SAMPLE, 0.0, 1.0, 5, uniform_angle=True)
+    samples = sweep(SAMPLE, phi_grid(0.0, 1.0, 5, uniform_angle=True))
     errors = [s for s in samples if s.error is not None]
     assert len(errors) == 1
     assert "synthetic failure" in errors[0].error
