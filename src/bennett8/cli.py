@@ -167,18 +167,19 @@ def cmd_verify(args) -> int:
         if not isinstance(spec, (EightBarSpec, SpatialEightBarSpec)):
             raise InvalidSpec("verify expects a spherical8 or spatial8 spec")
         v = linkage.validate_spec(spec)
-        margin = 0.15
-        grid = linkage.phi_grid(-np.pi + margin, np.pi - margin, args.phi_grid)
+        grid = linkage.phi_grid(-np.pi, np.pi, args.phi_grid)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
 
-    samples = linkage.sweep(v, [p for p in grid if abs(p) > 0.05])
+    samples = linkage.sweep(v, grid)
     families: dict[str, float] = {}
     for s in samples:
         for key, val in (s.families or {}).items():
             families[key] = max(families.get(key, 0.0), val)
     failures = [f"phi={s.phi1:.6g}: {s.error}" for s in samples if s.error]
-    mob = linkage.mobility_check(samples[:: max(1, len(samples) // 5)])
+    # aligned poses are bifurcation points, where the nullity is not 1
+    regular = [s for s in samples if s.pose is None or not s.pose.aligned]
+    mob = linkage.mobility_check(regular[:: max(1, len(regular) // 5)])
     bad_mob = [m for m in mob if m.status != "ok" or m.nullity != 1]
     ok = not failures and not bad_mob and all(val < args.tol for val in families.values())
 

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from . import screws, sphere
-from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec
+from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
 from .isogram import Branch, SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from .oracle import matrix_nullity
 from .screws import OrientedLine
@@ -28,7 +28,6 @@ from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
 
 _ALIGNED_EPS = 1e-12
 _CLOSURE_TOL = 1e-9
-_PROBE_ANGLES = (0.2, 0.37, 0.51, 0.68, 0.94)
 
 JOINT_KEYS = tuple(
     f"R{i}{j}" for i in range(4) for j in range(4) if i != j
@@ -265,6 +264,72 @@ def derive_spec(spec):
 
 
 # ---------------------------------------------------------------------------
+# Half-angle construction (shared by both linkages)
+# ---------------------------------------------------------------------------
+
+# Dual vectors (direction; moment) are 6-arrays; the spherical linkage uses
+# their direction halves. g0 is the z axis, so its dual vector is e_z.
+_EZ = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+_TINY = 1e-14
+
+
+def _dual_unit(x: np.ndarray) -> np.ndarray:
+    """x / |x| over the dual numbers: (a/|a|, b/|a| - a (a.b)/|a|^3)."""
+    a, b = x[:3], x[3:]
+    na = float(np.linalg.norm(a))
+    if na < _TINY:
+        raise ClosureFailure("symmetry axis undefined: the two bars it bisects coincide")
+    return np.concatenate([a / na, b / na - a * (np.dot(a, b) / na**3)])
+
+
+def _dual_over_square(x: np.ndarray) -> np.ndarray:
+    """x / |x|^2 over the dual numbers: (a/|a|^2, b/|a|^2 - 2a (a.b)/|a|^4)."""
+    a, b = x[:3], x[3:]
+    aa = float(np.dot(a, a))
+    if aa < _TINY**2:
+        raise ClosureFailure("symmetry axis undefined: the two bars it bisects coincide")
+    return np.concatenate([a / aa, b / aa - a * (2 * np.dot(a, b) / aa**2)])
+
+
+def _half_angle_construction(v: ValidatedSpherical, heights, phi1: float):
+    """Arms h1..h3, bars g1..g3 and the directions of the symmetry axes
+    S1..S6 at phi1, as dual vectors. Base hinge j sits at height x_j on g0
+    (all 0 for the spherical linkage).
+
+    Let W = cos(phi1/2), S = sin(phi1/2), D_j = W^2 + c_j^2 S^2 and
+    f_j = e_j x e_z + eps x_j e_j. Since tan(phi_j/2) = c_j tan(phi1/2),
+    arm j is ((W^2 - c_j^2 S^2) e_z + 2 c_j W S f_j) / D_j. The difference
+    of two arms, and of two bars, carries the factor 2WS, which is cancelled
+    by hand, so every direction keeps a finite limit at the aligned poses,
+    where WS = 0. The bar that the half-turn about S_i makes of g0 is
+    e_z - 2WS kappa_i S_i, with kappa_i = (S_i . e_z) / (WS) in closed form.
+    The directions are the arm (bar) differences divided by 2WS, so they
+    flip with the sign of WS.
+    """
+    w, s = np.cos(phi1 / 2), np.sin(phi1 / 2)
+    ws = w * s
+    c = (1.0, v.c21, v.c31)
+    den = [w * w + cj * cj * s * s for cj in c]
+    f = [
+        np.array([np.sin(u), -np.cos(u), 0.0, x * np.cos(u), x * np.sin(u), 0.0])
+        for u, x in zip(v.u, heights)
+    ]
+    arms = [((w * w - cj * cj * s * s) * _EZ + 2 * cj * ws * fj) / dj for cj, fj, dj in zip(c, f, den)]
+    # S1, S2, S3 bisect the arm pairs (h1, h2), (h2, h3), (h3, h1)
+    axes, kappa_s = [], []
+    for j, k in ((0, 1), (1, 2), (2, 0)):
+        a = (c[k] ** 2 - c[j] ** 2) / (den[j] * den[k])
+        d = ws * a * _EZ + (c[j] / den[j]) * f[j] - (c[k] / den[k]) * f[k]
+        axes.append(d)
+        kappa_s.append(a * _dual_over_square(d))
+    # the half-turns about S2, S3, S1 carry g0 onto g1, g2, g3
+    bars = [_EZ - 2 * ws * kappa_s[i] for i in (1, 2, 0)]
+    # S4, S5, S6 bisect the bar pairs (g1, g2), (g2, g3), (g3, g1)
+    axes += [kappa_s[2] - kappa_s[1], kappa_s[0] - kappa_s[2], kappa_s[1] - kappa_s[0]]
+    return arms, bars, axes
+
+
+# ---------------------------------------------------------------------------
 # Spherical assembly
 # ---------------------------------------------------------------------------
 
@@ -283,6 +348,7 @@ class EightBarPose:
     t2: OrientedGreatCircle | None
     aligned: bool
     closure_residual: float
+    incidence_residual: float
 
     def bar(self, key: str) -> OrientedGreatCircle:
         return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
@@ -300,55 +366,32 @@ def _is_aligned_angle(phi1: float) -> bool:
     return abs(phi1) < _ALIGNED_EPS or abs(abs(phi1) - np.pi) < _ALIGNED_EPS
 
 
+def _center(direction: np.ndarray) -> SpherePoint:
+    a = _dual_unit(direction)[:3]
+    return SpherePoint(sphere.tie_break_sign(a) * a)
+
+
 def assemble_spherical(spec, phi1: float) -> EightBarPose:
     """Pose of the spherical 8-bar at arm angle phi1.
 
-    phi1 = 0 (and the flip pose phi1 = pi) are not errors: they return the
-    aligned pose, all bars on g0, with the symmetry elements marked absent.
+    One construction serves every phi1. phi1 = 0 (and the flip pose
+    phi1 = pi) are not errors: its limit there is the aligned pose, all bars
+    on g0, with the symmetry elements marked absent.
     """
     v = spec if isinstance(spec, ValidatedSpherical) else validate_spec(spec)
-    if _is_aligned_angle(phi1):
-        return _assemble_spherical_aligned(v, phi1)
-    return _assemble_spherical_regular(v, phi1)
+    arms, bars, axes = _half_angle_construction(v, (0.0, 0.0, 0.0), phi1)
+    h = [None, *(OrientedGreatCircle(a[:3]) for a in arms)]
+    g = [OrientedGreatCircle(_EZ[:3]), *(OrientedGreatCircle(b[:3]) for b in bars)]
+    centers = tuple(_center(a) for a in axes)
+    sig = [sphere.halfturn_about(s) for s in centers]
 
-
-def _assemble_spherical_regular(v: ValidatedSpherical, phi1: float) -> EightBarPose:
-    phi = _phis(v, phi1)
-    g0 = OrientedGreatCircle(np.array([0.0, 0.0, 1.0]))
     r = {f"R0{j}": _base_point(v.u[j - 1]) for j in (1, 2, 3)}
-
-    h = [None, None, None, None]
-    for j in (1, 2, 3):
-        h[j] = sphere.apply(sphere.rotation_about(r[f"R0{j}"], phi[j - 1]), g0)
-
-    def center(c1: OrientedGreatCircle, c2: OrientedGreatCircle) -> SpherePoint:
-        try:
-            s, _, _ = sphere.symmetry_centers(c1, c2.reversed())
-        except Exception as exc:
-            raise ClosureFailure(f"symmetry center degenerate away from the aligned pose: {exc}") from exc
-        return s
-
-    s1 = center(h[1], h[2])
-    s2 = center(h[2], h[3])
-    s3 = center(h[3], h[1])
-    sig = [sphere.halfturn_about(s) for s in (s1, s2, s3)]
-
-    g = [g0, None, None, None]
-    g[3] = sphere.apply(sig[0], g0).reversed()
-    g[1] = sphere.apply(sig[1], g0).reversed()
-    g[2] = sphere.apply(sig[2], g0).reversed()
-
     r["R32"] = sphere.apply(sig[0], r["R01"])
     r["R31"] = sphere.apply(sig[0], r["R02"])
     r["R13"] = sphere.apply(sig[1], r["R02"])
     r["R12"] = sphere.apply(sig[1], r["R03"])
     r["R21"] = sphere.apply(sig[2], r["R03"])
     r["R23"] = sphere.apply(sig[2], r["R01"])
-
-    s4 = center(g[1], g[2])
-    s5 = center(g[2], g[3])
-    s6 = center(g[3], g[1])
-    sig += [sphere.halfturn_about(s) for s in (s4, s5, s6)]
 
     h0_a = sphere.apply(sig[3], h[3]).reversed()
     h0_b = sphere.apply(sig[4], h[1]).reversed()
@@ -372,7 +415,6 @@ def _assemble_spherical_regular(v: ValidatedSpherical, phi1: float) -> EightBarP
         for k in JOINT_KEYS
     )
 
-    centers = (s1, s2, s3, s4, s5, s6)
     stack = np.array([c.v for c in centers])
     _, _, vt = np.linalg.svd(stack)
     n_dir = vt[2] * sphere.tie_break_sign(vt[2])
@@ -380,23 +422,25 @@ def _assemble_spherical_regular(v: ValidatedSpherical, phi1: float) -> EightBarP
     centers_resid = float(np.max(np.abs(stack @ n_circle.n)))
 
     closure = max(coupler_resid, joint_resid, incidence, centers_resid)
-    if closure > _CLOSURE_TOL:
+    if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spherical 8-bar failed to close (residual {closure:.3e})")
 
-    t1, t2 = _bisector_circles(centers, n_circle)
+    aligned = _is_aligned_angle(phi1)
+    t1, t2 = (None, None) if aligned else _bisector_circles(centers, n_circle)
     return EightBarPose(
         spec=v,
-        phi=phi,
+        phi=_phis(v, phi1),
         g=tuple(g),
         h=tuple(h),
         joints=dict(sorted(r.items())),
-        centers=centers,
-        n_circle=n_circle,
-        n_pole=n_circle.pole(),
+        centers=None if aligned else centers,
+        n_circle=None if aligned else n_circle,
+        n_pole=None if aligned else n_circle.pole(),
         t1=t1,
         t2=t2,
-        aligned=False,
+        aligned=aligned,
         closure_residual=closure,
+        incidence_residual=incidence,
     )
 
 
@@ -417,76 +461,6 @@ def _bisector_circles(centers, n_circle):
             t2 = OrientedGreatCircle(w2 * sphere.tie_break_sign(w2))
             return t1, t2
     raise ClosureFailure("all symmetry-center pairs degenerate; cannot place bisector circles")
-
-
-def _collapse_signs(flipped: bool) -> tuple[list[float], list[float]]:
-    """Limit orientations of the bars at the aligned poses relative to g0.
-
-    The symmetry centers tend to the plane of g0 as the pose collapses, so
-    the coupler half-turns negate g0's normal exactly: every g-bar keeps
-    g0's orientation at both aligned poses, while the h-bars keep it at
-    phi = 0 and reverse it at the flip pose phi = pi.
-    """
-    sign_g = [1.0, 1.0, 1.0, 1.0]
-    sign_h = [-1.0, -1.0, -1.0, -1.0] if flipped else [1.0, 1.0, 1.0, 1.0]
-    return sign_g, sign_h
-
-
-def _assemble_spherical_aligned(v: ValidatedSpherical, phi1: float) -> EightBarPose:
-    """Aligned (collapsed) pose: exact joint layout on g0 from the rigid
-    on-bar arc offsets, which are measured once at a probe pose."""
-    flipped = abs(phi1) > 1.0  # phi1 ~ +-pi
-    probe = None
-    err = None
-    for cand in _PROBE_ANGLES:
-        try:
-            probe = _assemble_spherical_regular(v, cand)
-            break
-        except ClosureFailure as exc:  # rare degenerate probe angle
-            err = exc
-    if probe is None:
-        raise ClosureFailure(f"no usable probe pose for the aligned layout: {err}")
-
-    def signed_arc(circle: OrientedGreatCircle, a: SpherePoint, b: SpherePoint) -> float:
-        return float(
-            np.arctan2(np.dot(np.cross(a.v, b.v), circle.n), np.dot(a.v, b.v))
-        )
-
-    ez = np.array([0.0, 0.0, 1.0])
-    sign_g, sign_h = _collapse_signs(flipped)
-
-    angles: dict[str, float] = {f"R0{j}": v.u[j - 1] for j in (1, 2, 3)}
-    for j in (1, 2, 3):
-        for i in range(4):
-            if i in (0, j):
-                continue
-            key = f"R{i}{j}"
-            arc = signed_arc(probe.h[j], probe.joints[f"R0{j}"], probe.joints[key])
-            angles[key] = v.u[j - 1] + sign_h[j] * arc
-    for i in (1, 2, 3):
-        anchor = next(f"R{i}{j}" for j in (1, 2, 3) if j != i)
-        arc = signed_arc(probe.g[i], probe.joints[anchor], probe.joints[f"R{i}0"])
-        angles[f"R{i}0"] = angles[anchor] + sign_g[i] * arc
-
-    joints = {k: _base_point(a) for k, a in sorted(angles.items())}
-    g = tuple(OrientedGreatCircle(sign_g[i] * ez) for i in range(4))
-    h = tuple(OrientedGreatCircle(sign_h[j] * ez) for j in range(4))
-    return EightBarPose(
-        spec=v,
-        phi=_phis(v, phi1),
-        g=g,
-        h=h,
-        joints=joints,
-        centers=None,
-        n_circle=None,
-        n_pole=None,
-        t1=None,
-        t2=None,
-        aligned=True,
-        closure_residual=0.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reports (spherical)
 # ---------------------------------------------------------------------------
@@ -608,7 +582,7 @@ class SpatialEightBarPose:
     t_line: OrientedLine | None
     aligned: bool
     closure_residual: float
-    cell_residuals: tuple[float, ...] | None
+    cell_residuals: tuple[float, ...]
 
     def bar(self, key: str) -> OrientedLine:
         return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
@@ -621,50 +595,30 @@ def _base_hinge(u: float, x: float) -> OrientedLine:
 
 
 def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
-    """Pose of the spatial 8-bar at hinge angle phi1; the aligned poses
-    (phi1 = 0 or pi) return the collapsed layout on the base line."""
+    """Pose of the spatial 8-bar at hinge angle phi1, by the construction of
+    the spherical one over dual vectors; the aligned poses (phi1 = 0 or pi)
+    return its limit, the collapsed layout on the base line."""
     v = spec if isinstance(spec, ValidatedSpatial) else validate_spec(spec)
     if not isinstance(v, ValidatedSpatial):
         raise TypeError("assemble_spatial needs a spatial spec")
-    if _is_aligned_angle(phi1):
-        return _assemble_spatial_aligned(v, phi1)
-    return _assemble_spatial_regular(v, phi1)
-
-
-def _assemble_spatial_regular(v: ValidatedSpatial, phi1: float) -> SpatialEightBarPose:
     ang = v.angular
-    phi = _phis(ang, phi1)
-    g0 = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     xs = (0.0, v.a[0], v.a[0] + v.a[1])
-    hinge = {f"I0{j}": _base_hinge(ang.u[j - 1], xs[j - 1]) for j in (1, 2, 3)}
-
-    h = [None, None, None, None]
-    for j in (1, 2, 3):
-        h[j] = screws.apply(screws.rotation_about_line(hinge[f"I0{j}"], phi[j - 1]), g0)
-
-    def axis_between(l1: OrientedLine, l2: OrientedLine) -> OrientedLine:
-        try:
-            return screws.midline_symmetry_axis(l1, l2.reversed())
-        except Exception as exc:
-            raise ClosureFailure(f"symmetry axis degenerate away from the aligned pose: {exc}") from exc
-
-    s_axes = [axis_between(h[1], h[2]), axis_between(h[2], h[3]), axis_between(h[3], h[1])]
+    arms, bars, axes = _half_angle_construction(ang, xs, phi1)
+    h = [None, *(OrientedLine(a[:3], a[3:]) for a in arms)]
+    g = [OrientedLine(_EZ[:3], _EZ[3:]), *(OrientedLine(b[:3], b[3:]) for b in bars)]
+    # sign(WS) = sign(sin phi1) orients each axis along the difference of
+    # the two bars it bisects
+    sign = -1.0 if np.sin(phi1) < 0 else 1.0
+    s_axes = [OrientedLine(*np.split(sign * _dual_unit(a), 2)) for a in axes]
     sig = [screws.line_reflection(s) for s in s_axes]
 
-    g = [g0, None, None, None]
-    g[3] = screws.apply(sig[0], g0).reversed()
-    g[1] = screws.apply(sig[1], g0).reversed()
-    g[2] = screws.apply(sig[2], g0).reversed()
-
+    hinge = {f"I0{j}": _base_hinge(ang.u[j - 1], xs[j - 1]) for j in (1, 2, 3)}
     hinge["I32"] = screws.apply(sig[0], hinge["I01"])
     hinge["I31"] = screws.apply(sig[0], hinge["I02"])
     hinge["I13"] = screws.apply(sig[1], hinge["I02"])
     hinge["I12"] = screws.apply(sig[1], hinge["I03"])
     hinge["I21"] = screws.apply(sig[2], hinge["I03"])
     hinge["I23"] = screws.apply(sig[2], hinge["I01"])
-
-    s_axes += [axis_between(g[1], g[2]), axis_between(g[2], g[3]), axis_between(g[3], g[1])]
-    sig += [screws.line_reflection(s) for s in s_axes[3:]]
 
     h0_a = screws.apply(sig[3], h[3]).reversed()
     h0_b = screws.apply(sig[4], h[1]).reversed()
@@ -681,39 +635,41 @@ def _assemble_spatial_regular(v: ValidatedSpatial, phi1: float) -> SpatialEightB
         screws.line_distance(screws.apply(sig[5], hinge["I12"]), hinge["I30"]),
     )
 
+    # vertex V_ij: where hinge I_ij meets bar g_i at a right angle; bar h_j
+    # must pass through it too (g_i and h_j are parallel at the aligned poses)
     vertices: dict[str, np.ndarray] = {}
     meet_resid = 0.0
     for key in HINGE_KEYS:
         i, j = int(key[1]), int(key[2])
-        cp = screws.common_perpendicular(g[i] if i else g0, h[j])
-        meet_resid = max(meet_resid, cp.distance)
+        cp = screws.common_perpendicular(g[i], hinge[key])
         vtx = (cp.foot1 + cp.foot2) / 2
-        line = hinge[key]
-        off = vtx - line.foot()
-        meet_resid = max(meet_resid, float(np.linalg.norm(off - np.dot(off, line.d) * line.d)))
+        off_h = float(np.linalg.norm(np.cross(vtx, h[j].d) - h[j].m))
+        meet_resid = max(meet_resid, cp.distance, off_h)
         vertices[key] = vtx
 
     cell_residuals = tuple(_spatial_cell_residual(g, h, hinge, vertices, cell) for cell in CELLS)
     closure = max(coupler_resid, hinge_resid, meet_resid, max(cell_residuals))
-    if closure > _CLOSURE_TOL:
+    if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spatial 8-bar failed to close (residual {closure:.3e})")
 
-    cp_n = screws.common_perpendicular(s_axes[0], s_axes[1])
-    n_line = cp_n.axis
-    s4 = s_axes[3] if np.dot(s_axes[0].d, s_axes[3].d) >= 0 else s_axes[3].reversed()
-    t_line = screws.midline_symmetry_axis(s_axes[0], s4)
+    aligned = _is_aligned_angle(phi1)
+    n_line = t_line = None
+    if not aligned:
+        n_line = screws.common_perpendicular(s_axes[0], s_axes[1]).axis
+        s4 = s_axes[3] if np.dot(s_axes[0].d, s_axes[3].d) >= 0 else s_axes[3].reversed()
+        t_line = screws.midline_symmetry_axis(s_axes[0], s4)
 
     return SpatialEightBarPose(
         spec=v,
-        phi=phi,
+        phi=_phis(ang, phi1),
         g=tuple(g),
         h=tuple(h),
         hinges=dict(sorted(hinge.items())),
         vertices=dict(sorted(vertices.items())),
-        axes=tuple(s_axes),
+        axes=None if aligned else tuple(s_axes),
         n_line=n_line,
         t_line=t_line,
-        aligned=False,
+        aligned=aligned,
         closure_residual=closure,
         cell_residuals=cell_residuals,
     )
@@ -749,70 +705,6 @@ def _spatial_cell_residual(g, h, hinge, vertices, cell) -> float:
     return resid
 
 
-def _assemble_spatial_aligned(v: ValidatedSpatial, phi1: float) -> SpatialEightBarPose:
-    flipped = abs(phi1) > 1.0
-    probe = None
-    err = None
-    for cand in _PROBE_ANGLES:
-        try:
-            probe = _assemble_spatial_regular(v, cand)
-            break
-        except ClosureFailure as exc:
-            err = exc
-    if probe is None:
-        raise ClosureFailure(f"no usable probe pose for the aligned layout: {err}")
-
-    ez = np.array([0.0, 0.0, 1.0])
-    sign_g, sign_h = _collapse_signs(flipped)
-
-    ang = v.angular
-    xs = (0.0, v.a[0], v.a[0] + v.a[1])
-    pos: dict[str, tuple[float, float]] = {
-        f"I0{j}": (ang.u[j - 1], xs[j - 1]) for j in (1, 2, 3)
-    }
-    for j in (1, 2, 3):
-        for i in range(4):
-            if i in (0, j):
-                continue
-            key = f"I{i}{j}"
-            d_ang, d_off = screws.signed_dual_position(
-                probe.h[j], probe.hinges[f"I0{j}"], probe.hinges[key]
-            )
-            base_u, base_x = pos[f"I0{j}"]
-            pos[key] = (base_u + sign_h[j] * d_ang, base_x + sign_h[j] * d_off)
-    for i in (1, 2, 3):
-        anchor = next(f"I{i}{j}" for j in (1, 2, 3) if j != i)
-        d_ang, d_off = screws.signed_dual_position(
-            probe.g[i], probe.hinges[anchor], probe.hinges[f"I{i}0"]
-        )
-        au, ax = pos[anchor]
-        pos[f"I{i}0"] = (au + sign_g[i] * d_ang, ax + sign_g[i] * d_off)
-
-    hinges = {
-        k: OrientedLine.from_point_direction(
-            np.array([0.0, 0.0, z]), np.array([np.cos(u), np.sin(u), 0.0])
-        )
-        for k, (u, z) in sorted(pos.items())
-    }
-    vertices = {k: np.array([0.0, 0.0, pos[k][1]]) for k in sorted(pos)}
-    g = tuple(OrientedLine(sign_g[i] * ez, np.zeros(3)) for i in range(4))
-    h = tuple(OrientedLine(sign_h[j] * ez, np.zeros(3)) for j in range(4))
-    return SpatialEightBarPose(
-        spec=v,
-        phi=_phis(ang, phi1),
-        g=g,
-        h=h,
-        hinges=hinges,
-        vertices=vertices,
-        axes=None,
-        n_line=None,
-        t_line=None,
-        aligned=True,
-        closure_residual=0.0,
-        cell_residuals=None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reports (spatial)
 # ---------------------------------------------------------------------------
@@ -828,6 +720,14 @@ def symmetry_report_spatial(pose: SpatialEightBarPose) -> dict[str, float]:
     bar cohorts, and the axis t swaps the paired cell axes."""
     if pose.aligned:
         raise CollapsedPose("symmetry elements are undefined at the aligned pose")
+    try:
+        return _spatial_report(pose)
+    except ParallelLines as exc:
+        # n and the bars turn parallel as the pose collapses
+        raise CollapsedPose(f"symmetry elements degenerate next to the aligned pose: {exc}") from exc
+
+
+def _spatial_report(pose: SpatialEightBarPose) -> dict[str, float]:
     rep: dict[str, float] = {}
     n = pose.n_line
     for k, s in enumerate(pose.axes, start=1):
@@ -1016,10 +916,7 @@ def _families(pose, report: dict[str, float] | None) -> dict[str, float]:
         table = FAMILIES_SPATIAL
     else:
         table = FAMILIES_SPHERICAL
-        values["incidence"] = max(
-            max(sphere.lies_on(p, pose.g[int(k[1])]), sphere.lies_on(p, pose.h[int(k[2])]))
-            for k, p in pose.joints.items()
-        )
+        values["incidence"] = pose.incidence_residual
     names = tuple(values) if report is None else tuple(table)
     values.update(report or {})
     return {name: max(values[k] for k in table[name]) for name in names}

@@ -208,7 +208,7 @@ def common_perpendicular(l1: OrientedLine, l2: OrientedLine) -> CommonPerpendicu
     w0 = o1 - o2
     dd = float(np.dot(l1.d, w0))
     e = float(np.dot(l2.d, w0))
-    denom = 1.0 - b * b
+    denom = nc * nc  # = 1 - b*b for unit directions, and > 0 past the guard
     s = (b * e - dd) / denom
     t = (e - b * dd) / denom
     f1 = o1 + s * l1.d

@@ -178,7 +178,8 @@ def test_verify_spatial(tmp_path, capsys):
     [("spherical8_demo.json", "assemble_spherical"), ("spatial8_demo.json", "assemble_spatial")],
 )
 def test_verify_assembles_each_grid_angle_once(demo, assembler, capsys, monkeypatch):
-    # mobility reuses the poses of the grid instead of assembling them again
+    # the grid is the whole circle, and mobility reuses its poses instead of
+    # assembling them again
     original = getattr(linkage, assembler)
     angles = []
 
@@ -188,8 +189,28 @@ def test_verify_assembles_each_grid_angle_once(demo, assembler, capsys, monkeypa
 
     monkeypatch.setattr(linkage, assembler, counting)
     assert main(["verify", os.path.join(SPECS, demo)]) == 0
-    assert len(angles) == 24
-    assert len(set(angles)) == 24
+    assert len(angles) == 25
+    assert len(set(angles)) == 25
+    assert (min(angles), max(angles)) == (-np.pi, np.pi)
+
+
+def test_pose_next_to_the_aligned_pose(capsys):
+    spec = os.path.join(SPECS, "spatial8_demo.json")
+    assert main(["pose", spec, "--phi=1e-7"]) == 0
+    capsys.readouterr()
+    # the pose assembles, but the report's line n is parallel to the bars
+    assert main(["pose", spec, "--phi=1e-11"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CollapsedPose"
+
+
+def test_sweep_records_collapsed_reports_per_sample(capsys):
+    spec = os.path.join(SPECS, "spatial8_demo.json")
+    assert main(["sweep", spec, "--from=-1e-11", "--to=1e-11", "--samples=3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    errors = [row[-1] for row in rows[1:]]
+    assert errors[0].startswith("CollapsedPose:")
+    assert errors[1] == ""  # the aligned pose has no report
+    assert errors[2].startswith("CollapsedPose:")
 
 
 def test_verify_gates_the_tau_halfturns(capsys, monkeypatch):

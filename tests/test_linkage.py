@@ -39,6 +39,8 @@ from bennett8.scene import load_spec
 from bennett8.sphere import arc_point, lies_on, spherical_distance
 from conftest import random_eightbar_spec, random_spatial_spec
 
+SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
+
 SAMPLE = EightBarSpec(
     u1=0.25,
     u2=0.25 + np.pi / 3,
@@ -165,7 +167,7 @@ def test_derive_third_isogram_always_solvable():
 # ---------------------------------------------------------------------------
 
 
-def test_assemble_spherical_closure_and_incidence():
+def test_spherical_assembly_closure_and_incidence():
     pose = assemble_spherical(SAMPLE, 0.8)
     assert pose.closure_residual < 1e-12
     for key, joint in pose.joints.items():
@@ -173,7 +175,7 @@ def test_assemble_spherical_closure_and_incidence():
         assert lies_on(joint, pose.h[int(key[2])]) < 1e-12
 
 
-def test_assemble_spherical_cell_structure():
+def test_spherical_assembly_cell_structure():
     # each bar carries exactly three joints; the six cells close with equal
     # opposite sides
     pose = assemble_spherical(SAMPLE, 0.8)
@@ -221,8 +223,8 @@ def test_aligned_pose_spherical():
 
 
 def test_aligned_joint_positions_follow_rigid_offsets():
-    # collapse positions match the probe pose's rigid on-bar arcs: check one
-    # joint whose offset is analytic: R31 sits at the plus-branch supplement
+    # collapse positions keep the rigid on-bar arcs: check one joint whose
+    # offset is analytic: R31 sits at the plus-branch supplement
     v = validate_spec(SAMPLE)
     pose = assemble_spherical(v, 0.0)
     expect = arc_point(pose.h[1], pose.joints["R01"], np.pi - v.betas[0])
@@ -234,7 +236,7 @@ def test_aligned_joint_positions_follow_rigid_offsets():
 # ---------------------------------------------------------------------------
 
 
-def test_assemble_spatial_closure_and_cells():
+def test_spatial_assembly_closure_and_cells():
     pose = assemble_spatial(SAMPLE_SPATIAL, 0.8)
     assert pose.closure_residual < 1e-12
     assert max(pose.cell_residuals) < 1e-12
@@ -267,6 +269,82 @@ def test_aligned_pose_spatial():
             assert np.linalg.norm(line.m) < 1e-12
         with pytest.raises(CollapsedPose):
             symmetry_report_spatial(pose)
+
+
+# ---------------------------------------------------------------------------
+# through the aligned poses
+# ---------------------------------------------------------------------------
+
+# 0, +-pi, and 1e-12..1e-2 on either side of each
+BAND = [0.0, np.pi, -np.pi] + [
+    c + side * 10.0**-k for c in (0.0, np.pi, -np.pi) for side in (1, -1) for k in range(2, 13)
+]
+
+
+def _on_bar_invariants(pose) -> np.ndarray:
+    """Design constants of a pose: for each pair of joints on one bar, their
+    arc (spherical), or the distance of their vertices and the cosine of
+    their hinges (spatial)."""
+    out = []
+    for bar in range(8):
+        on_bar = [k for k in JOINT_KEYS if k[1 + bar // 4] == str(bar % 4)]
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            ka, kb = on_bar[a], on_bar[b]
+            if isinstance(pose, SpatialEightBarPose):
+                ia, ib = f"I{ka[1:]}", f"I{kb[1:]}"
+                out.append(np.linalg.norm(pose.vertices[ia] - pose.vertices[ib]))
+                out.append(np.dot(pose.hinges[ia].d, pose.hinges[ib].d))
+            else:
+                out.append(spherical_distance(pose.joints[ka], pose.joints[kb]))
+    return np.array(out)
+
+
+@pytest.fixture(scope="module", params=["spherical", "spatial"])
+def band_poses(request):
+    """(pose at phi1 = 1, poses at BAND) for the demo and three random designs."""
+    rng = np.random.default_rng(74)
+    spatial = request.param == "spatial"
+    draw = random_spatial_spec if spatial else random_eightbar_spec
+    assemble = assemble_spatial if spatial else assemble_spherical
+    specs = [load_spec(os.path.join(SPECS, f"{request.param}8_demo.json"))]
+    specs += [draw(rng) for _ in range(3)]
+    out = []
+    for spec in specs:
+        v = validate_spec(spec)
+        out.append((assemble(v, 1.0), [assemble(v, phi) for phi in BAND]))
+    return out
+
+
+def test_band_poses_close(band_poses):
+    for _, poses in band_poses:
+        worst = max(p.closure_residual for p in poses)
+        assert worst <= 1e-11
+
+
+def test_band_keeps_the_on_bar_invariants(band_poses):
+    for reference, poses in band_poses:
+        expect = _on_bar_invariants(reference)
+        for pose in poses:
+            assert np.max(np.abs(_on_bar_invariants(pose) - expect)) <= 1e-11, pose.phi[0]
+
+
+def test_badly_conditioned_spatial_design_closes():
+    # c31 = c21 * c32 is about -1.2e-4 here, so the third arm barely moves
+    spec = SpatialEightBarSpec(
+        u1=0.09286968585654343,
+        u2=0.6535618997524559,
+        u3=1.6055389580102268,
+        beta1=2.142260154883384,
+        beta2=0.9517180089514943,
+        branch1="plus",
+        branch2="plus",
+        a1=0.49704011753357435,
+        a2=1.4086210991519086,
+    )
+    v = validate_spec(spec)
+    assert abs(v.angular.c31) < 2e-4
+    for phi in (-3.1, -2.0, -1.0, -0.15, 0.15, 1.0, 2.0, 3.1, 0.0, np.pi):
+        assert assemble_spatial(v, phi).closure_residual < 1e-10
 
 
 def test_spatial_spherical_image():
@@ -302,7 +380,6 @@ def test_mobility_reports_unassembled_samples():
     assert (sample.phi1, sample.status, sample.nullity) == (0.5, "assembly-failed", None)
 
 
-SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
 # the regular poses of acceptance criterion 6
 CRITERION_6_ANGLES = [a for a in np.linspace(-2.4, 2.4, 12) if abs(a) > 0.2][:10]
 
@@ -481,14 +558,14 @@ def test_sweep_records_per_sample_errors(monkeypatch):
     import bennett8.linkage as linkage_mod
     from bennett8.errors import ClosureFailure
 
-    original = linkage_mod._assemble_spherical_regular
+    original = linkage_mod.assemble_spherical
 
     def flaky(v, phi1):
         if 0.4 < phi1 < 0.6:
             raise ClosureFailure("synthetic failure for the error-path test")
         return original(v, phi1)
 
-    monkeypatch.setattr(linkage_mod, "_assemble_spherical_regular", flaky)
+    monkeypatch.setattr(linkage_mod, "assemble_spherical", flaky)
     samples = sweep(SAMPLE, phi_grid(0.0, 1.0, 5, uniform_angle=True))
     errors = [s for s in samples if s.error is not None]
     assert len(errors) == 1

@@ -44,6 +44,20 @@ def test_common_perpendicular_parallel_rejected():
         common_perpendicular(X_AXIS, X_AXIS)
 
 
+def test_common_perpendicular_nearly_parallel():
+    # 1e-9 rad apart: past the ParallelLines guard, where 1 - cos^2 rounds to 0
+    eps = 1e-9
+    l2 = OrientedLine.from_point_direction(
+        np.array([0, 0.3, 1.0]), np.array([np.cos(eps), np.sin(eps), 0])
+    )
+    cp = common_perpendicular(X_AXIS, l2)
+    assert cp.angle == pytest.approx(eps, rel=1e-12)
+    assert cp.distance == pytest.approx(1.0, abs=1e-6)
+    # the feet lie over the crossing of the lines' projections onto z = 0
+    assert cp.foot1[0] == pytest.approx(-0.3 / np.tan(eps), rel=1e-6)
+    assert cp.foot2[:2] == pytest.approx(cp.foot1[:2], abs=1e-6)
+
+
 def test_common_perpendicular_intersecting():
     other = OrientedLine.from_point_direction(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
     cp = common_perpendicular(X_AXIS, other)
