@@ -12,11 +12,10 @@ from .errors import (
     DegenerateBranch,
     DegenerateCircle,
     InvalidSpec,
-    NoFiniteAxis,
     ParallelLines,
 )
 from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
-from .screws import Displacement, OrientedLine, ScrewParams
+from .screws import Displacement, OrientedLine
 from .isogram import (
     BennettIsogramPose,
     BennettIsogramSpec,
@@ -59,14 +58,12 @@ __all__ = [
     "DegenerateBranch",
     "DegenerateCircle",
     "InvalidSpec",
-    "NoFiniteAxis",
     "ParallelLines",
     "SpherePoint",
     "OrientedGreatCircle",
     "SphericalRotation",
     "OrientedLine",
     "Displacement",
-    "ScrewParams",
     "SphericalIsogramSpec",
     "SphericalIsogramPose",
     "BennettIsogramSpec",

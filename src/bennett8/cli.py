@@ -177,7 +177,8 @@ def cmd_verify(args) -> int:
         for key, val in (s.families or {}).items():
             families[key] = max(families.get(key, 0.0), val)
     failures = [f"phi={s.phi1:.6g}: {s.error}" for s in samples if s.error]
-    # aligned poses are bifurcation points, where the nullity is not 1
+    # one degree of freedom is gated at regular poses; at the aligned poses
+    # the spherical linkage has nullity 3 (the spatial one keeps 1)
     regular = [s for s in samples if s.pose is None or not s.pose.aligned]
     mob = linkage.mobility_check(regular[:: max(1, len(regular) // 5)])
     bad_mob = [m for m in mob if m.status != "ok" or m.nullity != 1]

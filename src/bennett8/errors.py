@@ -9,10 +9,6 @@ class ParallelLines(ValueError):
     """Two lines are parallel (including identical), so no unique common perpendicular exists."""
 
 
-class NoFiniteAxis(ValueError):
-    """Displacement is the identity or a pure translation; no finite screw axis."""
-
-
 class DegenerateBranch(ValueError):
     """The selected transmission branch has a vanishing denominator."""
 

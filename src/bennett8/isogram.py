@@ -312,16 +312,6 @@ class BennettIsogramSpec:
                 f"side proportion violated: a*sin(beta)={lhs:.12g} vs b*sin(alpha)={rhs:.12g}"
             )
 
-    @classmethod
-    def from_modulus(cls, alpha_twist: float, beta_twist: float, modulus: float) -> "BennettIsogramSpec":
-        """Cell with a = modulus*sin(alpha), b = modulus*sin(beta)."""
-        return cls(
-            alpha_twist,
-            beta_twist,
-            modulus * np.sin(alpha_twist),
-            modulus * np.sin(beta_twist),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class BennettIsogramPose:

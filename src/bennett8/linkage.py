@@ -21,7 +21,13 @@ import numpy as np
 
 from . import screws, sphere
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
-from .isogram import Branch, SphericalIsogramSpec, coupled_angle, transmission_coefficient
+from .isogram import (
+    Branch,
+    SphericalIsogramSpec,
+    arm_joint_offset,
+    coupled_angle,
+    transmission_coefficient,
+)
 from .oracle import matrix_nullity
 from .screws import OrientedLine
 from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
@@ -647,7 +653,9 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
         meet_resid = max(meet_resid, cp.distance, off_h)
         vertices[key] = vtx
 
-    cell_residuals = tuple(_spatial_cell_residual(g, h, hinge, vertices, cell) for cell in CELLS)
+    cell_residuals = tuple(
+        _spatial_cell_residual(v, index, g, h, hinge, vertices) for index in range(len(CELLS))
+    )
     closure = max(coupler_resid, hinge_resid, meet_resid, max(cell_residuals))
     if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spatial 8-bar failed to close (residual {closure:.3e})")
@@ -675,10 +683,11 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     )
 
 
-def _spatial_cell_residual(g, h, hinge, vertices, cell) -> float:
+def _spatial_cell_residual(v: ValidatedSpatial, index: int, g, h, hinge, vertices) -> float:
     """Bennett-cell closure: sides are common perpendiculars of adjacent
-    hinges (orthogonality + incidence) and opposite dual angles agree."""
-    (ka, kb, kc, kd), sides = cell
+    hinges (orthogonality + incidence), opposite dual angles agree, and the
+    cell is the one the spec designs (see _cell_design_residual)."""
+    (ka, kb, kc, kd), sides = CELLS[index]
     bars = {k: (g[int(k[1])] if k[0] == "g" else h[int(k[1])]) for k in sides}
     quads = [hinge[f"I{k[1]}{k[2]}"] for k in (ka, kb, kc, kd)]
     verts = [vertices[f"I{k[1]}{k[2]}"] for k in (ka, kb, kc, kd)]
@@ -702,7 +711,30 @@ def _spatial_cell_residual(g, h, hinge, vertices, cell) -> float:
         abs(ang_bc - ang_da),
         abs(off_bc - off_da),
     )
-    return resid
+    dual_sides = ((ang_ab, off_ab), (ang_bc, off_bc), (ang_cd, off_cd), (ang_da, off_da))
+    return max(resid, _cell_design_residual(v, index, dual_sides))
+
+
+def _cell_design_residual(v: ValidatedSpatial, index: int, dual_sides) -> float:
+    """Distance of cell CELLS[index] from its design, with lengths in units
+    of L = a1 + a2. dual_sides are the dual angles (theta, l) of the sides
+    AB, BC, CD, DA. Every cell keeps the Bennett side proportion
+    l_AB sin(theta_BC) = l_BC sin(theta_AB). Cells 1-3 (base on g0) also
+    have base and coupler (alpha_i, a_i), with a_3 = a1 + a2, and arms
+    (|arm_joint_offset|, |b_i|): beta_i on the minus branch, pi - beta_i
+    on the plus branch."""
+    lengths = (*v.a, sum(v.a))
+    scale = 1.0 / lengths[2]
+    (theta_ab, l_ab), (theta_bc, l_bc) = dual_sides[:2]
+    resid = scale * abs(l_ab * np.sin(theta_bc) - l_bc * np.sin(theta_ab))
+    if index < 3:
+        ang = v.angular
+        cell = SphericalIsogramSpec(ang.alphas[index], ang.betas[index], ang.branches[index])
+        base = (ang.alphas[index], lengths[index])
+        arm = (abs(arm_joint_offset(cell)), abs(v.b[index]))
+        for (theta, length), (theta0, length0) in zip(dual_sides, (base, arm, base, arm)):
+            resid = max(resid, abs(theta - theta0), scale * abs(length - length0))
+    return float(resid)
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +801,6 @@ def _spatial_report(pose: SpatialEightBarPose) -> dict[str, float]:
         rep[f"cp_mirror_g{i}h{i}"] = _line_mirror(t_refl, cg, ch)
 
     rep["cells"] = max(pose.cell_residuals)
-
-    spherical = assemble_spherical(pose.spec.angular, pose.phi[0])
-    image = max(
-        max(float(np.linalg.norm(pose.g[i].d - spherical.g[i].n)) for i in range(4)),
-        max(float(np.linalg.norm(pose.h[j].d - spherical.h[j].n)) for j in range(4)),
-        max(
-            float(np.linalg.norm(pose.hinges[f"I{k[1]}{k[2]}"].d - spherical.joints[k].v))
-            for k in JOINT_KEYS
-        ),
-    )
-    rep["spherical_image"] = image
     return rep
 
 
@@ -825,13 +846,12 @@ def _mobility_jacobian(pose: EightBarPose | SpatialEightBarPose) -> np.ndarray:
 
 def mobility_check(samples) -> list[MobilitySample]:
     """Nullity of the exact loop-closure Jacobian (all 12 joint rates, base
-    fixed) at the pose of each sweep sample; 1 at regular poses."""
+    fixed) at the pose of each sweep sample: 1 at regular poses; at the
+    aligned poses 3 for the spherical linkage and 1 for the spatial one."""
     out: list[MobilitySample] = []
     for s in samples:
         if s.pose is None:
             out.append(MobilitySample(s.phi1, "assembly-failed", None))
-        elif s.pose.aligned:
-            out.append(MobilitySample(s.phi1, "aligned-bifurcation", None))
         else:
             out.append(MobilitySample(s.phi1, "ok", matrix_nullity(_mobility_jacobian(s.pose))))
     return out
@@ -873,7 +893,7 @@ FAMILIES_SPHERICAL: dict[str, tuple[str, ...]] = {
 }
 FAMILIES_SPATIAL: dict[str, tuple[str, ...]] = {
     "closure": ("closure",),
-    "cells": ("cells", "spherical_image"),
+    "cells": ("cells",),
     "perpendicular": tuple(f"s{k}_{what}" for k in range(1, 7) for what in ("meets_n", "orth_n")),
     "helical": ("helix_g0g1", "helix_h1h0", "helix_g0g2", "helix_h2h0", "helix_g0g3", "helix_h3h0"),
     "axis_t": (

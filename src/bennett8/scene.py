@@ -329,18 +329,10 @@ def format_float(x: float) -> str:
 
 
 def dumps_json(doc: Any) -> str:
-    """Deterministic JSON text (sorted keys, fixed float formatting)."""
+    """Deterministic JSON text: sorted keys, and floats in their shortest
+    round-trip form, which json.dumps writes already."""
 
     def default(obj):
         raise TypeError(f"not serializable: {type(obj).__name__}")
 
-    def transform(obj):
-        if isinstance(obj, float):
-            return float(format_float(obj))
-        if isinstance(obj, dict):
-            return {k: transform(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [transform(v) for v in obj]
-        return obj
-
-    return json.dumps(transform(doc), sort_keys=True, indent=1, default=default)
+    return json.dumps(doc, sort_keys=True, indent=1, default=default)

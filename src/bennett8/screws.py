@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFiniteAxis, ParallelLines
+from .errors import ParallelLines
 
-UNIT_TOL = 1e-12
 PLUCKER_TOL = 1e-10
 PARALLEL_EPS = 1e-10
-_ROTATION_EPS = 1e-9  # below this rotation angle a displacement counts as a translation
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +64,6 @@ class OrientedLine:
         """Point of the line closest to the origin."""
         return np.cross(self.d, self.m)
 
-    def point_at(self, s: float) -> np.ndarray:
-        return self.foot() + s * self.d
-
 
 @dataclass(frozen=True, eq=False)
 class Displacement:
@@ -98,11 +93,6 @@ class Displacement:
     def identity(cls) -> "Displacement":
         return cls(np.array([1.0, 0, 0, 0]), np.zeros(4))
 
-    def rotation_angle(self) -> float:
-        """Rotation angle in [0, pi] (sign-normalized real part)."""
-        qr = self.q_r if self.q_r[0] >= 0 else -self.q_r
-        return 2.0 * float(np.arctan2(np.linalg.norm(qr[1:]), qr[0]))
-
     def translation(self) -> np.ndarray:
         """Translation vector (2 q_d conj(q_r), vector part)."""
         return 2.0 * _qmul(self.q_d, _qconj(self.q_r))[1:]
@@ -111,15 +101,6 @@ class Displacement:
         w = self.q_r[0]
         u = self.q_r[1:]
         return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
-
-
-@dataclass(frozen=True, eq=False)
-class ScrewParams:
-    """Screw decomposition: rotation by angle about axis plus translation along it."""
-
-    axis: OrientedLine
-    angle: float
-    translation: float
 
 
 def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,13 +143,6 @@ def apply(d: Displacement, x):
     if p.shape == (3,):
         return d.rotation_matrix_apply(p) + t
     raise TypeError(f"cannot displace {type(x).__name__}")
-
-
-def displacement_distance(d1: Displacement, d2: Displacement) -> float:
-    """8-vector distance up to the overall dual-quaternion sign."""
-    a = np.concatenate([d1.q_r, d1.q_d])
-    b = np.concatenate([d2.q_r, d2.q_d])
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
 def line_distance(l1: OrientedLine, l2: OrientedLine) -> float:
@@ -228,20 +202,6 @@ def dual_angle(l1: OrientedLine, l2: OrientedLine) -> tuple[float, float]:
     return cp.angle, cp.distance
 
 
-def signed_dual_position(axis: OrientedLine, l_from: OrientedLine, l_to: OrientedLine) -> tuple[float, float]:
-    """Signed (angle, offset) of l_to relative to l_from, measured about/along
-    axis. Both lines are expected to meet axis orthogonally (hinges on a bar);
-    the angle is right-handed about axis.d, the offset runs along axis.d.
-    """
-    f_from = common_perpendicular(axis, l_from).foot1
-    f_to = common_perpendicular(axis, l_to).foot1
-    off = float(np.dot(f_to - f_from, axis.d))
-    ang = float(
-        np.arctan2(np.dot(np.cross(l_from.d, l_to.d), axis.d), np.dot(l_from.d, l_to.d))
-    )
-    return ang, off
-
-
 def line_reflection(axis: OrientedLine) -> Displacement:
     """Half-turn about the axis; as a dual quaternion this is the line itself."""
     return Displacement(np.array([0.0, *axis.d]), np.array([0.0, *axis.m]))
@@ -259,26 +219,6 @@ def screw_displacement(axis: OrientedLine, angle: float, translation: float) -> 
 
 def rotation_about_line(axis: OrientedLine, angle: float) -> Displacement:
     return screw_displacement(axis, angle, 0.0)
-
-
-def screw_axis(d: Displacement) -> ScrewParams:
-    """Chasles decomposition of a displacement with a genuine rotation part.
-
-    Identity and pure translations have no finite axis and are refused. The
-    returned angle lies in (0, pi]; the axis orientation carries the sense.
-    A result with angle ~ pi and translation ~ 0 is a line reflection.
-    """
-    qr = d.q_r if d.q_r[0] >= 0 else -d.q_r
-    qd = d.q_d if d.q_r[0] >= 0 else -d.q_d
-    sin_half = float(np.linalg.norm(qr[1:]))
-    angle = 2.0 * float(np.arctan2(sin_half, qr[0]))
-    if angle < _ROTATION_EPS:
-        raise NoFiniteAxis("identity or pure translation has no finite screw axis")
-    a = qr[1:] / sin_half
-    translation = -2.0 * float(qd[0]) / sin_half
-    cos_half = float(qr[0])
-    m_axis = (qd[1:] - (translation / 2) * cos_half * a) / sin_half
-    return ScrewParams(axis=OrientedLine(a, m_axis), angle=angle, translation=translation)
 
 
 def midline_symmetry_axis(h1: OrientedLine, h3rev: OrientedLine) -> OrientedLine:

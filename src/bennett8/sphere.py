@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateCircle
 
-UNIT_TOL = 1e-12
 COPLANAR_EPS = 1e-10
 _TIE_EPS = 1e-9
 
@@ -77,7 +76,7 @@ class SphericalRotation:
     """Rotation of the sphere as a unit quaternion (w, x, y, z).
 
     q and -q represent the same rotation; comparisons go through
-    rotation_distance. A half-turn has |w| below UNIT_TOL.
+    rotation_distance.
     """
 
     q: np.ndarray
@@ -91,16 +90,9 @@ class SphericalRotation:
         a.setflags(write=False)
         object.__setattr__(self, "q", a)
 
-    def is_halfturn(self, tol: float = UNIT_TOL) -> bool:
-        return abs(self.q[0]) < tol
-
     def axis(self) -> SpherePoint:
         """Axis direction; undefined for the identity."""
         return SpherePoint(self.q[1:])
-
-
-def identity_rotation() -> SphericalRotation:
-    return SphericalRotation(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def antipode(p: SpherePoint) -> SpherePoint:
@@ -231,15 +223,6 @@ def reflect_in_circle(s: OrientedGreatCircle, x):
     if isinstance(x, OrientedGreatCircle):
         return OrientedGreatCircle(-(x.n - 2.0 * np.dot(w, x.n) * w))
     raise TypeError(f"cannot reflect {type(x).__name__}")
-
-
-def bisector_circle(p: SpherePoint, q: SpherePoint) -> OrientedGreatCircle:
-    """Locus of points equidistant from p and q: the circle in their plane of
-    symmetry, with normal along q - p."""
-    d = q.v - p.v
-    if np.linalg.norm(d) < COPLANAR_EPS or np.linalg.norm(p.v + q.v) < COPLANAR_EPS:
-        raise DegenerateCircle("bisector undefined for equal or antipodal points")
-    return OrientedGreatCircle(d)
 
 
 def lies_on(p: SpherePoint, g: OrientedGreatCircle) -> float:

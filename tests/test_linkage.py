@@ -26,7 +26,9 @@ from bennett8.linkage import (
     sweep,
     symmetry_report_spatial,
     validate_spec,
+    _cell_design_residual,
     _mobility_jacobian,
+    _spatial_cell_residual,
 )
 from bennett8.oracle import (
     jacobian_nullity,
@@ -36,6 +38,7 @@ from bennett8.oracle import (
     solve_loop,
 )
 from bennett8.scene import load_spec
+from bennett8.screws import dual_angle
 from bennett8.sphere import arc_point, lies_on, spherical_distance
 from conftest import random_eightbar_spec, random_spatial_spec
 
@@ -356,6 +359,57 @@ def test_spatial_spherical_image():
 
 
 # ---------------------------------------------------------------------------
+# the Bennett cells against their design
+# ---------------------------------------------------------------------------
+
+
+def _design_residual(v, pose) -> float:
+    """The design terms of all six cells, from the pose's hinge lines."""
+    worst = 0.0
+    for index, (quad, _sides) in enumerate(CELLS):
+        hinges = [pose.hinges[f"I{k[1:]}"] for k in quad]
+        sides = [dual_angle(hinges[k], hinges[(k + 1) % 4]) for k in range(4)]
+        worst = max(worst, _cell_design_residual(v, index, sides))
+    return worst
+
+
+def test_cells_match_their_design_through_the_band():
+    rng = np.random.default_rng(5)
+    specs = [load_spec(os.path.join(SPECS, "spatial8_demo.json"))]
+    specs += [random_spatial_spec(rng) for _ in range(12)]
+    for spec in specs:
+        v = validate_spec(spec)
+        for phi in BAND:
+            assert _design_residual(v, assemble_spatial(v, phi)) <= 1e-12, (spec, phi)
+
+
+@pytest.mark.parametrize("field", ["beta1", "a1", "beta2"])
+def test_cells_fail_against_a_changed_design(field):
+    spec = load_spec(os.path.join(SPECS, "spatial8_demo.json"))
+    pose = assemble_spatial(spec, 0.8)
+    changed = validate_spec(replace(spec, **{field: getattr(spec, field) * (1 + 1e-6)}))
+    worst = max(
+        _spatial_cell_residual(changed, index, pose.g, pose.h, pose.hinges, pose.vertices)
+        for index in range(len(CELLS))
+    )
+    assert worst >= 1e-7
+
+
+def test_cell_design_check_ignores_length_unit():
+    spec = load_spec(os.path.join(SPECS, "spatial8_demo.json"))
+
+    def residuals(scale):
+        scaled = replace(spec, a1=scale * spec.a1, a2=scale * spec.a2)
+        v = validate_spec(scaled)
+        changed = validate_spec(replace(scaled, a1=scaled.a1 * (1 + 1e-6)))
+        poses = [assemble_spatial(v, phi) for phi in (-2.2, 0.0, 0.8)]
+        return np.array([_design_residual(w, p) for w in (v, changed) for p in poses])
+
+    for scale in (1e-3, 1e3):
+        assert np.max(np.abs(residuals(scale) - residuals(1.0))) < 1e-13
+
+
+# ---------------------------------------------------------------------------
 # mobility
 # ---------------------------------------------------------------------------
 
@@ -367,11 +421,20 @@ def test_mobility_nullity_one():
     assert all(m.status == "ok" and m.nullity == 1 for m in samples)
 
 
-def test_mobility_skips_aligned_samples():
-    samples = mobility_check(sweep(SAMPLE, [0.0, 0.5]))
-    assert samples[0].status == "aligned-bifurcation"
-    assert samples[0].nullity is None
-    assert samples[1].nullity == 1
+def test_mobility_at_the_aligned_poses():
+    # the aligned poses are assembled like any other, so their nullity is
+    # measured: 3 on the sphere, where the motion branches cross, and 1 in
+    # space, where the collapsed pose stays first-order regular
+    rng = np.random.default_rng(74)
+    for kind, draw, nullity in (
+        ("spherical", random_eightbar_spec, 3),
+        ("spatial", random_spatial_spec, 1),
+    ):
+        specs = [load_spec(os.path.join(SPECS, f"{kind}8_demo.json"))]
+        specs += [draw(rng) for _ in range(3)]
+        for spec in specs:
+            samples = mobility_check(sweep(spec, [0.0, np.pi]))
+            assert [(m.status, m.nullity) for m in samples] == [("ok", nullity)] * 2
 
 
 def test_mobility_reports_unassembled_samples():

@@ -4,28 +4,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bennett8.errors import NoFiniteAxis, ParallelLines
+from bennett8.errors import ParallelLines
 from bennett8.screws import (
     Displacement,
     OrientedLine,
     apply,
     common_perpendicular,
     compose,
-    displacement_distance,
     dual_angle,
     inverse,
     line_distance,
     line_reflection,
     midline_symmetry_axis,
     rotation_about_line,
-    screw_axis,
     screw_displacement,
-    signed_dual_position,
 )
 from conftest import random_displacement, random_line, random_line_pair
 
 X_AXIS = OrientedLine.from_point_direction(np.zeros(3), np.array([1.0, 0, 0]))
 Z_AXIS = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0, 1]))
+
+
+def displacement_distance(d1: Displacement, d2: Displacement) -> float:
+    """8-vector distance up to the overall dual-quaternion sign."""
+    a = np.concatenate([d1.q_r, d1.q_d])
+    b = np.concatenate([d2.q_r, d2.q_d])
+    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
 def test_common_perpendicular_example():
@@ -82,26 +86,18 @@ def test_line_reflection_has_zero_scalar_part():
 
 
 def test_compose_of_two_line_reflections_is_screw():
-    # reflections about two lines with common perpendicular p and dual angle
-    # (theta, c) compose to the screw about p with angle 2 theta, translation 2c
+    # reflections about two lines with common perpendicular p and signed dual
+    # angle (theta, c) from l1 to l2 about p compose to the screw about p with
+    # angle 2 theta and translation 2c
     rng = np.random.default_rng(4)
     for _ in range(50):
         l1, l2 = random_line_pair(rng, min_cross=0.05)
         cp = common_perpendicular(l1, l2)
+        p = cp.axis
+        theta = np.arctan2(np.dot(np.cross(l1.d, l2.d), p.d), np.dot(l1.d, l2.d))
+        c = np.dot(cp.foot2 - cp.foot1, p.d)
         d = compose(line_reflection(l2), line_reflection(l1))
-        params = screw_axis(d)
-        ang, off = signed_dual_position(cp.axis, l1, l2)
-        want_angle = 2 * ang
-        want_trans = 2 * off
-        # screw_axis normalizes the angle into (0, pi] with the axis carrying the sense
-        flip = 1.0 if np.dot(params.axis.d, cp.axis.d) >= 0 else -1.0
-        got_angle = flip * params.angle
-        got_trans = flip * params.translation
-        two_pi = 2 * np.pi
-        assert min(
-            abs(got_angle - want_angle) % two_pi, two_pi - abs(got_angle - want_angle) % two_pi
-        ) == pytest.approx(0.0, abs=1e-9)
-        assert got_trans == pytest.approx(want_trans, abs=1e-9)
+        assert displacement_distance(d, screw_displacement(p, 2 * theta, 2 * c)) < 1e-12
 
 
 def test_reflections_about_intersecting_orthogonal_axes():
@@ -134,47 +130,6 @@ def test_apply_preserves_pluecker():
         line = apply(d, random_line(rng))
         assert abs(np.linalg.norm(line.d) - 1) < 1e-10
         assert abs(np.dot(line.d, line.m)) < 1e-10
-
-
-def test_screw_axis_round_trip():
-    d = screw_displacement(Z_AXIS, 0.7, 0.3)
-    params = screw_axis(d)
-    assert params.angle == pytest.approx(0.7, abs=1e-10)
-    assert params.translation == pytest.approx(0.3, abs=1e-10)
-    assert line_distance(params.axis, Z_AXIS) < 1e-10
-
-
-def test_screw_axis_round_trip_random():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        axis = random_line(rng)
-        angle = rng.uniform(-np.pi + 0.01, np.pi - 0.01)
-        if abs(angle) < 0.01:
-            continue
-        trans = rng.uniform(-2, 2)
-        original = screw_displacement(axis, angle, trans)
-        params = screw_axis(original)
-        rebuilt = screw_displacement(params.axis, params.angle, params.translation)
-        assert displacement_distance(rebuilt, original) < 1e-10
-        # angle folds to (0, pi] with the axis orientation carrying the sense
-        sign = 1.0 if np.dot(params.axis.d, axis.d) >= 0 else -1.0
-        assert params.angle == pytest.approx(abs(angle), abs=1e-9)
-        assert sign == pytest.approx(np.sign(angle))
-        assert params.translation == pytest.approx(sign * trans, abs=1e-9)
-
-
-def test_screw_axis_refuses_identity_and_translation():
-    with pytest.raises(NoFiniteAxis):
-        screw_axis(Displacement.identity())
-    translation = Displacement(np.array([1.0, 0, 0, 0]), np.array([0.0, 0.1, 0.2, -0.3]))
-    with pytest.raises(NoFiniteAxis):
-        screw_axis(translation)
-
-
-def test_halfturn_detection_values():
-    params = screw_axis(line_reflection(Z_AXIS))
-    assert abs(params.angle - np.pi) < 1e-9
-    assert abs(params.translation) < 1e-9
 
 
 def test_dual_angle_examples():

@@ -8,16 +8,15 @@ from bennett8.errors import DegenerateCircle
 from bennett8.sphere import (
     OrientedGreatCircle,
     SpherePoint,
+    SphericalRotation,
     antipode,
     apply,
     arc_point,
-    bisector_circle,
     circle_angle,
     common_perpendicular_circle,
     compose,
     great_circle_through,
     halfturn_about,
-    identity_rotation,
     inverse,
     lies_on,
     reflect_in_circle,
@@ -31,6 +30,7 @@ from conftest import random_circle, random_circle_pair, random_point
 EX = SpherePoint.of(1, 0, 0)
 EY = SpherePoint.of(0, 1, 0)
 EZ = SpherePoint.of(0, 0, 1)
+IDENTITY = SphericalRotation(np.array([1.0, 0, 0, 0]))
 
 unit3 = st.tuples(
     st.floats(-1, 1, allow_nan=False),
@@ -94,8 +94,7 @@ def test_common_perpendicular_circle():
 def test_rotation_about_examples():
     r = rotation_about(EZ, np.pi)
     assert np.allclose(r.q, [0, 0, 0, 1])
-    assert r.is_halfturn()
-    assert rotation_distance(rotation_about(EZ, 0.0), identity_rotation()) < 1e-15
+    assert rotation_distance(rotation_about(EZ, 0.0), IDENTITY) < 1e-15
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = random_point(rng)
@@ -115,7 +114,7 @@ def test_compose_inverse_identity():
     rng = np.random.default_rng(7)
     for _ in range(50):
         r = rotation_about(random_point(rng), rng.uniform(-3, 3))
-        assert rotation_distance(compose(r, inverse(r)), identity_rotation()) < 1e-12
+        assert rotation_distance(compose(r, inverse(r)), IDENTITY) < 1e-12
 
 
 def test_halfturn_product_doubles_angle():
@@ -203,24 +202,6 @@ def test_reflect_involution_and_orientation():
         assert np.linalg.det(mat) == pytest.approx(-1.0, abs=1e-12)
         # image of the oriented circle: reflected normal, then orientation-flipped
         assert np.allclose(reflect_in_circle(s, g).n, -(mat @ g.n), atol=1e-14)
-
-
-def test_bisector_circle():
-    b = bisector_circle(EX, EY)
-    assert np.allclose(b.n, np.array([-1, 1, 0]) / np.sqrt(2))
-    with pytest.raises(DegenerateCircle):
-        bisector_circle(EX, SpherePoint.of(1, 0, 0))
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        p, q = random_point(rng), random_point(rng)
-        if spherical_distance(p, q) < 0.05 or spherical_distance(p, q) > np.pi - 0.05:
-            continue
-        b = bisector_circle(p, q)
-        # any point of the bisector is equidistant from p and q
-        seed = np.cross(b.n, p.v)
-        x = SpherePoint(seed)
-        x = SpherePoint(x.v - np.dot(x.v, b.n) * b.n)
-        assert spherical_distance(x, p) == pytest.approx(spherical_distance(x, q), abs=1e-10)
 
 
 def test_apply_preserves_unit_norm():
