@@ -36,28 +36,13 @@ def _fail(exc: Exception, code: int) -> int:
 def _normalized_dump(spec) -> dict:
     v = linkage.validate_spec(spec)
     doc = scene.dump_spec(linkage.derive_spec(spec))
-    if isinstance(v, linkage.ValidatedSpherical):
-        doc["derived"] = {
-            "alpha1": v.alphas[0],
-            "alpha2": v.alphas[1],
-            "alpha3": v.alphas[2],
-            "c21": v.c21,
-            "c32": v.c32,
-            "c31": v.c31,
-        }
-    else:
-        ang = v.angular
-        doc["derived"] = {
-            "alpha1": ang.alphas[0],
-            "alpha2": ang.alphas[1],
-            "alpha3": ang.alphas[2],
-            "c21": ang.c21,
-            "c32": ang.c32,
-            "c31": ang.c31,
-            "modulus1": v.moduli[0],
-            "modulus2": v.moduli[1],
-            "modulus3": v.moduli[2],
-        }
+    spatial = isinstance(v, linkage.ValidatedSpatial)
+    ang = v.angular if spatial else v
+    derived = {f"alpha{k}": a for k, a in enumerate(ang.alphas, start=1)}
+    derived.update(c21=ang.c21, c32=ang.c32, c31=ang.c31)
+    if spatial:
+        derived.update({f"modulus{k}": m for k, m in enumerate(v.moduli, start=1)})
+    doc["derived"] = derived
     return doc
 
 

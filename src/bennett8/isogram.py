@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from . import screws
-from .errors import ClosureFailure, CollapsedPose, DegenerateBranch
+from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle, ParallelLines
 from .screws import OrientedLine
 from .sphere import (
     OrientedGreatCircle,
@@ -210,7 +210,7 @@ def isogram_symmetry_spherical(
     try:
         diag_ac = great_circle_through(pose.a, pose.c)
         diag_bd = great_circle_through(pose.b, pose.d)
-    except Exception as exc:
+    except DegenerateCircle as exc:
         raise CollapsedPose("diagonal circles are undefined at this pose") from exc
     cross = np.cross(diag_ac.n, diag_bd.n)
     if np.linalg.norm(cross) < 1e-10:
@@ -468,7 +468,7 @@ def bennett_symmetry_axis(pose: BennettIsogramPose) -> OrientedLine:
     for hc in (pose.hinge_c, pose.hinge_c.reversed()):
         try:
             axis = screws.midline_symmetry_axis(pose.hinge_a, hc)
-        except Exception:
+        except ParallelLines:
             continue
         refl = screws.line_reflection(axis)
         resid = screws.unoriented_line_distance(screws.apply(refl, pose.hinge_b), pose.hinge_d)

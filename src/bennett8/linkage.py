@@ -335,6 +335,53 @@ def _half_angle_construction(v: ValidatedSpherical, heights, phi1: float):
     return arms, bars, axes
 
 
+def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Image of the dual vector x under the half-turn about the unit dual
+    vector s: 2<s, x> s - x over the dual numbers. On lines this is the line
+    reflection in s; with zero moments it is the spherical half-turn. It does
+    not depend on the orientation of s."""
+    p = np.dot(s[:3], x[:3])
+    q = np.dot(s[:3], x[3:]) + np.dot(s[3:], x[:3])
+    out = 2 * p * s - x
+    out[3:] += 2 * q * s[:3]
+    return out
+
+
+# (element, symmetry axis S_k as k - 1, source): the half-turn about S_k
+# carries the source onto the element. An element's first entry places it;
+# each later entry is a closure check against it. The half-turns about
+# S4..S6 carry the oriented arms onto the reversed coupler -h0.
+_PLACEMENT = (
+    ("R32", 0, "R01"), ("R31", 0, "R02"),
+    ("R13", 1, "R02"), ("R12", 1, "R03"),
+    ("R21", 2, "R03"), ("R23", 2, "R01"),
+    ("-h0", 3, "h3"), ("-h0", 4, "h1"), ("-h0", 5, "h2"),
+    ("R20", 3, "R13"), ("R10", 3, "R23"), ("R30", 4, "R21"),
+    ("R20", 4, "R31"), ("R10", 5, "R32"), ("R30", 5, "R12"),
+)
+
+
+def _placement(v: ValidatedSpherical, heights, phi1: float):
+    """Bars g0..g3 and h0..h3, unit symmetry axes S1..S6 and the joints
+    (keyed as JOINT_KEYS) at phi1, all as dual vectors, plus the largest coupler
+    and joint closure residual. Base joint R0j is the hinge along
+    e_j = (cos u_j, sin u_j, 0) at height x_j on g0, with moment x_j e_z x e_j
+    (zero for the spherical linkage)."""
+    arms, bars, axes = _half_angle_construction(v, heights, phi1)
+    units = [_dual_unit(a) for a in axes]
+    x = {"h1": arms[0], "h2": arms[1], "h3": arms[2]}
+    for j, (u, xj) in enumerate(zip(v.u, heights), start=1):
+        x[f"R0{j}"] = np.array([np.cos(u), np.sin(u), 0.0, -xj * np.sin(u), xj * np.cos(u), 0.0])
+    resid = 0.0
+    for key, k, src in _PLACEMENT:
+        image = _dual_halfturn(units[k], x[src])
+        if key in x:
+            resid = max(resid, float(np.linalg.norm(image - x[key])))
+        else:
+            x[key] = image
+    return [_EZ, *bars], [-x["-h0"], *arms], units, {k: x[k] for k in JOINT_KEYS}, resid
+
+
 # ---------------------------------------------------------------------------
 # Spherical assembly
 # ---------------------------------------------------------------------------
@@ -360,21 +407,12 @@ class EightBarPose:
         return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
 
 
-def _base_point(u: float) -> SpherePoint:
-    return SpherePoint.of(np.cos(u), np.sin(u), 0.0)
-
-
 def _phis(v: ValidatedSpherical, phi1: float) -> tuple[float, float, float]:
     return (phi1, coupled_angle(v.c21, phi1), coupled_angle(v.c31, phi1))
 
 
 def _is_aligned_angle(phi1: float) -> bool:
     return abs(phi1) < _ALIGNED_EPS or abs(abs(phi1) - np.pi) < _ALIGNED_EPS
-
-
-def _center(direction: np.ndarray) -> SpherePoint:
-    a = _dual_unit(direction)[:3]
-    return SpherePoint(sphere.tie_break_sign(a) * a)
 
 
 def assemble_spherical(spec, phi1: float) -> EightBarPose:
@@ -385,36 +423,11 @@ def assemble_spherical(spec, phi1: float) -> EightBarPose:
     on g0, with the symmetry elements marked absent.
     """
     v = spec if isinstance(spec, ValidatedSpherical) else validate_spec(spec)
-    arms, bars, axes = _half_angle_construction(v, (0.0, 0.0, 0.0), phi1)
-    h = [None, *(OrientedGreatCircle(a[:3]) for a in arms)]
-    g = [OrientedGreatCircle(_EZ[:3]), *(OrientedGreatCircle(b[:3]) for b in bars)]
-    centers = tuple(_center(a) for a in axes)
-    sig = [sphere.halfturn_about(s) for s in centers]
-
-    r = {f"R0{j}": _base_point(v.u[j - 1]) for j in (1, 2, 3)}
-    r["R32"] = sphere.apply(sig[0], r["R01"])
-    r["R31"] = sphere.apply(sig[0], r["R02"])
-    r["R13"] = sphere.apply(sig[1], r["R02"])
-    r["R12"] = sphere.apply(sig[1], r["R03"])
-    r["R21"] = sphere.apply(sig[2], r["R03"])
-    r["R23"] = sphere.apply(sig[2], r["R01"])
-
-    h0_a = sphere.apply(sig[3], h[3]).reversed()
-    h0_b = sphere.apply(sig[4], h[1]).reversed()
-    h0_c = sphere.apply(sig[5], h[2]).reversed()
-    coupler_resid = max(
-        sphere.circle_distance(h0_a, h0_b), sphere.circle_distance(h0_a, h0_c)
-    )
-    h[0] = h0_a
-
-    r["R20"] = sphere.apply(sig[3], r["R13"])
-    r["R10"] = sphere.apply(sig[3], r["R23"])
-    r["R30"] = sphere.apply(sig[4], r["R21"])
-    joint_resid = max(
-        float(np.linalg.norm(sphere.apply(sig[4], r["R31"]).v - r["R20"].v)),
-        float(np.linalg.norm(sphere.apply(sig[5], r["R32"]).v - r["R10"].v)),
-        float(np.linalg.norm(sphere.apply(sig[5], r["R12"]).v - r["R30"].v)),
-    )
+    g, h, units, joints, placement_resid = _placement(v, (0.0, 0.0, 0.0), phi1)
+    g = [OrientedGreatCircle(b[:3]) for b in g]
+    h = [OrientedGreatCircle(b[:3]) for b in h]
+    centers = tuple(SpherePoint(sphere.tie_break_sign(s[:3]) * s[:3]) for s in units)
+    r = {k: SpherePoint(p[:3]) for k, p in joints.items()}
 
     incidence = max(
         max(sphere.lies_on(r[k], g[int(k[1])]), sphere.lies_on(r[k], h[int(k[2])]))
@@ -427,7 +440,7 @@ def assemble_spherical(spec, phi1: float) -> EightBarPose:
     n_circle = OrientedGreatCircle(n_dir)
     centers_resid = float(np.max(np.abs(stack @ n_circle.n)))
 
-    closure = max(coupler_resid, joint_resid, incidence, centers_resid)
+    closure = max(placement_resid, incidence, centers_resid)
     if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spherical 8-bar failed to close (residual {closure:.3e})")
 
@@ -438,7 +451,7 @@ def assemble_spherical(spec, phi1: float) -> EightBarPose:
         phi=_phis(v, phi1),
         g=tuple(g),
         h=tuple(h),
-        joints=dict(sorted(r.items())),
+        joints=r,
         centers=None if aligned else centers,
         n_circle=None if aligned else n_circle,
         n_pole=None if aligned else n_circle.pole(),
@@ -594,12 +607,6 @@ class SpatialEightBarPose:
         return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
 
 
-def _base_hinge(u: float, x: float) -> OrientedLine:
-    return OrientedLine.from_point_direction(
-        np.array([0.0, 0.0, x]), np.array([np.cos(u), np.sin(u), 0.0])
-    )
-
-
 def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     """Pose of the spatial 8-bar at hinge angle phi1, by the construction of
     the spherical one over dual vectors; the aligned poses (phi1 = 0 or pi)
@@ -609,37 +616,14 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
         raise TypeError("assemble_spatial needs a spatial spec")
     ang = v.angular
     xs = (0.0, v.a[0], v.a[0] + v.a[1])
-    arms, bars, axes = _half_angle_construction(ang, xs, phi1)
-    h = [None, *(OrientedLine(a[:3], a[3:]) for a in arms)]
-    g = [OrientedLine(_EZ[:3], _EZ[3:]), *(OrientedLine(b[:3], b[3:]) for b in bars)]
+    g, h, units, joints, placement_resid = _placement(ang, xs, phi1)
+    g = [OrientedLine(b[:3], b[3:]) for b in g]
+    h = [OrientedLine(b[:3], b[3:]) for b in h]
     # sign(WS) = sign(sin phi1) orients each axis along the difference of
     # the two bars it bisects
     sign = -1.0 if np.sin(phi1) < 0 else 1.0
-    s_axes = [OrientedLine(*np.split(sign * _dual_unit(a), 2)) for a in axes]
-    sig = [screws.line_reflection(s) for s in s_axes]
-
-    hinge = {f"I0{j}": _base_hinge(ang.u[j - 1], xs[j - 1]) for j in (1, 2, 3)}
-    hinge["I32"] = screws.apply(sig[0], hinge["I01"])
-    hinge["I31"] = screws.apply(sig[0], hinge["I02"])
-    hinge["I13"] = screws.apply(sig[1], hinge["I02"])
-    hinge["I12"] = screws.apply(sig[1], hinge["I03"])
-    hinge["I21"] = screws.apply(sig[2], hinge["I03"])
-    hinge["I23"] = screws.apply(sig[2], hinge["I01"])
-
-    h0_a = screws.apply(sig[3], h[3]).reversed()
-    h0_b = screws.apply(sig[4], h[1]).reversed()
-    h0_c = screws.apply(sig[5], h[2]).reversed()
-    coupler_resid = max(screws.line_distance(h0_a, h0_b), screws.line_distance(h0_a, h0_c))
-    h[0] = h0_a
-
-    hinge["I20"] = screws.apply(sig[3], hinge["I13"])
-    hinge["I10"] = screws.apply(sig[3], hinge["I23"])
-    hinge["I30"] = screws.apply(sig[4], hinge["I21"])
-    hinge_resid = max(
-        screws.line_distance(screws.apply(sig[4], hinge["I31"]), hinge["I20"]),
-        screws.line_distance(screws.apply(sig[5], hinge["I32"]), hinge["I10"]),
-        screws.line_distance(screws.apply(sig[5], hinge["I12"]), hinge["I30"]),
-    )
+    s_axes = [OrientedLine(sign * s[:3], sign * s[3:]) for s in units]
+    hinge = {f"I{k[1:]}": OrientedLine(p[:3], p[3:]) for k, p in joints.items()}
 
     # vertex V_ij: where hinge I_ij meets bar g_i at a right angle; bar h_j
     # must pass through it too (g_i and h_j are parallel at the aligned poses)
@@ -656,7 +640,7 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     cell_residuals = tuple(
         _spatial_cell_residual(v, index, g, h, hinge, vertices) for index in range(len(CELLS))
     )
-    closure = max(coupler_resid, hinge_resid, meet_resid, max(cell_residuals))
+    closure = max(placement_resid, meet_resid, max(cell_residuals))
     if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spatial 8-bar failed to close (residual {closure:.3e})")
 
@@ -672,7 +656,7 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
         phi=_phis(ang, phi1),
         g=tuple(g),
         h=tuple(h),
-        hinges=dict(sorted(hinge.items())),
+        hinges=hinge,
         vertices=dict(sorted(vertices.items())),
         axes=None if aligned else tuple(s_axes),
         n_line=n_line,

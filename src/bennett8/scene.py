@@ -26,6 +26,8 @@ from .linkage import (
     EightBarSpec,
     SpatialEightBarPose,
     SpatialEightBarSpec,
+    halfturn_products_report,
+    symmetry_report_spatial,
 )
 from .screws import OrientedLine, dual_angle
 from .sphere import OrientedGreatCircle, spherical_distance
@@ -166,8 +168,6 @@ def scene_from_pose(pose, segments: int = 128) -> dict[str, Any]:
 
 
 def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
-    from .linkage import halfturn_products_report
-
     bars = [_circle_entry(f"g{i}", pose.g[i], segments) for i in range(4)]
     bars += [_circle_entry(f"h{j}", pose.h[j], segments) for j in range(4)]
     joints = [{"id": key, "position": _vec(p.v)} for key, p in pose.joints.items()]
@@ -197,8 +197,6 @@ def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
 
 
 def _scene_spatial(pose: SpatialEightBarPose, segments: int) -> dict[str, Any]:
-    from .linkage import symmetry_report_spatial
-
     verts = list(pose.vertices.values())
     bars = []
     for i in range(4):

@@ -223,6 +223,12 @@ def test_symmetry_center_on_diagonal_midpoint_diameter():
             assert min(dist, np.pi - dist) < 1e-9
 
 
+def test_symmetry_center_does_not_relabel_other_errors():
+    # only a degenerate diagonal circle means a collapsed pose
+    with pytest.raises(AttributeError):
+        isogram_symmetry_spherical(None)
+
+
 def test_symmetry_mirror_exchanges_oriented_side_circles():
     # the polar circle of the center is the mirror of the cell: it
     # maps each side circle onto its opposite with matching orientation

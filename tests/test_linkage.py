@@ -27,6 +27,7 @@ from bennett8.linkage import (
     symmetry_report_spatial,
     validate_spec,
     _cell_design_residual,
+    _dual_halfturn,
     _mobility_jacobian,
     _spatial_cell_residual,
 )
@@ -38,9 +39,16 @@ from bennett8.oracle import (
     solve_loop,
 )
 from bennett8.scene import load_spec
-from bennett8.screws import dual_angle
-from bennett8.sphere import arc_point, lies_on, spherical_distance
-from conftest import random_eightbar_spec, random_spatial_spec
+from bennett8.screws import apply as apply_displacement
+from bennett8.screws import dual_angle, line_reflection
+from bennett8.sphere import apply as rotate
+from bennett8.sphere import arc_point, halfturn_about, lies_on, spherical_distance
+from conftest import (
+    random_eightbar_spec,
+    random_line,
+    random_point,
+    random_spatial_spec,
+)
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
 
@@ -351,11 +359,40 @@ def test_badly_conditioned_spatial_design_closes():
 
 
 def test_spatial_spherical_image():
-    pose = assemble_spatial(SAMPLE_SPATIAL, 1.1)
-    spherical = assemble_spherical(validate_spec(SAMPLE), 1.1)
-    for i in range(4):
-        assert np.linalg.norm(pose.g[i].d - spherical.g[i].n) < 1e-12
-        assert np.linalg.norm(pose.h[i].d - spherical.h[i].n) < 1e-12
+    # the directions of bars and hinges are the spherical pose of the
+    # angular design: the placement is the same table of half-turns
+    rng = np.random.default_rng(31)
+    specs = [SAMPLE_SPATIAL, load_spec(os.path.join(SPECS, "spatial8_demo.json"))]
+    specs += [random_spatial_spec(rng) for _ in range(3)]
+    for spec in specs:
+        v = validate_spec(spec)
+        for phi in (1.1, *BAND):
+            pose = assemble_spatial(v, phi)
+            spherical = assemble_spherical(v.angular, phi)
+            for i in range(4):
+                assert np.linalg.norm(pose.g[i].d - spherical.g[i].n) < 1e-12
+                assert np.linalg.norm(pose.h[i].d - spherical.h[i].n) < 1e-12
+            for key, joint in spherical.joints.items():
+                assert np.linalg.norm(pose.hinges[f"I{key[1:]}"].d - joint.v) < 1e-12, (key, phi)
+
+
+@pytest.mark.parametrize("moments", [True, False], ids=["lines", "moment-free"])
+def test_dual_halfturn_is_the_line_reflection(moments):
+    # 2<s, x> s - x over the dual numbers: the line reflection in s, and
+    # the spherical half-turn where the moments vanish
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        if moments:
+            s, x = random_line(rng), random_line(rng)
+            want = apply_displacement(line_reflection(s), x)
+            want = np.r_[want.d, want.m]
+            s, x = np.r_[s.d, s.m], np.r_[x.d, x.m]
+        else:
+            p, q = random_point(rng), random_point(rng)
+            want = np.r_[rotate(halfturn_about(p), q).v, 0.0, 0.0, 0.0]
+            s, x = np.r_[p.v, 0.0, 0.0, 0.0], np.r_[q.v, 0.0, 0.0, 0.0]
+        assert np.max(np.abs(_dual_halfturn(s, x) - want)) <= 1e-14
+        assert np.max(np.abs(_dual_halfturn(-s, x) - want)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
