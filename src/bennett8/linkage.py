@@ -364,9 +364,12 @@ _PLACEMENT = (
 def _placement(v: ValidatedSpherical, heights, phi1: float):
     """Bars g0..g3 and h0..h3, unit symmetry axes S1..S6 and the joints
     (keyed as JOINT_KEYS) at phi1, all as dual vectors, plus the largest coupler
-    and joint closure residual. Base joint R0j is the hinge along
-    e_j = (cos u_j, sin u_j, 0) at height x_j on g0, with moment x_j e_z x e_j
-    (zero for the spherical linkage)."""
+    and joint closure residual and the incidence. Base joint R0j is the hinge
+    along e_j = (cos u_j, sin u_j, 0) at height x_j on g0, with moment
+    x_j e_z x e_j (zero for the spherical linkage). The incidence is the
+    largest part of <R_ij, g_i> and <R_ij, h_j> over the dual numbers: the
+    real part is 0 when the joint is at a right angle to the bar, the dual
+    part when the two lines meet. Without moments it is |R_ij . n|."""
     arms, bars, axes = _half_angle_construction(v, heights, phi1)
     units = [_dual_unit(a) for a in axes]
     x = {"h1": arms[0], "h2": arms[1], "h3": arms[2]}
@@ -379,7 +382,15 @@ def _placement(v: ValidatedSpherical, heights, phi1: float):
             resid = max(resid, float(np.linalg.norm(image - x[key])))
         else:
             x[key] = image
-    return [_EZ, *bars], [-x["-h0"], *arms], units, {k: x[k] for k in JOINT_KEYS}, resid
+    g, h = [_EZ, *bars], [-x["-h0"], *arms]
+    joints = {k: x[k] for k in JOINT_KEYS}
+    r = np.array([*joints.values()] * 2)
+    on = np.array([g[int(k[1])] for k in JOINT_KEYS] + [h[int(k[2])] for k in JOINT_KEYS])
+    real = np.sum(r[:, :3] * on[:, :3], axis=1)
+    # (d, m) . (m', d') = d . m' + m . d'
+    dual = np.sum(r * np.roll(on, 3, axis=1), axis=1)
+    incidence = float(np.max(np.abs(np.r_[real, dual])))
+    return g, h, units, joints, resid, incidence
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +434,11 @@ def assemble_spherical(spec, phi1: float) -> EightBarPose:
     on g0, with the symmetry elements marked absent.
     """
     v = spec if isinstance(spec, ValidatedSpherical) else validate_spec(spec)
-    g, h, units, joints, placement_resid = _placement(v, (0.0, 0.0, 0.0), phi1)
+    g, h, units, joints, placement_resid, incidence = _placement(v, (0.0, 0.0, 0.0), phi1)
     g = [OrientedGreatCircle(b[:3]) for b in g]
     h = [OrientedGreatCircle(b[:3]) for b in h]
     centers = tuple(SpherePoint(sphere.tie_break_sign(s[:3]) * s[:3]) for s in units)
     r = {k: SpherePoint(p[:3]) for k, p in joints.items()}
-
-    incidence = max(
-        max(sphere.lies_on(r[k], g[int(k[1])]), sphere.lies_on(r[k], h[int(k[2])]))
-        for k in JOINT_KEYS
-    )
 
     stack = np.array([c.v for c in centers])
     _, _, vt = np.linalg.svd(stack)
@@ -520,27 +526,29 @@ def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
     for key, s, src, dst in mapping_table:
         rep[key] = sphere.circle_distance(sphere.apply(s, src), dst.reversed())
 
-    tau321 = comp(sig[2], comp(sig[1], sig[0]))
-    tau654 = comp(sig[5], comp(sig[4], sig[3]))
-    rep["sigma3_conjugates_rho21"] = sphere.rotation_distance(
-        comp(sig[2], comp(comp(sig[1], sig[0]), sig[2])), comp(sig[0], sig[1])
-    )
+    rho21 = comp(sig[1], sig[0])
+    rho12 = comp(sig[0], sig[1])
+    rho54 = comp(sig[4], sig[3])
+    tau321 = comp(sig[2], rho21)
+    tau654 = comp(sig[5], rho54)
+    axis321, axis654 = tau321.axis(), tau654.axis()
+    rep["sigma3_conjugates_rho21"] = sphere.rotation_distance(comp(sig[2], comp(rho21, sig[2])), rho12)
     rep["tau321_involutive"] = sphere.rotation_distance(tau321, sphere.inverse(tau321))
     rep["tau321_halfturn"] = float(abs(tau321.q[0]))
-    rep["tau321_axis_in_h1"] = float(abs(np.dot(tau321.axis().v, h[1].n)))
-    rep["tau321_axis_in_n"] = float(abs(np.dot(tau321.axis().v, pose.n_circle.n)))
+    rep["tau321_axis_in_h1"] = float(abs(np.dot(axis321.v, h[1].n)))
+    rep["tau321_axis_in_n"] = float(abs(np.dot(axis321.v, pose.n_circle.n)))
     rep["tau654_halfturn"] = float(abs(tau654.q[0]))
-    rep["tau654_axis_in_g1"] = float(abs(np.dot(tau654.axis().v, g[1].n)))
-    rep["tau654_axis_in_n"] = float(abs(np.dot(tau654.axis().v, pose.n_circle.n)))
-    rep["tau_axes_mirror_t1"] = _point_pair_mirror(pose.t1, tau321.axis(), tau654.axis())
-    rep["tau_axes_mirror_t2"] = _point_pair_mirror(pose.t2, tau321.axis(), tau654.axis())
+    rep["tau654_axis_in_g1"] = float(abs(np.dot(axis654.v, g[1].n)))
+    rep["tau654_axis_in_n"] = float(abs(np.dot(axis654.v, pose.n_circle.n)))
+    rep["tau_axes_mirror_t1"] = _point_pair_mirror(pose.t1, axis321, axis654)
+    rep["tau_axes_mirror_t2"] = _point_pair_mirror(pose.t2, axis321, axis654)
 
     rho61 = comp(sig[5], sig[0])
     rho42 = comp(sig[3], sig[1])
     rho53 = comp(sig[4], sig[2])
     rep["rho42_eq_rho51"] = sphere.rotation_distance(rho42, comp(sig[4], sig[0]))
-    rep["rho62_eq_rho53"] = sphere.rotation_distance(comp(sig[5], sig[1]), comp(sig[4], sig[2]))
-    rep["rho61_eq_rho43"] = sphere.rotation_distance(comp(sig[5], sig[0]), comp(sig[3], sig[2]))
+    rep["rho62_eq_rho53"] = sphere.rotation_distance(comp(sig[5], sig[1]), rho53)
+    rep["rho61_eq_rho43"] = sphere.rotation_distance(rho61, comp(sig[3], sig[2]))
     for key, rho, gi, hi in (
         ("rho61", rho61, g[1], h[1]),
         ("rho42", rho42, g[2], h[2]),
@@ -550,7 +558,7 @@ def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
         rep[f"{key}_maps_h"] = sphere.circle_distance(sphere.apply(rho, hi), h[0])
         rep[f"{key}_axis_on_N"] = _rho_axis_vs(rho, pose.n_pole)
 
-    rep["rho54_eq_rho12"] = sphere.rotation_distance(comp(sig[4], sig[3]), comp(sig[0], sig[1]))
+    rep["rho54_eq_rho12"] = sphere.rotation_distance(rho54, rho12)
     rep["rho65_eq_rho23"] = sphere.rotation_distance(comp(sig[5], sig[4]), comp(sig[1], sig[2]))
     rep["rho46_eq_rho31"] = sphere.rotation_distance(comp(sig[3], sig[5]), comp(sig[2], sig[0]))
 
@@ -616,7 +624,7 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
         raise TypeError("assemble_spatial needs a spatial spec")
     ang = v.angular
     xs = (0.0, v.a[0], v.a[0] + v.a[1])
-    g, h, units, joints, placement_resid = _placement(ang, xs, phi1)
+    g, h, units, joints, placement_resid, incidence = _placement(ang, xs, phi1)
     g = [OrientedLine(b[:3], b[3:]) for b in g]
     h = [OrientedLine(b[:3], b[3:]) for b in h]
     # sign(WS) = sign(sin phi1) orients each axis along the difference of
@@ -625,22 +633,19 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     s_axes = [OrientedLine(sign * s[:3], sign * s[3:]) for s in units]
     hinge = {f"I{k[1:]}": OrientedLine(p[:3], p[3:]) for k, p in joints.items()}
 
-    # vertex V_ij: where hinge I_ij meets bar g_i at a right angle; bar h_j
-    # must pass through it too (g_i and h_j are parallel at the aligned poses)
+    # vertex V_ij: the point of bar g_i nearest hinge I_ij, which is where
+    # the two meet at a right angle once the incidence holds; bar h_j must
+    # pass through it too (g_i and h_j are parallel at the aligned poses)
     vertices: dict[str, np.ndarray] = {}
     meet_resid = 0.0
     for key in HINGE_KEYS:
-        i, j = int(key[1]), int(key[2])
-        cp = screws.common_perpendicular(g[i], hinge[key])
-        vtx = (cp.foot1 + cp.foot2) / 2
-        off_h = float(np.linalg.norm(np.cross(vtx, h[j].d) - h[j].m))
-        meet_resid = max(meet_resid, cp.distance, off_h)
+        gi, hj = g[int(key[1])], h[int(key[2])]
+        vtx = gi.foot() + np.dot(hinge[key].foot(), gi.d) * gi.d
+        meet_resid = max(meet_resid, float(np.linalg.norm(np.cross(vtx, hj.d) - hj.m)))
         vertices[key] = vtx
 
-    cell_residuals = tuple(
-        _spatial_cell_residual(v, index, g, h, hinge, vertices) for index in range(len(CELLS))
-    )
-    closure = max(placement_resid, meet_resid, max(cell_residuals))
+    cell_residuals = tuple(_spatial_cell_residual(v, index, hinge) for index in range(len(CELLS)))
+    closure = max(placement_resid, incidence, meet_resid, max(cell_residuals))
     if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spatial 8-bar failed to close (residual {closure:.3e})")
 
@@ -667,35 +672,15 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     )
 
 
-def _spatial_cell_residual(v: ValidatedSpatial, index: int, g, h, hinge, vertices) -> float:
-    """Bennett-cell closure: sides are common perpendiculars of adjacent
-    hinges (orthogonality + incidence), opposite dual angles agree, and the
-    cell is the one the spec designs (see _cell_design_residual)."""
-    (ka, kb, kc, kd), sides = CELLS[index]
-    bars = {k: (g[int(k[1])] if k[0] == "g" else h[int(k[1])]) for k in sides}
-    quads = [hinge[f"I{k[1]}{k[2]}"] for k in (ka, kb, kc, kd)]
-    verts = [vertices[f"I{k[1]}{k[2]}"] for k in (ka, kb, kc, kd)]
-    resid = 0.0
-    for idx, side_key in enumerate(sides):
-        bar = bars[side_key]
-        h1, h2 = quads[idx], quads[(idx + 1) % 4]
-        v1, v2 = verts[idx], verts[(idx + 1) % 4]
-        resid = max(resid, abs(float(np.dot(bar.d, h1.d))), abs(float(np.dot(bar.d, h2.d))))
-        for vv in (v1, v2):
-            off = vv - bar.foot()
-            resid = max(resid, float(np.linalg.norm(off - np.dot(off, bar.d) * bar.d)))
-    ang_ab, off_ab = screws.dual_angle(quads[0], quads[1])
-    ang_cd, off_cd = screws.dual_angle(quads[2], quads[3])
-    ang_bc, off_bc = screws.dual_angle(quads[1], quads[2])
-    ang_da, off_da = screws.dual_angle(quads[3], quads[0])
-    resid = max(
-        resid,
-        abs(ang_ab - ang_cd),
-        abs(off_ab - off_cd),
-        abs(ang_bc - ang_da),
-        abs(off_bc - off_da),
-    )
-    dual_sides = ((ang_ab, off_ab), (ang_bc, off_bc), (ang_cd, off_cd), (ang_da, off_da))
+def _spatial_cell_residual(v: ValidatedSpatial, index: int, hinge) -> float:
+    """Bennett-cell closure: opposite sides have equal dual angles, and the
+    cell is the one the spec designs (see _cell_design_residual). That each
+    side meets its two hinges at right angles is the incidence of
+    _placement."""
+    quad = [hinge[f"I{k[1:]}"] for k in CELLS[index][0]]
+    dual_sides = [screws.dual_angle(quad[k], quad[(k + 1) % 4]) for k in range(4)]
+    # the opposite sides AB, CD and BC, DA have equal dual angles
+    resid = float(np.max(np.abs(np.subtract(dual_sides[:2], dual_sides[2:]))))
     return max(resid, _cell_design_residual(v, index, dual_sides))
 
 
@@ -747,42 +732,40 @@ def _spatial_report(pose: SpatialEightBarPose) -> dict[str, float]:
     rep: dict[str, float] = {}
     n = pose.n_line
     for k, s in enumerate(pose.axes, start=1):
-        cp = screws.common_perpendicular(s, n)
-        rep[f"s{k}_meets_n"] = cp.distance
-        rep[f"s{k}_orth_n"] = abs(cp.angle - np.pi / 2)
+        angle, distance = screws.dual_angle(s, n)
+        rep[f"s{k}_meets_n"] = distance
+        rep[f"s{k}_orth_n"] = abs(angle - np.pi / 2)
 
-    cp_t = screws.common_perpendicular(pose.t_line, n)
-    rep["t_meets_n"] = cp_t.distance
-    rep["t_orth_n"] = abs(cp_t.angle - np.pi / 2)
+    angle, distance = screws.dual_angle(pose.t_line, n)
+    rep["t_meets_n"] = distance
+    rep["t_orth_n"] = abs(angle - np.pi / 2)
     t_refl = screws.line_reflection(pose.t_line)
     rep["t_swaps_s1s4"] = _line_mirror(t_refl, pose.axes[0], pose.axes[3])
     rep["t_swaps_s2s5"] = _line_mirror(t_refl, pose.axes[1], pose.axes[4])
     rep["t_swaps_s3s6"] = _line_mirror(t_refl, pose.axes[2], pose.axes[5])
 
-    def cyl(line: OrientedLine) -> tuple[float, np.ndarray, float, float]:
-        cp = screws.common_perpendicular(n, line)
-        z = float(np.dot(cp.foot1 - n.foot(), n.d))
-        fold = min(cp.angle, np.pi - cp.angle)
-        return z, cp.axis.d, cp.distance, fold
-
-    z0, w0, r0, a0 = cyl(pose.g[0])
+    # each bar's common perpendicular with n: height of its foot on n,
+    # direction, distance and the angle folded into [0, pi/2]
+    n_foot = n.foot()
+    g_cp = [screws.common_perpendicular(n, b) for b in pose.g]
+    h_cp = [screws.common_perpendicular(n, b) for b in pose.h]
+    z = [float(np.dot(cp.foot1 - n_foot, n.d)) for cp in g_cp]
+    w0 = g_cp[0].axis.d
     for i in (1, 2, 3):
-        zi, wi, _, _ = cyl(pose.g[i])
+        wi = g_cp[i].axis.d
         theta = float(np.arctan2(np.dot(np.cross(w0, wi), n.d), np.dot(w0, wi)))
-        helix = screws.screw_displacement(n, theta, zi - z0)
+        helix = screws.screw_displacement(n, theta, z[i] - z[0])
         rep[f"helix_g0g{i}"] = screws.line_distance(screws.apply(helix, pose.g[0]), pose.g[i])
         rep[f"helix_h{i}h0"] = screws.line_distance(screws.apply(helix, pose.h[i]), pose.h[0])
 
-    g_cyl = [cyl(b) for b in pose.g]
-    h_cyl = [cyl(b) for b in pose.h]
-    rep["g_dists_to_n"] = max(c[2] for c in g_cyl) - min(c[2] for c in g_cyl)
-    rep["h_dists_to_n"] = max(c[2] for c in h_cyl) - min(c[2] for c in h_cyl)
-    rep["g_angles_to_n"] = max(c[3] for c in g_cyl) - min(c[3] for c in g_cyl)
-    rep["h_angles_to_n"] = max(c[3] for c in h_cyl) - min(c[3] for c in h_cyl)
+    for name, cps in (("g", g_cp), ("h", h_cp)):
+        dists = [cp.distance for cp in cps]
+        rep[f"{name}_dists_to_n"] = max(dists) - min(dists)
+    for name, cps in (("g", g_cp), ("h", h_cp)):
+        folds = [min(cp.angle, np.pi - cp.angle) for cp in cps]
+        rep[f"{name}_angles_to_n"] = max(folds) - min(folds)
     for i in range(4):
-        cg = screws.common_perpendicular(n, pose.g[i]).axis
-        ch = screws.common_perpendicular(n, pose.h[i]).axis
-        rep[f"cp_mirror_g{i}h{i}"] = _line_mirror(t_refl, cg, ch)
+        rep[f"cp_mirror_g{i}h{i}"] = _line_mirror(t_refl, g_cp[i].axis, h_cp[i].axis)
 
     rep["cells"] = max(pose.cell_residuals)
     return rep

@@ -197,9 +197,14 @@ def common_perpendicular(l1: OrientedLine, l2: OrientedLine) -> CommonPerpendicu
 
 
 def dual_angle(l1: OrientedLine, l2: OrientedLine) -> tuple[float, float]:
-    """(angle in [0, pi], offset >= 0) between two non-parallel oriented lines."""
-    cp = common_perpendicular(l1, l2)
-    return cp.angle, cp.distance
+    """(angle in [0, pi], offset >= 0) between two non-parallel oriented lines:
+    theta + eps l is atan2 of the dual cross and dot products, so
+    theta = atan2(|d1 x d2|, d1 . d2) and l = |d1 . m2 + m1 . d2| / |d1 x d2|."""
+    nc = float(np.linalg.norm(np.cross(l1.d, l2.d)))
+    if nc < PARALLEL_EPS:
+        raise ParallelLines("lines are parallel (or identical)")
+    moment = float(np.dot(l1.d, l2.m) + np.dot(l1.m, l2.d))
+    return float(np.arctan2(nc, np.dot(l1.d, l2.d))), abs(moment) / nc
 
 
 def line_reflection(axis: OrientedLine) -> Displacement:

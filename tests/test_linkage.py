@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bennett8.errors import CollapsedPose, InvalidSpec
+from bennett8.errors import ClosureFailure, CollapsedPose, InvalidSpec
 from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from bennett8.linkage import (
     CELLS,
@@ -27,6 +27,7 @@ from bennett8.linkage import (
     symmetry_report_spatial,
     validate_spec,
     _cell_design_residual,
+    _PLACEMENT,
     _dual_halfturn,
     _mobility_jacobian,
     _spatial_cell_residual,
@@ -40,7 +41,7 @@ from bennett8.oracle import (
 )
 from bennett8.scene import load_spec
 from bennett8.screws import apply as apply_displacement
-from bennett8.screws import dual_angle, line_reflection
+from bennett8.screws import common_perpendicular, dual_angle, line_reflection
 from bennett8.sphere import apply as rotate
 from bennett8.sphere import arc_point, halfturn_about, lies_on, spherical_distance
 from conftest import (
@@ -181,9 +182,13 @@ def test_derive_third_isogram_always_solvable():
 def test_spherical_assembly_closure_and_incidence():
     pose = assemble_spherical(SAMPLE, 0.8)
     assert pose.closure_residual < 1e-12
+    worst = 0.0
     for key, joint in pose.joints.items():
-        assert lies_on(joint, pose.g[int(key[1])]) < 1e-12
-        assert lies_on(joint, pose.h[int(key[2])]) < 1e-12
+        on_g, on_h = lies_on(joint, pose.g[int(key[1])]), lies_on(joint, pose.h[int(key[2])])
+        assert on_g < 1e-12 and on_h < 1e-12
+        worst = max(worst, on_g, on_h)
+    # the dual hinge-bar incidence without moments is the joint-on-circle one
+    assert abs(pose.incidence_residual - worst) <= 1e-15
 
 
 def test_spherical_assembly_cell_structure():
@@ -330,6 +335,13 @@ def test_band_poses_close(band_poses):
     for _, poses in band_poses:
         worst = max(p.closure_residual for p in poses)
         assert worst <= 1e-11
+        for pose in poses:
+            if not isinstance(pose, SpatialEightBarPose):
+                continue
+            # the vertex is where hinge I_ij meets bar g_i
+            for key, vtx in pose.vertices.items():
+                cp = common_perpendicular(pose.g[int(key[1])], pose.hinges[key])
+                assert np.max(np.abs(vtx - (cp.foot1 + cp.foot2) / 2)) <= 1e-13, (key, pose.phi[0])
 
 
 def test_band_keeps_the_on_bar_invariants(band_poses):
@@ -374,6 +386,52 @@ def test_spatial_spherical_image():
                 assert np.linalg.norm(pose.h[i].d - spherical.h[i].n) < 1e-12
             for key, joint in spherical.joints.items():
                 assert np.linalg.norm(pose.hinges[f"I{key[1:]}"].d - joint.v) < 1e-12, (key, phi)
+
+
+def _moved(x: np.ndarray, motion: str, eps: float = 1e-6) -> np.ndarray:
+    """The dual vector x rotated by eps about the x axis, or translated by eps
+    along z."""
+    if motion == "translate":
+        return np.r_[x[:3], x[3:] + np.cross([0.0, 0.0, eps], x[:3])]
+    c, s = np.cos(eps), np.sin(eps)
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return np.r_[rot @ x[:3], rot @ x[3:]]
+
+
+@pytest.mark.parametrize("phi", [0.8, -2.2])
+@pytest.mark.parametrize("joint", ["R13", "R32", "R30", "R20"])
+@pytest.mark.parametrize(
+    "kind, motion",
+    [("spherical", "rotate"), ("spatial", "rotate"), ("spatial", "translate")],
+)
+def test_misplaced_joint_fails_closure(monkeypatch, kind, motion, joint, phi):
+    # move the joint by 1e-6 where the placement table places it: the
+    # pose must fail closure
+    target = next(i for i, (key, _, _) in enumerate(_PLACEMENT) if key == joint)
+    calls = []
+
+    def misplaced(s, x):
+        calls.append(None)
+        image = _dual_halfturn(s, x)
+        return _moved(image, motion) if len(calls) - 1 == target else image
+
+    monkeypatch.setattr("bennett8.linkage._dual_halfturn", misplaced)
+    assemble = assemble_spatial if kind == "spatial" else assemble_spherical
+    with pytest.raises(ClosureFailure):
+        assemble(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")), phi)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_large_lengths_raise_only_typed_errors(scale):
+    # whether these poses close depends on the length unit (an absolute
+    # tolerance), but a failure must be a ClosureFailure, never a ValueError
+    spec = load_spec(os.path.join(SPECS, "spatial8_demo.json"))
+    v = validate_spec(replace(spec, a1=scale * spec.a1, a2=scale * spec.a2))
+    for phi in np.linspace(-3, 3, 13):
+        try:
+            assemble_spatial(v, phi)
+        except ClosureFailure:
+            pass
 
 
 @pytest.mark.parametrize("moments", [True, False], ids=["lines", "moment-free"])
@@ -426,7 +484,7 @@ def test_cells_fail_against_a_changed_design(field):
     pose = assemble_spatial(spec, 0.8)
     changed = validate_spec(replace(spec, **{field: getattr(spec, field) * (1 + 1e-6)}))
     worst = max(
-        _spatial_cell_residual(changed, index, pose.g, pose.h, pose.hinges, pose.vertices)
+        _spatial_cell_residual(changed, index, pose.hinges)
         for index in range(len(CELLS))
     )
     assert worst >= 1e-7

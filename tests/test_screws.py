@@ -141,6 +141,8 @@ def test_dual_angle_examples():
     ang, off = dual_angle(X_AXIS, meet)
     assert ang == pytest.approx(np.pi / 6, abs=1e-12)
     assert off == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ParallelLines):
+        dual_angle(X_AXIS, OrientedLine.from_point_direction(np.array([0, 1.0, 0]), -X_AXIS.d))
 
 
 def test_dual_angle_rigid_invariance():
@@ -148,6 +150,8 @@ def test_dual_angle_rigid_invariance():
     for _ in range(100):
         l1, l2 = random_line_pair(rng, min_cross=0.02)
         a0 = dual_angle(l1, l2)
+        cp = common_perpendicular(l1, l2)
+        assert a0 == pytest.approx((cp.angle, cp.distance), abs=1e-12)
         d = random_displacement(rng)
         a1 = dual_angle(apply(d, l1), apply(d, l2))
         assert a1[0] == pytest.approx(a0[0], abs=1e-10)
