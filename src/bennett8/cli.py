@@ -161,23 +161,21 @@ def cmd_verify(args) -> int:
     for s in samples:
         for key, val in (s.families or {}).items():
             families[key] = max(families.get(key, 0.0), val)
-    failures = [f"phi={s.phi1:.6g}: {s.error}" for s in samples if s.error]
     # one degree of freedom is gated at regular poses; at the aligned poses
     # the spherical linkage has nullity 3 (the spatial one keeps 1)
     regular = [s for s in samples if s.pose is None or not s.pose.aligned]
     mob = linkage.mobility_check(regular[:: max(1, len(regular) // 5)])
-    bad_mob = [m for m in mob if m.status != "ok" or m.nullity != 1]
-    ok = not failures and not bad_mob and all(val < args.tol for val in families.values())
-
-    for key in sorted(families):
-        status = "PASS" if families[key] < args.tol else "FAIL"
-        print(f"{status} {key:<22} worst {format_float(families[key])}")
-    mob_status = "PASS" if not bad_mob and mob else "FAIL"
+    lines = [
+        f"{'PASS' if families[key] < args.tol else 'FAIL'} {key:<22} worst {format_float(families[key])}"
+        for key in sorted(families)
+    ]
+    mob_status = "PASS" if mob and all(m.status == "ok" and m.nullity == 1 for m in mob) else "FAIL"
     nullities = sorted({m.nullity for m in mob if m.status == 'ok'})
-    print(f"{mob_status} {'mobility':<22} nullities {nullities}")
-    for line in failures:
-        print(f"FAIL assembly             {line}")
-    return 0 if ok else 2
+    lines.append(f"{mob_status} {'mobility':<22} nullities {nullities}")
+    lines += [f"FAIL assembly             phi={s.phi1:.6g}: {s.error}" for s in samples if s.error]
+    print("\n".join(lines))
+    # the exit code is what the lines say: any FAIL is a verification failure
+    return 2 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 def cmd_derive(args) -> int:

@@ -30,7 +30,7 @@ from .isogram import (
 )
 from .oracle import matrix_nullity
 from .screws import OrientedLine
-from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
+from .sphere import OrientedGreatCircle, SpherePoint
 
 _ALIGNED_EPS = 1e-12
 _CLOSURE_TOL = 1e-9
@@ -338,13 +338,17 @@ def _half_angle_construction(v: ValidatedSpherical, heights, phi1: float):
 def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Image of the dual vector x under the half-turn about the unit dual
     vector s: 2<s, x> s - x over the dual numbers. On lines this is the line
-    reflection in s; with zero moments it is the spherical half-turn. It does
-    not depend on the orientation of s."""
-    p = np.dot(s[:3], x[:3])
-    q = np.dot(s[:3], x[3:]) + np.dot(s[3:], x[:3])
-    out = 2 * p * s - x
-    out[3:] += 2 * q * s[:3]
+    reflection in s; with zero moments, or on direction-only 3-vectors, it is
+    the spherical half-turn. It does not depend on the orientation of s."""
+    out = 2 * np.dot(s[:3], x[:3]) * s - x
+    if len(x) > 3:
+        out[3:] += 2 * (np.dot(s[:3], x[3:]) + np.dot(s[3:], x[:3])) * s[:3]
     return out
+
+
+def _unsigned_gap(x: np.ndarray, y: np.ndarray) -> float:
+    """Distance of x from y up to sign."""
+    return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
 
 
 # (element, symmetry axis S_k as k - 1, source): the half-turn about S_k
@@ -491,89 +495,94 @@ def _bisector_circles(centers, n_circle):
 # ---------------------------------------------------------------------------
 
 
-def _rho_axis_vs(r: SphericalRotation, p: SpherePoint) -> float:
-    axis = r.q[1:] / np.linalg.norm(r.q[1:])
-    return float(min(np.linalg.norm(axis - p.v), np.linalg.norm(axis + p.v)))
+# (i, a, b): the product of the half-turns about S_a and then S_b, the
+# rotation about N that the spherical report names rho_{b+1}{a+1}, carries g0
+# onto g_i and h_i onto h0. Over the dual numbers it is a screw about n.
+_ABOUT_N = ((1, 0, 5), (2, 1, 3), (3, 2, 4))
 
 
-def _point_pair_mirror(t: OrientedGreatCircle, x: SpherePoint, y: SpherePoint) -> float:
-    img = sphere.reflect_in_circle(t, x)
-    return float(min(np.linalg.norm(img.v - y.v), np.linalg.norm(img.v + y.v)))
+def _about_n(s, g, h):
+    """(i, a, b, |rho g0 - g_i|, |rho h_i - h0|) for each rotation rho of
+    _ABOUT_N, given the axes s, bars g and bars h as dual (or direction)
+    vectors."""
+    for i, a, b in _ABOUT_N:
+        g_img, h_img = (_dual_halfturn(s[b], _dual_halfturn(s[a], x)) for x in (g[0], h[i]))
+        yield i, a, b, float(np.linalg.norm(g_img - g[i])), float(np.linalg.norm(h_img - h[0]))
 
 
 def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
     """Residuals of the half-turn product identities and the derived
     symmetry statements at a non-collapsed pose. All entries are distances
-    (quaternion distances up to sign for displacement identities)."""
+    (quaternion distances up to sign for displacement identities). Each
+    half-turn acts by _dual_halfturn on the direction vectors; reflecting in
+    the circle t is -_dual_halfturn(t.n, .), and the mirror checks are up to
+    sign."""
     if pose.aligned:
         raise CollapsedPose("half-turn products are undefined at the aligned pose")
     sig = [sphere.halfturn_about(s) for s in pose.centers]
-    g, h = pose.g, pose.h
+    s = [c.v for c in pose.centers]
+    g, h = [c.n for c in pose.g], [c.n for c in pose.h]
+    t1, t2 = pose.t1.n, pose.t2.n
     comp = sphere.compose
     rep: dict[str, float] = {}
 
-    mapping_table = (
-        ("sigma1_swaps_g0_g3", sig[0], g[0], g[3]),
-        ("sigma1_swaps_h1_h2", sig[0], h[1], h[2]),
-        ("sigma2_swaps_g0_g1", sig[1], g[0], g[1]),
-        ("sigma2_swaps_h2_h3", sig[1], h[2], h[3]),
-        ("sigma3_swaps_g0_g2", sig[2], g[0], g[2]),
-        ("sigma3_swaps_h3_h1", sig[2], h[3], h[1]),
-        ("sigma4_swaps_g1_g2", sig[3], g[1], g[2]),
-        ("sigma5_swaps_g2_g3", sig[4], g[2], g[3]),
-        ("sigma6_swaps_g3_g1", sig[5], g[3], g[1]),
-    )
-    for key, s, src, dst in mapping_table:
-        rep[key] = sphere.circle_distance(sphere.apply(s, src), dst.reversed())
+    for key, k, src, dst in (
+        ("sigma1_swaps_g0_g3", 0, g[0], g[3]),
+        ("sigma1_swaps_h1_h2", 0, h[1], h[2]),
+        ("sigma2_swaps_g0_g1", 1, g[0], g[1]),
+        ("sigma2_swaps_h2_h3", 1, h[2], h[3]),
+        ("sigma3_swaps_g0_g2", 2, g[0], g[2]),
+        ("sigma3_swaps_h3_h1", 2, h[3], h[1]),
+        ("sigma4_swaps_g1_g2", 3, g[1], g[2]),
+        ("sigma5_swaps_g2_g3", 4, g[2], g[3]),
+        ("sigma6_swaps_g3_g1", 5, g[3], g[1]),
+    ):
+        rep[key] = float(np.linalg.norm(_dual_halfturn(s[k], src) + dst))
 
     rho21 = comp(sig[1], sig[0])
     rho12 = comp(sig[0], sig[1])
     rho54 = comp(sig[4], sig[3])
     tau321 = comp(sig[2], rho21)
     tau654 = comp(sig[5], rho54)
-    axis321, axis654 = tau321.axis(), tau654.axis()
+    axis321, axis654 = tau321.axis().v, tau654.axis().v
     rep["sigma3_conjugates_rho21"] = sphere.rotation_distance(comp(sig[2], comp(rho21, sig[2])), rho12)
     rep["tau321_involutive"] = sphere.rotation_distance(tau321, sphere.inverse(tau321))
     rep["tau321_halfturn"] = float(abs(tau321.q[0]))
-    rep["tau321_axis_in_h1"] = float(abs(np.dot(axis321.v, h[1].n)))
-    rep["tau321_axis_in_n"] = float(abs(np.dot(axis321.v, pose.n_circle.n)))
+    rep["tau321_axis_in_h1"] = float(abs(np.dot(axis321, h[1])))
+    rep["tau321_axis_in_n"] = float(abs(np.dot(axis321, pose.n_circle.n)))
     rep["tau654_halfturn"] = float(abs(tau654.q[0]))
-    rep["tau654_axis_in_g1"] = float(abs(np.dot(axis654.v, g[1].n)))
-    rep["tau654_axis_in_n"] = float(abs(np.dot(axis654.v, pose.n_circle.n)))
-    rep["tau_axes_mirror_t1"] = _point_pair_mirror(pose.t1, axis321, axis654)
-    rep["tau_axes_mirror_t2"] = _point_pair_mirror(pose.t2, axis321, axis654)
+    rep["tau654_axis_in_g1"] = float(abs(np.dot(axis654, g[1])))
+    rep["tau654_axis_in_n"] = float(abs(np.dot(axis654, pose.n_circle.n)))
+    rep["tau_axes_mirror_t1"] = _unsigned_gap(_dual_halfturn(t1, axis321), axis654)
+    rep["tau_axes_mirror_t2"] = _unsigned_gap(_dual_halfturn(t2, axis321), axis654)
 
-    rho61 = comp(sig[5], sig[0])
-    rho42 = comp(sig[3], sig[1])
-    rho53 = comp(sig[4], sig[2])
-    rep["rho42_eq_rho51"] = sphere.rotation_distance(rho42, comp(sig[4], sig[0]))
-    rep["rho62_eq_rho53"] = sphere.rotation_distance(comp(sig[5], sig[1]), rho53)
-    rep["rho61_eq_rho43"] = sphere.rotation_distance(rho61, comp(sig[3], sig[2]))
-    for key, rho, gi, hi in (
-        ("rho61", rho61, g[1], h[1]),
-        ("rho42", rho42, g[2], h[2]),
-        ("rho53", rho53, g[3], h[3]),
-    ):
-        rep[f"{key}_maps_g0"] = sphere.circle_distance(sphere.apply(rho, g[0]), gi)
-        rep[f"{key}_maps_h"] = sphere.circle_distance(sphere.apply(rho, hi), h[0])
-        rep[f"{key}_axis_on_N"] = _rho_axis_vs(rho, pose.n_pole)
+    rho = {f"rho{b + 1}{a + 1}": comp(sig[b], sig[a]) for _, a, b in _ABOUT_N}
+    rep["rho42_eq_rho51"] = sphere.rotation_distance(rho["rho42"], comp(sig[4], sig[0]))
+    rep["rho62_eq_rho53"] = sphere.rotation_distance(comp(sig[5], sig[1]), rho["rho53"])
+    rep["rho61_eq_rho43"] = sphere.rotation_distance(rho["rho61"], comp(sig[3], sig[2]))
+    for _, a, b, to_g, to_h in _about_n(s, g, h):
+        key = f"rho{b + 1}{a + 1}"
+        rep[f"{key}_maps_g0"], rep[f"{key}_maps_h"] = to_g, to_h
+        q = rho[key].q[1:]
+        rep[f"{key}_axis_on_N"] = _unsigned_gap(q / np.linalg.norm(q), pose.n_pole.v)
 
     rep["rho54_eq_rho12"] = sphere.rotation_distance(rho54, rho12)
     rep["rho65_eq_rho23"] = sphere.rotation_distance(comp(sig[5], sig[4]), comp(sig[1], sig[2]))
     rep["rho46_eq_rho31"] = sphere.rotation_distance(comp(sig[3], sig[5]), comp(sig[2], sig[0]))
 
-    for t_key, t in (("t1", pose.t1), ("t2", pose.t2)):
-        rep[f"{t_key}_swaps_S1S4"] = _point_pair_mirror(t, pose.centers[0], pose.centers[3])
-        rep[f"{t_key}_swaps_S2S5"] = _point_pair_mirror(t, pose.centers[1], pose.centers[4])
-        rep[f"{t_key}_swaps_S3S6"] = _point_pair_mirror(t, pose.centers[2], pose.centers[5])
+    for t_key, t in (("t1", t1), ("t2", t2)):
+        for k in range(3):
+            rep[f"{t_key}_swaps_S{k + 1}S{k + 4}"] = _unsigned_gap(_dual_halfturn(t, s[k]), s[k + 3])
     n = pose.n_circle
+    # the points n ^ g_i and n ^ h_i, which t1 and t2 exchange
+    xg, xh = np.cross(n.n, g), np.cross(n.n, h)
+    xg /= np.linalg.norm(xg, axis=1, keepdims=True)
+    xh /= np.linalg.norm(xh, axis=1, keepdims=True)
     for i in range(4):
-        xg = SpherePoint(np.cross(n.n, pose.g[i].n))
-        xh = SpherePoint(np.cross(n.n, pose.h[i].n))
-        rep[f"bisector_t1_g{i}h{i}"] = _point_pair_mirror(pose.t1, xg, xh)
-        rep[f"bisector_t2_g{i}h{i}"] = _point_pair_mirror(pose.t2, xg, xh)
+        rep[f"bisector_t1_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t1, xg[i]), xh[i])
+        rep[f"bisector_t2_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t2, xg[i]), xh[i])
 
-    stack = np.array([c.v for c in pose.centers])
+    stack = np.array(s)
     rep["centers_on_n"] = float(np.max(np.abs(stack @ n.n)))
     # coplanarity through O of the first three centers
     rep["triple_centers_aligned"] = float(abs(np.dot(np.cross(stack[0], stack[1]), stack[2])))
@@ -711,14 +720,12 @@ def _cell_design_residual(v: ValidatedSpatial, index: int, dual_sides) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _line_mirror(t_refl, a: OrientedLine, b: OrientedLine) -> float:
-    return screws.unoriented_line_distance(screws.apply(t_refl, a), b)
-
-
 def symmetry_report_spatial(pose: SpatialEightBarPose) -> dict[str, float]:
     """Residuals of the spatial symmetry statements: the six cell axes meet a
-    common line n orthogonally, helical displacements about n exchange the
-    bar cohorts, and the axis t swaps the paired cell axes."""
+    common line n orthogonally, the screws about n that are the products of
+    the line reflections in two cell axes exchange the bar cohorts, and the
+    axis t swaps the paired cell axes. Each line reflection acts by
+    _dual_halfturn on (d, m) 6-vectors."""
     if pose.aligned:
         raise CollapsedPose("symmetry elements are undefined at the aligned pose")
     try:
@@ -726,6 +733,10 @@ def symmetry_report_spatial(pose: SpatialEightBarPose) -> dict[str, float]:
     except ParallelLines as exc:
         # n and the bars turn parallel as the pose collapses
         raise CollapsedPose(f"symmetry elements degenerate next to the aligned pose: {exc}") from exc
+
+
+def _dual_vector(line: OrientedLine) -> np.ndarray:
+    return np.concatenate([line.d, line.m])
 
 
 def _spatial_report(pose: SpatialEightBarPose) -> dict[str, float]:
@@ -739,33 +750,27 @@ def _spatial_report(pose: SpatialEightBarPose) -> dict[str, float]:
     angle, distance = screws.dual_angle(pose.t_line, n)
     rep["t_meets_n"] = distance
     rep["t_orth_n"] = abs(angle - np.pi / 2)
-    t_refl = screws.line_reflection(pose.t_line)
-    rep["t_swaps_s1s4"] = _line_mirror(t_refl, pose.axes[0], pose.axes[3])
-    rep["t_swaps_s2s5"] = _line_mirror(t_refl, pose.axes[1], pose.axes[4])
-    rep["t_swaps_s3s6"] = _line_mirror(t_refl, pose.axes[2], pose.axes[5])
+    t, s = _dual_vector(pose.t_line), [_dual_vector(a) for a in pose.axes]
+    for k in range(3):
+        rep[f"t_swaps_s{k + 1}s{k + 4}"] = _unsigned_gap(_dual_halfturn(t, s[k]), s[k + 3])
 
-    # each bar's common perpendicular with n: height of its foot on n,
-    # direction, distance and the angle folded into [0, pi/2]
-    n_foot = n.foot()
+    g, h = [_dual_vector(b) for b in pose.g], [_dual_vector(b) for b in pose.h]
+    for i, _, _, to_g, to_h in _about_n(s, g, h):
+        rep[f"helix_g0g{i}"], rep[f"helix_h{i}h0"] = to_g, to_h
+
+    # each bar's common perpendicular with n: distance and the angle folded
+    # into [0, pi/2]
     g_cp = [screws.common_perpendicular(n, b) for b in pose.g]
     h_cp = [screws.common_perpendicular(n, b) for b in pose.h]
-    z = [float(np.dot(cp.foot1 - n_foot, n.d)) for cp in g_cp]
-    w0 = g_cp[0].axis.d
-    for i in (1, 2, 3):
-        wi = g_cp[i].axis.d
-        theta = float(np.arctan2(np.dot(np.cross(w0, wi), n.d), np.dot(w0, wi)))
-        helix = screws.screw_displacement(n, theta, z[i] - z[0])
-        rep[f"helix_g0g{i}"] = screws.line_distance(screws.apply(helix, pose.g[0]), pose.g[i])
-        rep[f"helix_h{i}h0"] = screws.line_distance(screws.apply(helix, pose.h[i]), pose.h[0])
-
     for name, cps in (("g", g_cp), ("h", h_cp)):
         dists = [cp.distance for cp in cps]
         rep[f"{name}_dists_to_n"] = max(dists) - min(dists)
     for name, cps in (("g", g_cp), ("h", h_cp)):
         folds = [min(cp.angle, np.pi - cp.angle) for cp in cps]
         rep[f"{name}_angles_to_n"] = max(folds) - min(folds)
-    for i in range(4):
-        rep[f"cp_mirror_g{i}h{i}"] = _line_mirror(t_refl, g_cp[i].axis, h_cp[i].axis)
+    for i, (cg, ch) in enumerate(zip(g_cp, h_cp)):
+        image = _dual_halfturn(t, _dual_vector(cg.axis))
+        rep[f"cp_mirror_g{i}h{i}"] = _unsigned_gap(image, _dual_vector(ch.axis))
 
     rep["cells"] = max(pose.cell_residuals)
     return rep

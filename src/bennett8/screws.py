@@ -81,7 +81,7 @@ class Displacement:
         qr /= n
         qd /= n
         study = np.dot(qr, qd)
-        if abs(study) > PLUCKER_TOL:
+        if abs(study) > PLUCKER_TOL * max(1.0, np.linalg.norm(qd)):
             raise ValueError(f"Displacement: Study condition violated ({study:.3e})")
         qd -= study * qr
         qr.setflags(write=False)

@@ -182,11 +182,6 @@ def rotation_distance(r1: SphericalRotation, r2: SphericalRotation) -> float:
     return float(min(d, s))
 
 
-def circle_distance(g1: OrientedGreatCircle, g2: OrientedGreatCircle) -> float:
-    """Oriented-circle difference: plain normal distance (no sign folding)."""
-    return float(np.linalg.norm(g1.n - g2.n))
-
-
 def symmetry_centers(
     g1: OrientedGreatCircle, g2: OrientedGreatCircle
 ) -> tuple[SpherePoint, SpherePoint, OrientedGreatCircle]:

@@ -173,6 +173,16 @@ def test_verify_spatial(tmp_path, capsys):
     assert "helical" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("grid", ["2", "3"])
+@pytest.mark.parametrize("demo", ["spherical8_demo.json", "spatial8_demo.json"])
+def test_verify_exit_code_follows_the_printed_lines(demo, grid, capsys):
+    # grids of 2 and 3 sample only the aligned poses, so mobility checks no
+    # pose: its FAIL line must make the exit code 2
+    assert main(["verify", os.path.join(SPECS, demo), "--phi-grid", grid]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL mobility               nullities []" in out
+
+
 @pytest.mark.parametrize(
     "demo, assembler",
     [("spherical8_demo.json", "assemble_spherical"), ("spatial8_demo.json", "assemble_spatial")],

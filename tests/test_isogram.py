@@ -13,7 +13,7 @@ sign is what actually closes the loop (the arms counter-rotate).
 import numpy as np
 import pytest
 
-from bennett8.errors import CollapsedPose, DegenerateBranch
+from bennett8.errors import ClosureFailure, CollapsedPose, DegenerateBranch
 from bennett8.isogram import (
     BennettIsogramSpec,
     SphericalIsogramSpec,
@@ -329,6 +329,19 @@ def test_bennett_solve_forced_proportion_closes():
         assert abs(np.dot(side.d, hinge.d)) < 1e-9
         off_v = vert - side.foot()
         assert np.linalg.norm(off_v - np.dot(off_v, side.d) * side.d) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
+def test_bennett_large_lengths_raise_only_typed_errors(scale):
+    # the demo cell (specs/bennett_isogram_demo.json) with its side lengths
+    # scaled: each pose closes or raises ClosureFailure, never a ValueError
+    # from the Study check of a displacement
+    spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
+    for phi in (0.0, 0.5, 2.0, -2.5):
+        try:
+            solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), phi)
+        except ClosureFailure:
+            pass
 
 
 def test_bennett_solve_aligned_pose_collinear():

@@ -41,9 +41,12 @@ from bennett8.oracle import (
 )
 from bennett8.scene import load_spec
 from bennett8.screws import apply as apply_displacement
-from bennett8.screws import common_perpendicular, dual_angle, line_reflection
+from bennett8.screws import compose as compose_displacements
+from bennett8.screws import OrientedLine, common_perpendicular, dual_angle, line_reflection
+from bennett8.sphere import OrientedGreatCircle, reflect_in_circle
 from bennett8.sphere import apply as rotate
 from bennett8.sphere import arc_point, halfturn_about, lies_on, spherical_distance
+from bennett8.sphere import compose as compose_rotations
 from conftest import (
     random_eightbar_spec,
     random_line,
@@ -421,6 +424,36 @@ def test_misplaced_joint_fails_closure(monkeypatch, kind, motion, joint, phi):
         assemble(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")), phi)
 
 
+# g0 is the z axis, so a translation along z does not move it
+_BAR_MOVES = [
+    (kind, motion, bar)
+    for kind, motion in (("spherical", "rotate"), ("spatial", "rotate"), ("spatial", "translate"))
+    for bar in ("g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3")
+    if (motion, bar) != ("translate", "g0")
+]
+
+
+@pytest.mark.parametrize("kind, motion, bar", _BAR_MOVES)
+def test_moved_bar_fails_the_rotations_about_n(kind, motion, bar):
+    # the rotations about N (helices about n in space) carry g0 onto g_i and
+    # h_i onto h0: a bar moved by 1e-6 must fail the family that checks them
+    spatial = kind == "spatial"
+    v = validate_spec(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")))
+    for phi in (0.8, -2.2):
+        pose = (assemble_spatial if spatial else assemble_spherical)(v, phi)
+        bars = list(pose.g if bar[0] == "g" else pose.h)
+        i = int(bar[1])
+        if spatial:
+            moved = _moved(np.r_[bars[i].d, bars[i].m], motion)
+            bars[i] = OrientedLine(moved[:3], moved[3:])
+            report, family = symmetry_report_spatial, FAMILIES_SPATIAL["helical"]
+        else:
+            bars[i] = OrientedGreatCircle(_moved(np.r_[bars[i].n, np.zeros(3)], motion)[:3])
+            report, family = halfturn_products_report, FAMILIES_SPHERICAL["mapping"]
+        rep = report(replace(pose, **{bar[0]: tuple(bars)}))
+        assert max(rep[k] for k in family) >= 1e-7, phi
+
+
 @pytest.mark.parametrize("scale", [1e6, 1e8])
 def test_large_lengths_raise_only_typed_errors(scale):
     # whether these poses close depends on the length unit (an absolute
@@ -436,21 +469,31 @@ def test_large_lengths_raise_only_typed_errors(scale):
 
 @pytest.mark.parametrize("moments", [True, False], ids=["lines", "moment-free"])
 def test_dual_halfturn_is_the_line_reflection(moments):
-    # 2<s, x> s - x over the dual numbers: the line reflection in s, and
-    # the spherical half-turn where the moments vanish
+    # 2<s, x> s - x over the dual numbers: the line reflection in s, and the
+    # spherical half-turn where the moments vanish or are left out (3-vectors),
+    # which is minus the reflection in the polar circle of s. Two of them are
+    # the product of the quaternions, the reference for the rotations about N
     rng = np.random.default_rng(37)
     for _ in range(50):
         if moments:
-            s, x = random_line(rng), random_line(rng)
-            want = apply_displacement(line_reflection(s), x)
-            want = np.r_[want.d, want.m]
-            s, x = np.r_[s.d, s.m], np.r_[x.d, x.m]
+            a, b, x = random_line(rng), random_line(rng), random_line(rng)
+            want = apply_displacement(line_reflection(a), x)
+            twice = apply_displacement(compose_displacements(line_reflection(b), line_reflection(a)), x)
+            want, twice = np.r_[want.d, want.m], np.r_[twice.d, twice.m]
+            a, b, x = (np.r_[line.d, line.m] for line in (a, b, x))
         else:
-            p, q = random_point(rng), random_point(rng)
-            want = np.r_[rotate(halfturn_about(p), q).v, 0.0, 0.0, 0.0]
-            s, x = np.r_[p.v, 0.0, 0.0, 0.0], np.r_[q.v, 0.0, 0.0, 0.0]
-        assert np.max(np.abs(_dual_halfturn(s, x) - want)) <= 1e-14
-        assert np.max(np.abs(_dual_halfturn(-s, x) - want)) <= 1e-14
+            a, b, x = random_point(rng), random_point(rng), random_point(rng)
+            want = rotate(halfturn_about(a), x).v
+            twice = rotate(compose_rotations(halfturn_about(b), halfturn_about(a)), x).v
+            mirror = reflect_in_circle(OrientedGreatCircle(a.v), x).v
+            assert np.max(np.abs(_dual_halfturn(a.v, x.v) + mirror)) <= 1e-14
+            a, b, x = a.v, b.v, x.v
+            zero = np.zeros(3)
+            padded = _dual_halfturn(np.r_[a, zero], np.r_[x, zero])
+            assert np.max(np.abs(padded - np.r_[want, zero])) <= 1e-14
+        assert np.max(np.abs(_dual_halfturn(a, x) - want)) <= 1e-14
+        assert np.max(np.abs(_dual_halfturn(-a, x) - want)) <= 1e-14
+        assert np.max(np.abs(_dual_halfturn(b, _dual_halfturn(a, x)) - twice)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

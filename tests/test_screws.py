@@ -106,6 +106,18 @@ def test_reflections_about_intersecting_orthogonal_axes():
     assert displacement_distance(d, line_reflection(y_axis)) < 1e-15
 
 
+@pytest.mark.parametrize("size", [1.0, 1e4, 1e8])
+def test_study_check_is_relative(size):
+    # the Study condition q_r . q_d = 0 is checked relative to |q_d|, so a
+    # violation of relative size 1e-6 raises at every length unit
+    q_r = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="Study"):
+        Displacement(q_r, size * np.array([1e-6, 0.0, 1.0, 0.0]))
+    # round-off of relative size 1e-12 passes and is projected out
+    d = Displacement(q_r, size * np.array([1e-12, 0.0, 1.0, 0.0]))
+    assert d.q_d[0] == 0.0
+
+
 def test_compose_inverse_identity():
     rng = np.random.default_rng(6)
     for _ in range(50):
