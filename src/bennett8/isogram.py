@@ -374,7 +374,7 @@ def solve_bennett_isogram(
     foot (its direction is a fixed gauge); hinge B sits at dual distance
     (alpha, a) along the base. At the aligned reference the arms fold
     backward, matching the spherical convention. Loop closure is verified to
-    1e-9 before the pose is returned.
+    1e-9, lengths in units of max(1, a + b), before the pose is returned.
     """
     foot = np.asarray(base_hinge_foot, dtype=float)
     if np.linalg.norm(np.cross(base.d, foot - base.foot())) > 1e-9 * max(
@@ -399,13 +399,13 @@ def solve_bennett_isogram(
         screws.screw_displacement(arm_b, -spec.beta_twist, -spec.b_len), hinge_b
     )
 
+    scale = max(1.0, abs(spec.a_len) + abs(spec.b_len))
     cp = screws.common_perpendicular(hinge_c, hinge_d)
-    resid = max(abs(cp.angle - spec.alpha_twist), abs(cp.distance - abs(spec.a_len)))
+    resid = max(abs(cp.angle - spec.alpha_twist), abs(cp.distance - abs(spec.a_len)) / scale)
     if resid > _CLOSURE_TOL:
         raise ClosureFailure(f"Bennett cell failed to close (residual {resid:.3e})")
     coupler = cp.axis
 
-    scale = max(1.0, abs(spec.a_len) + abs(spec.b_len))
     if np.linalg.norm(np.cross(arm_a.d, base.d)) < 1e-9:
         # aligned pose: all sides collinear, vertices are the hinge feet
         vertex_a, vertex_b, vertex_c, vertex_d = (

@@ -280,12 +280,12 @@ _TINY = 1e-14
 
 
 def _dual_unit(x: np.ndarray) -> np.ndarray:
-    """x / |x| over the dual numbers: (a/|a|, b/|a| - a (a.b)/|a|^3)."""
-    a, b = x[:3], x[3:]
-    na = float(np.linalg.norm(a))
-    if na < _TINY:
-        raise ClosureFailure("symmetry axis undefined: the two bars it bisects coincide")
-    return np.concatenate([a / na, b / na - a * (np.dot(a, b) / na**3)])
+    """x / |x| over the dual numbers, row by row: (a/|a|, b/|a| - a (a.b)/|a|^3)."""
+    a, b = x[..., :3], x[..., 3:]
+    na = np.linalg.norm(a, axis=-1, keepdims=True)
+    if np.min(na) < _TINY:
+        raise ClosureFailure("symmetry axis undefined: the two lines it is built from coincide")
+    return np.concatenate([a / na, b / na - a * (np.sum(a * b, axis=-1, keepdims=True) / na**3)], axis=-1)
 
 
 def _dual_over_square(x: np.ndarray) -> np.ndarray:
@@ -346,6 +346,39 @@ def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dual_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x × y over the dual numbers, row by row of (..., 6) stacks:
+    (a × c, a × d + b × c) for x = (a, b) and y = (c, d)."""
+    a, b, c, d = (part for z in np.broadcast_arrays(x, y) for part in (z[..., :3], z[..., 3:]))
+    ac, ad, bc = np.cross(np.array([a, a, b]), np.array([c, d, c]))
+    return np.concatenate([ac, ad + bc], axis=-1)
+
+
+def _dual_angle(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """screws.dual_angle of the oriented lines x and y, row by row of (..., 6)
+    stacks: theta + eps l = atan2(|x × y|, <x, y>) over the dual numbers, in
+    which a dual factor of x or y cancels, so rows need be unit lines only to
+    rounding. Raises ParallelLines where a pair is parallel."""
+    cross = _dual_cross(x, y)
+    r = np.linalg.norm(cross[..., :3], axis=-1)
+    if np.min(r) < screws.PARALLEL_EPS:
+        raise ParallelLines("lines are parallel (or identical)")
+    r_dual = np.sum(cross[..., :3] * cross[..., 3:], axis=-1) / r
+    p = np.sum(x[..., :3] * y[..., :3], axis=-1)
+    q = np.sum(x[..., :3] * y[..., 3:] + x[..., 3:] * y[..., :3], axis=-1)
+    # atan2(r + eps r', p + eps q) = atan2(r, p) + eps (p r' - r q) / (r^2 + p^2)
+    return np.arctan2(r, p), np.abs(p * r_dual - r * q) / (r * r + p * p)
+
+
+def _n_and_t(s: np.ndarray) -> np.ndarray:
+    """For the unit symmetry axes s (rows S1..S6): the line n they meet at right
+    angles, the dual unit of S1 × S2, and the line t that bisects S1 and S4
+    oriented towards S1, the dual unit of S1 ± S4 (at least sqrt 2 long). On
+    the sphere they are the poles of n and of t1 or t2."""
+    t = s[0] + (1.0 if np.dot(s[0, :3], s[3, :3]) >= 0 else -1.0) * s[3]
+    return _dual_unit(np.array([_dual_cross(s[0], s[1]), t]))
+
+
 def _unsigned_gap(x: np.ndarray, y: np.ndarray) -> float:
     """Distance of x from y up to sign."""
     return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
@@ -366,16 +399,16 @@ _PLACEMENT = (
 
 
 def _placement(v: ValidatedSpherical, heights, phi1: float):
-    """Bars g0..g3 and h0..h3, unit symmetry axes S1..S6 and the joints
-    (keyed as JOINT_KEYS) at phi1, all as dual vectors, plus the largest coupler
-    and joint closure residual and the incidence. Base joint R0j is the hinge
-    along e_j = (cos u_j, sin u_j, 0) at height x_j on g0, with moment
-    x_j e_z x e_j (zero for the spherical linkage). The incidence is the
-    largest part of <R_ij, g_i> and <R_ij, h_j> over the dual numbers: the
-    real part is 0 when the joint is at a right angle to the bar, the dual
-    part when the two lines meet. Without moments it is |R_ij . n|."""
+    """Bars g0..g3 and h0..h3, unit symmetry axes S1..S6 and the joints (rows
+    in JOINT_KEYS order) at phi1, all as dual vectors, plus the largest
+    coupler and joint closure residual and the incidence. Base joint R0j is
+    the hinge along e_j = (cos u_j, sin u_j, 0) at height x_j on g0, with
+    moment x_j e_z x e_j (zero for the spherical linkage). The incidence is
+    the largest part of <R_ij, g_i> and <R_ij, h_j> over the dual numbers:
+    the real part is 0 when the joint is at a right angle to the bar, the
+    dual part when the two lines meet. Without moments it is |R_ij . n|."""
     arms, bars, axes = _half_angle_construction(v, heights, phi1)
-    units = [_dual_unit(a) for a in axes]
+    units = _dual_unit(np.array(axes))
     x = {"h1": arms[0], "h2": arms[1], "h3": arms[2]}
     for j, (u, xj) in enumerate(zip(v.u, heights), start=1):
         x[f"R0{j}"] = np.array([np.cos(u), np.sin(u), 0.0, -xj * np.sin(u), xj * np.cos(u), 0.0])
@@ -387,8 +420,8 @@ def _placement(v: ValidatedSpherical, heights, phi1: float):
         else:
             x[key] = image
     g, h = [_EZ, *bars], [-x["-h0"], *arms]
-    joints = {k: x[k] for k in JOINT_KEYS}
-    r = np.array([*joints.values()] * 2)
+    joints = np.array([x[k] for k in JOINT_KEYS])
+    r = np.r_[joints, joints]
     on = np.array([g[int(k[1])] for k in JOINT_KEYS] + [h[int(k[2])] for k in JOINT_KEYS])
     real = np.sum(r[:, :3] * on[:, :3], axis=1)
     # (d, m) . (m', d') = d . m' + m . d'
@@ -439,57 +472,37 @@ def assemble_spherical(spec, phi1: float) -> EightBarPose:
     """
     v = spec if isinstance(spec, ValidatedSpherical) else validate_spec(spec)
     g, h, units, joints, placement_resid, incidence = _placement(v, (0.0, 0.0, 0.0), phi1)
-    g = [OrientedGreatCircle(b[:3]) for b in g]
-    h = [OrientedGreatCircle(b[:3]) for b in h]
-    centers = tuple(SpherePoint(sphere.tie_break_sign(s[:3]) * s[:3]) for s in units)
-    r = {k: SpherePoint(p[:3]) for k, p in joints.items()}
-
-    stack = np.array([c.v for c in centers])
-    _, _, vt = np.linalg.svd(stack)
-    n_dir = vt[2] * sphere.tie_break_sign(vt[2])
-    n_circle = OrientedGreatCircle(n_dir)
-    centers_resid = float(np.max(np.abs(stack @ n_circle.n)))
+    s = np.array([sphere.tie_break_sign(u[:3]) * u for u in units])
+    n, t = _n_and_t(s)[:, :3]
+    n_circle = OrientedGreatCircle(sphere.tie_break_sign(n) * n)
+    centers_resid = float(np.max(np.abs(s[:, :3] @ n_circle.n)))
 
     closure = max(placement_resid, incidence, centers_resid)
     if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spherical 8-bar failed to close (residual {closure:.3e})")
 
     aligned = _is_aligned_angle(phi1)
-    t1, t2 = (None, None) if aligned else _bisector_circles(centers, n_circle)
+    # t1 mirrors S1 onto S4 and t2 onto -S4, so t is the pole of t2 where
+    # S1 . S4 >= 0 and of t1 otherwise; n x t is the pole of the other
+    poles = [np.cross(n, t), t] if np.dot(s[0, :3], s[3, :3]) >= 0 else [t, np.cross(n, t)]
+    t1, t2 = (OrientedGreatCircle(sphere.tie_break_sign(p) * p) for p in poles)
     return EightBarPose(
         spec=v,
         phi=_phis(v, phi1),
-        g=tuple(g),
-        h=tuple(h),
-        joints=r,
-        centers=None if aligned else centers,
+        g=tuple(OrientedGreatCircle(b[:3]) for b in g),
+        h=tuple(OrientedGreatCircle(b[:3]) for b in h),
+        joints={k: SpherePoint(p[:3]) for k, p in zip(JOINT_KEYS, joints)},
+        centers=None if aligned else tuple(SpherePoint(c[:3]) for c in s),
         n_circle=None if aligned else n_circle,
         n_pole=None if aligned else n_circle.pole(),
-        t1=t1,
-        t2=t2,
+        t1=None if aligned else t1,
+        t2=None if aligned else t2,
         aligned=aligned,
         closure_residual=closure,
         incidence_residual=incidence,
     )
 
 
-def _bisector_circles(centers, n_circle):
-    """Orthogonal circles through the pole of n bisecting the center pairs
-    (S1, S4), cross-checked against the other pairs by the report."""
-    pairs = ((0, 3), (1, 4), (2, 5))
-    n_dir = n_circle.n
-    for i, j in pairs:
-        plus = centers[i].v + centers[j].v
-        minus = centers[i].v - centers[j].v
-        if np.linalg.norm(plus) > 1e-6 and np.linalg.norm(minus) > 1e-6:
-            b_plus = plus / np.linalg.norm(plus)
-            b_minus = minus / np.linalg.norm(minus)
-            w1 = np.cross(n_dir, b_plus)
-            w2 = np.cross(n_dir, b_minus)
-            t1 = OrientedGreatCircle(w1 * sphere.tie_break_sign(w1))
-            t2 = OrientedGreatCircle(w2 * sphere.tie_break_sign(w2))
-            return t1, t2
-    raise ClosureFailure("all symmetry-center pairs degenerate; cannot place bisector circles")
 # ---------------------------------------------------------------------------
 # Reports (spherical)
 # ---------------------------------------------------------------------------
@@ -574,13 +587,12 @@ def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
         for k in range(3):
             rep[f"{t_key}_swaps_S{k + 1}S{k + 4}"] = _unsigned_gap(_dual_halfturn(t, s[k]), s[k + 3])
     n = pose.n_circle
-    # the points n ^ g_i and n ^ h_i, which t1 and t2 exchange
-    xg, xh = np.cross(n.n, g), np.cross(n.n, h)
-    xg /= np.linalg.norm(xg, axis=1, keepdims=True)
-    xh /= np.linalg.norm(xh, axis=1, keepdims=True)
+    # the points n ^ g_i and n ^ h_i (rows i and i + 4), which t1 and t2 exchange
+    x = np.cross(n.n, [*g, *h])
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
     for i in range(4):
-        rep[f"bisector_t1_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t1, xg[i]), xh[i])
-        rep[f"bisector_t2_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t2, xg[i]), xh[i])
+        rep[f"bisector_t1_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t1, x[i]), x[i + 4])
+        rep[f"bisector_t2_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t2, x[i]), x[i + 4])
 
     stack = np.array(s)
     rep["centers_on_n"] = float(np.max(np.abs(stack @ n.n)))
@@ -624,6 +636,14 @@ class SpatialEightBarPose:
         return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
 
 
+def _line(x: np.ndarray) -> OrientedLine:
+    return OrientedLine(x[:3], x[3:])
+
+
+def _dual_vector(line: OrientedLine) -> np.ndarray:
+    return np.concatenate([line.d, line.m])
+
+
 def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     """Pose of the spatial 8-bar at hinge angle phi1, by the construction of
     the spherical one over dual vectors; the aligned poses (phi1 = 0 or pi)
@@ -633,64 +653,55 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
         raise TypeError("assemble_spatial needs a spatial spec")
     ang = v.angular
     xs = (0.0, v.a[0], v.a[0] + v.a[1])
-    g, h, units, joints, placement_resid, incidence = _placement(ang, xs, phi1)
-    g = [OrientedLine(b[:3], b[3:]) for b in g]
-    h = [OrientedLine(b[:3], b[3:]) for b in h]
+    g, h, units, hinges, placement_resid, incidence = _placement(ang, xs, phi1)
     # sign(WS) = sign(sin phi1) orients each axis along the difference of
     # the two bars it bisects
-    sign = -1.0 if np.sin(phi1) < 0 else 1.0
-    s_axes = [OrientedLine(sign * s[:3], sign * s[3:]) for s in units]
-    hinge = {f"I{k[1:]}": OrientedLine(p[:3], p[3:]) for k, p in joints.items()}
+    s = (-1.0 if np.sin(phi1) < 0 else 1.0) * units
 
     # vertex V_ij: the point of bar g_i nearest hinge I_ij, which is where
     # the two meet at a right angle once the incidence holds; bar h_j must
     # pass through it too (g_i and h_j are parallel at the aligned poses)
-    vertices: dict[str, np.ndarray] = {}
-    meet_resid = 0.0
-    for key in HINGE_KEYS:
-        gi, hj = g[int(key[1])], h[int(key[2])]
-        vtx = gi.foot() + np.dot(hinge[key].foot(), gi.d) * gi.d
-        meet_resid = max(meet_resid, float(np.linalg.norm(np.cross(vtx, hj.d) - hj.m)))
-        vertices[key] = vtx
+    gi = np.array([g[int(k[1])] for k in JOINT_KEYS])
+    hj = np.array([h[int(k[2])] for k in JOINT_KEYS])
+    feet = np.cross(np.array([gi[:, :3], hinges[:, :3]]), np.array([gi[:, 3:], hinges[:, 3:]]))
+    vertices = feet[0] + np.sum(feet[1] * gi[:, :3], axis=1, keepdims=True) * gi[:, :3]
+    meet_resid = float(np.max(np.linalg.norm(np.cross(vertices, hj[:, :3]) - hj[:, 3:], axis=1)))
 
-    cell_residuals = tuple(_spatial_cell_residual(v, index, hinge) for index in range(len(CELLS)))
+    cell_residuals = _spatial_cell_residuals(v, hinges)
     closure = max(placement_resid, incidence, meet_resid, max(cell_residuals))
     if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spatial 8-bar failed to close (residual {closure:.3e})")
 
     aligned = _is_aligned_angle(phi1)
-    n_line = t_line = None
-    if not aligned:
-        n_line = screws.common_perpendicular(s_axes[0], s_axes[1]).axis
-        s4 = s_axes[3] if np.dot(s_axes[0].d, s_axes[3].d) >= 0 else s_axes[3].reversed()
-        t_line = screws.midline_symmetry_axis(s_axes[0], s4)
+    n, t = _n_and_t(s)
 
     return SpatialEightBarPose(
         spec=v,
         phi=_phis(ang, phi1),
-        g=tuple(g),
-        h=tuple(h),
-        hinges=hinge,
-        vertices=dict(sorted(vertices.items())),
-        axes=None if aligned else tuple(s_axes),
-        n_line=n_line,
-        t_line=t_line,
+        g=tuple(map(_line, g)),
+        h=tuple(map(_line, h)),
+        hinges=dict(zip(HINGE_KEYS, map(_line, hinges))),
+        vertices=dict(sorted(zip(HINGE_KEYS, vertices))),
+        axes=None if aligned else tuple(map(_line, s)),
+        n_line=None if aligned else _line(n),
+        t_line=None if aligned else _line(t),
         aligned=aligned,
         closure_residual=closure,
         cell_residuals=cell_residuals,
     )
 
 
-def _spatial_cell_residual(v: ValidatedSpatial, index: int, hinge) -> float:
-    """Bennett-cell closure: opposite sides have equal dual angles, and the
-    cell is the one the spec designs (see _cell_design_residual). That each
-    side meets its two hinges at right angles is the incidence of
-    _placement."""
-    quad = [hinge[f"I{k[1:]}"] for k in CELLS[index][0]]
-    dual_sides = [screws.dual_angle(quad[k], quad[(k + 1) % 4]) for k in range(4)]
+def _spatial_cell_residuals(v: ValidatedSpatial, hinges: np.ndarray) -> tuple[float, ...]:
+    """Bennett-cell closure of each cell, from the hinges (rows in JOINT_KEYS
+    order): opposite sides have equal dual angles, and the cell is the one the
+    spec designs (see _cell_design_residual). That each side meets its two
+    hinges at right angles is the incidence of _placement."""
+    quads = hinges[[[JOINT_KEYS.index(k) for k in quad] for quad, _ in CELLS]]
+    # the dual angles (theta, l) of the sides AB, BC, CD, DA of every cell
+    sides = np.stack(_dual_angle(quads, np.roll(quads, -1, axis=1)), axis=-1)
     # the opposite sides AB, CD and BC, DA have equal dual angles
-    resid = float(np.max(np.abs(np.subtract(dual_sides[:2], dual_sides[2:]))))
-    return max(resid, _cell_design_residual(v, index, dual_sides))
+    opposite = np.max(np.abs(sides[:, :2] - sides[:, 2:]), axis=(1, 2))
+    return tuple(max(float(r), _cell_design_residual(v, i, sides[i])) for i, r in enumerate(opposite))
 
 
 def _cell_design_residual(v: ValidatedSpatial, index: int, dual_sides) -> float:
@@ -735,42 +746,31 @@ def symmetry_report_spatial(pose: SpatialEightBarPose) -> dict[str, float]:
         raise CollapsedPose(f"symmetry elements degenerate next to the aligned pose: {exc}") from exc
 
 
-def _dual_vector(line: OrientedLine) -> np.ndarray:
-    return np.concatenate([line.d, line.m])
-
-
 def _spatial_report(pose: SpatialEightBarPose) -> dict[str, float]:
     rep: dict[str, float] = {}
-    n = pose.n_line
-    for k, s in enumerate(pose.axes, start=1):
-        angle, distance = screws.dual_angle(s, n)
-        rep[f"s{k}_meets_n"] = distance
-        rep[f"s{k}_orth_n"] = abs(angle - np.pi / 2)
-
-    angle, distance = screws.dual_angle(pose.t_line, n)
-    rep["t_meets_n"] = distance
-    rep["t_orth_n"] = abs(angle - np.pi / 2)
-    t, s = _dual_vector(pose.t_line), [_dual_vector(a) for a in pose.axes]
+    n, t = _dual_vector(pose.n_line), _dual_vector(pose.t_line)
+    s = np.array([_dual_vector(a) for a in pose.axes])
+    bars = np.array([_dual_vector(b) for b in (*pose.g, *pose.h)])
+    # dual angles with n of s1..s6, t and the bars g0..g3, h0..h3
+    angles, dists = _dual_angle(np.array([*s, t, *bars]), n)
+    for k, name in enumerate((*(f"s{k}" for k in range(1, 7)), "t")):
+        rep[f"{name}_meets_n"] = float(dists[k])
+        rep[f"{name}_orth_n"] = float(abs(angles[k] - np.pi / 2))
     for k in range(3):
         rep[f"t_swaps_s{k + 1}s{k + 4}"] = _unsigned_gap(_dual_halfturn(t, s[k]), s[k + 3])
 
-    g, h = [_dual_vector(b) for b in pose.g], [_dual_vector(b) for b in pose.h]
-    for i, _, _, to_g, to_h in _about_n(s, g, h):
+    for i, _, _, to_g, to_h in _about_n(s, bars[:4], bars[4:]):
         rep[f"helix_g0g{i}"], rep[f"helix_h{i}h0"] = to_g, to_h
 
-    # each bar's common perpendicular with n: distance and the angle folded
-    # into [0, pi/2]
-    g_cp = [screws.common_perpendicular(n, b) for b in pose.g]
-    h_cp = [screws.common_perpendicular(n, b) for b in pose.h]
-    for name, cps in (("g", g_cp), ("h", h_cp)):
-        dists = [cp.distance for cp in cps]
-        rep[f"{name}_dists_to_n"] = max(dists) - min(dists)
-    for name, cps in (("g", g_cp), ("h", h_cp)):
-        folds = [min(cp.angle, np.pi - cp.angle) for cp in cps]
-        rep[f"{name}_angles_to_n"] = max(folds) - min(folds)
-    for i, (cg, ch) in enumerate(zip(g_cp, h_cp)):
-        image = _dual_halfturn(t, _dual_vector(cg.axis))
-        rep[f"cp_mirror_g{i}h{i}"] = _unsigned_gap(image, _dual_vector(ch.axis))
+    # each bar's distance to n, and its angle to n folded into [0, pi/2]
+    folds = np.minimum(angles[7:], np.pi - angles[7:])
+    for what, values in (("dists", dists[7:]), ("angles", folds)):
+        for name, part in (("g", values[:4]), ("h", values[4:])):
+            rep[f"{name}_{what}_to_n"] = float(np.ptp(part))
+    # the common perpendiculars of n with g_i and with h_i, which t swaps
+    cp = _dual_unit(_dual_cross(n, bars))
+    for i in range(4):
+        rep[f"cp_mirror_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t, cp[i]), cp[i + 4])
 
     rep["cells"] = max(pose.cell_residuals)
     return rep

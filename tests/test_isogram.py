@@ -344,6 +344,33 @@ def test_bennett_large_lengths_raise_only_typed_errors(scale):
             pass
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e10])
+def test_bennett_closure_ignores_length_unit(scale):
+    # the demo cell with its side lengths scaled closes at every angle, and
+    # its pose is the unscaled one times the scale
+    spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0)
+    scaled = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
+    for phi in (0.0, 0.5, 2.0, -2.5):
+        want = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), phi)
+        got = solve_bennett_isogram(scaled, Z_AXIS, np.zeros(3), phi)
+        for a, b in zip(got.vertices, want.vertices):
+            assert np.max(np.abs(a / scale - b)) <= 1e-12, phi
+        for a, b in zip(got.hinges, want.hinges):
+            assert np.max(np.abs(np.r_[a.d, a.m / scale] - np.r_[b.d, b.m])) <= 1e-12, phi
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e10])
+def test_bennett_perturbed_cell_fails_closure(monkeypatch, scale):
+    # the relative length term still catches a coupling off by 1e-6
+    monkeypatch.setattr(
+        "bennett8.isogram.coupled_angle", lambda c21, phi1: coupled_angle(c21, phi1) + 1e-6
+    )
+    spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
+    for phi in (0.5, 2.0, -2.5):
+        with pytest.raises(ClosureFailure):
+            solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), phi)
+
+
 def test_bennett_solve_aligned_pose_collinear():
     spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0)
     pose = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), 0.0)

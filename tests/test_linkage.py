@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bennett8.errors import ClosureFailure, CollapsedPose, InvalidSpec
+from bennett8.errors import ClosureFailure, CollapsedPose, InvalidSpec, ParallelLines
 from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from bennett8.linkage import (
     CELLS,
@@ -28,9 +28,12 @@ from bennett8.linkage import (
     validate_spec,
     _cell_design_residual,
     _PLACEMENT,
+    _dual_angle,
+    _dual_cross,
     _dual_halfturn,
+    _dual_unit,
     _mobility_jacobian,
-    _spatial_cell_residual,
+    _spatial_cell_residuals,
 )
 from bennett8.oracle import (
     jacobian_nullity,
@@ -42,7 +45,14 @@ from bennett8.oracle import (
 from bennett8.scene import load_spec
 from bennett8.screws import apply as apply_displacement
 from bennett8.screws import compose as compose_displacements
-from bennett8.screws import OrientedLine, common_perpendicular, dual_angle, line_reflection
+from bennett8.screws import (
+    OrientedLine,
+    common_perpendicular,
+    dual_angle,
+    line_distance,
+    line_reflection,
+    midline_symmetry_axis,
+)
 from bennett8.sphere import OrientedGreatCircle, reflect_in_circle
 from bennett8.sphere import apply as rotate
 from bennett8.sphere import arc_point, halfturn_about, lies_on, spherical_distance
@@ -50,6 +60,7 @@ from bennett8.sphere import compose as compose_rotations
 from conftest import (
     random_eightbar_spec,
     random_line,
+    random_line_pair,
     random_point,
     random_spatial_spec,
 )
@@ -354,6 +365,17 @@ def test_band_keeps_the_on_bar_invariants(band_poses):
             assert np.max(np.abs(_on_bar_invariants(pose) - expect)) <= 1e-11, pose.phi[0]
 
 
+def test_near_aligned_spherical_families_pass():
+    # next to the aligned pose of the first seed-5 design, n tilts from e_z
+    # by about 5e-13: n and the bisector circles t1, t2 must still be exact
+    # enough for every family, the bisector family included
+    specs = [load_spec(os.path.join(SPECS, "spherical8_demo.json"))]
+    specs.append(random_eightbar_spec(np.random.default_rng(5)))
+    for spec in specs:
+        for sample in sweep(spec, BAND):
+            assert max(sample.families.values()) < 1e-8, (sample.phi1, sample.families)
+
+
 def test_badly_conditioned_spatial_design_closes():
     # c31 = c21 * c32 is about -1.2e-4 here, so the third arm barely moves
     spec = SpatialEightBarSpec(
@@ -452,6 +474,11 @@ def test_moved_bar_fails_the_rotations_about_n(kind, motion, bar):
             report, family = halfturn_products_report, FAMILIES_SPHERICAL["mapping"]
         rep = report(replace(pose, **{bar[0]: tuple(bars)}))
         assert max(rep[k] for k in family) >= 1e-7, phi
+        if spatial:
+            # the bar's distance and angle to n, or its common perpendicular
+            # with n that t mirrors, give it away too
+            mirrored = (*FAMILIES_SPATIAL["cohorts"], *FAMILIES_SPATIAL["axis_t"])
+            assert max(rep[k] for k in mirrored) >= 1e-7, phi
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e8])
@@ -496,6 +523,27 @@ def test_dual_halfturn_is_the_line_reflection(moments):
         assert np.max(np.abs(_dual_halfturn(b, _dual_halfturn(a, x)) - twice)) <= 1e-13
 
 
+def test_dual_helpers_match_their_references():
+    # over stacks of line pairs: the batched dual angle is screws.dual_angle,
+    # the dual unit of the dual cross product is the common perpendicular,
+    # and the dual unit of the sum is the midline symmetry axis
+    rng = np.random.default_rng(41)
+    pairs = [random_line_pair(rng) for _ in range(50)]
+    x, y = (np.array([np.r_[line.d, line.m] for line in lines]) for lines in zip(*pairs))
+    angles, dists = _dual_angle(x, y)
+    perpendiculars, midlines = _dual_unit(_dual_cross(x, y)), _dual_unit(x + y)
+    for k, (a, b) in enumerate(pairs):
+        assert np.max(np.abs(np.r_[angles[k], dists[k]] - dual_angle(a, b))) <= 1e-12
+        axis = common_perpendicular(a, b).axis
+        assert np.max(np.abs(perpendiculars[k] - np.r_[axis.d, axis.m])) <= 1e-12
+        axis = midline_symmetry_axis(a, b)
+        assert np.max(np.abs(midlines[k] - np.r_[axis.d, axis.m])) <= 1e-12
+    # one parallel pair in the stack is enough to raise
+    shifted = np.r_[x[0, :3], x[0, 3:] + np.cross([0.3, -0.2, 0.1], x[0, :3])]
+    with pytest.raises(ParallelLines):
+        _dual_angle(x, np.r_[[shifted], y[1:]])
+
+
 # ---------------------------------------------------------------------------
 # the Bennett cells against their design
 # ---------------------------------------------------------------------------
@@ -526,10 +574,8 @@ def test_cells_fail_against_a_changed_design(field):
     spec = load_spec(os.path.join(SPECS, "spatial8_demo.json"))
     pose = assemble_spatial(spec, 0.8)
     changed = validate_spec(replace(spec, **{field: getattr(spec, field) * (1 + 1e-6)}))
-    worst = max(
-        _spatial_cell_residual(changed, index, pose.hinges)
-        for index in range(len(CELLS))
-    )
+    hinges = np.array([np.r_[line.d, line.m] for line in pose.hinges.values()])
+    worst = max(_spatial_cell_residuals(changed, hinges))
     assert worst >= 1e-7
 
 
@@ -782,3 +828,28 @@ def test_bisector_circles_orthogonal_through_pole():
     # both pass through the pole of n
     assert lies_on(pose.n_pole, pose.t1) < 1e-12
     assert lies_on(pose.n_pole, pose.t2) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["spherical", "spatial"])
+def test_n_and_t_match_their_references(kind):
+    # in space n is the common perpendicular of s1 and s2, and t the midline
+    # of s1 and s4 oriented towards s1; on the sphere t1 mirrors S1 onto S4
+    # and t2 mirrors S1 onto -S4
+    rng = np.random.default_rng(43)
+    spatial = kind == "spatial"
+    assemble = assemble_spatial if spatial else assemble_spherical
+    specs = [load_spec(os.path.join(SPECS, f"{kind}8_demo.json"))]
+    specs += [(random_spatial_spec if spatial else random_eightbar_spec)(rng) for _ in range(3)]
+    for spec in specs:
+        v = validate_spec(spec)
+        for phi in np.linspace(-3.05, 3.05, 12):
+            pose = assemble(v, phi)
+            if spatial:
+                s1, s2, s4 = pose.axes[0], pose.axes[1], pose.axes[3]
+                s4 = s4 if np.dot(s1.d, s4.d) >= 0 else s4.reversed()
+                assert line_distance(pose.n_line, common_perpendicular(s1, s2).axis) <= 1e-12, phi
+                assert line_distance(pose.t_line, midline_symmetry_axis(s1, s4)) <= 1e-12, phi
+            else:
+                s1, s4 = pose.centers[0], pose.centers[3]
+                assert np.linalg.norm(reflect_in_circle(pose.t1, s1).v - s4.v) <= 1e-12, phi
+                assert np.linalg.norm(reflect_in_circle(pose.t2, s1).v + s4.v) <= 1e-12, phi
