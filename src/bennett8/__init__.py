@@ -2,8 +2,8 @@
 8-bar linkage and its spatial counterpart built from six Bennett isograms.
 
 The package is organized around small immutable geometry values (points,
-oriented great circles, oriented lines, rotations, displacements), analytic
-cell and linkage solvers, and an independent numeric closure oracle used to
+oriented great circles, oriented lines, rotations), analytic cell and
+linkage solvers, and an independent numeric closure oracle used to
 cross-check every derived quantity.
 """
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     ParallelLines,
 )
 from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
-from .screws import Displacement, OrientedLine
+from .screws import OrientedLine
 from .isogram import (
     BennettIsogramPose,
     BennettIsogramSpec,
@@ -63,7 +63,6 @@ __all__ = [
     "OrientedGreatCircle",
     "SphericalRotation",
     "OrientedLine",
-    "Displacement",
     "SphericalIsogramSpec",
     "SphericalIsogramPose",
     "BennettIsogramSpec",

@@ -34,7 +34,8 @@ from typing import Literal
 import numpy as np
 
 from . import screws
-from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle, ParallelLines
+from ._dual import _dual_halfturn, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
+from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle
 from .screws import OrientedLine
 from .sphere import (
     OrientedGreatCircle,
@@ -355,6 +356,11 @@ def _reference_perpendicular(d: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+def _on_base(arm: OrientedLine, base: OrientedLine) -> bool:
+    """Whether the arm lies along the base, as at the aligned poses."""
+    return bool(np.linalg.norm(np.cross(arm.d, base.d)) < 1e-9)
+
+
 def _meet(l1: OrientedLine, l2: OrientedLine, tol: float) -> np.ndarray:
     cp = screws.common_perpendicular(l1, l2)
     if cp.distance > tol:
@@ -372,8 +378,9 @@ def solve_bennett_isogram(
 
     The hinge at vertex A is placed orthogonal to the base through the given
     foot (its direction is a fixed gauge); hinge B sits at dual distance
-    (alpha, a) along the base. At the aligned reference the arms fold
-    backward, matching the spherical convention. Loop closure is verified to
+    (alpha, a) along the base. Each further arm and hinge is the screw image
+    (_dual._screw) of a line already placed. At the aligned reference the arms
+    fold backward, matching the spherical convention. Loop closure is verified to
     1e-9, lengths in units of max(1, a + b), before the pose is returned.
     """
     foot = np.asarray(base_hinge_foot, dtype=float)
@@ -383,21 +390,19 @@ def solve_bennett_isogram(
         raise ValueError("base hinge foot does not lie on the base line")
 
     hinge_a = OrientedLine.from_point_direction(foot, _reference_perpendicular(base.d))
-    hinge_b = screws.apply(screws.screw_displacement(base, spec.alpha_twist, spec.a_len), hinge_a)
+    x_base, x_a = _dual_vector(base), _dual_vector(hinge_a)
+    x_b = _screw(x_base, spec.alpha_twist, spec.a_len, x_a)
 
     c_real, _ = bennett_dual_coefficient(
         spec.alpha_twist, spec.beta_twist, spec.a_len, spec.b_len, "plus"
     )
     phi2 = coupled_angle(c_real, phi1)
 
-    arm_a = screws.apply(screws.rotation_about_line(hinge_a, phi1), base)
-    arm_b = screws.apply(screws.rotation_about_line(hinge_b, phi2), base)
-    hinge_d = screws.apply(
-        screws.screw_displacement(arm_a, -spec.beta_twist, -spec.b_len), hinge_a
-    )
-    hinge_c = screws.apply(
-        screws.screw_displacement(arm_b, -spec.beta_twist, -spec.b_len), hinge_b
-    )
+    x_arm_a = _screw(x_a, phi1, 0.0, x_base)
+    x_arm_b = _screw(x_b, phi2, 0.0, x_base)
+    x_d = _screw(x_arm_a, -spec.beta_twist, -spec.b_len, x_a)
+    x_c = _screw(x_arm_b, -spec.beta_twist, -spec.b_len, x_b)
+    hinge_b, hinge_c, hinge_d, arm_a, arm_b = map(_line, (x_b, x_c, x_d, x_arm_a, x_arm_b))
 
     scale = max(1.0, abs(spec.a_len) + abs(spec.b_len))
     cp = screws.common_perpendicular(hinge_c, hinge_d)
@@ -406,7 +411,7 @@ def solve_bennett_isogram(
         raise ClosureFailure(f"Bennett cell failed to close (residual {resid:.3e})")
     coupler = cp.axis
 
-    if np.linalg.norm(np.cross(arm_a.d, base.d)) < 1e-9:
+    if _on_base(arm_a, base):
         # aligned pose: all sides collinear, vertices are the hinge feet
         vertex_a, vertex_b, vertex_c, vertex_d = (
             screws.common_perpendicular(base, hg).foot1
@@ -438,42 +443,19 @@ def solve_bennett_isogram(
 
 
 def bennett_symmetry_axis(pose: BennettIsogramPose) -> OrientedLine:
-    """Symmetry axis s of the skew isogram: the common perpendicular of the
-    two vertex diagonals, which it meets at their midpoints. The line
-    reflection in s swaps the opposite hinges (A, C) and (B, D).
-
-    Zero-offset cells collapse all four vertices into one point; there the
-    axis comes from the direction bisector of the opposite hinges instead.
-    """
-    len_ac = float(np.linalg.norm(pose.vertex_c - pose.vertex_a))
-    len_bd = float(np.linalg.norm(pose.vertex_d - pose.vertex_b))
-    if min(len_ac, len_bd) > 1e-9:
-        try:
-            diag_ac = OrientedLine.from_points(pose.vertex_a, pose.vertex_c)
-            diag_bd = OrientedLine.from_points(pose.vertex_b, pose.vertex_d)
-            cp = screws.common_perpendicular(diag_ac, diag_bd)
-        except ValueError as exc:
-            raise CollapsedPose("diagonals degenerate at this pose") from exc
-        mid_ac = (pose.vertex_a + pose.vertex_c) / 2
-        mid_bd = (pose.vertex_b + pose.vertex_d) / 2
-        scale = max(1.0, len_ac)
-        if (
-            np.linalg.norm(cp.foot1 - mid_ac) > 1e-7 * scale
-            or np.linalg.norm(cp.foot2 - mid_bd) > 1e-7 * scale
-        ):
-            raise ClosureFailure("diagonal feet are not midpoints; not a valid isogram pose")
-        return cp.axis
-    # concurrent-hinge (spherical-image) cell: bisect the opposite hinges
-    best = None
-    for hc in (pose.hinge_c, pose.hinge_c.reversed()):
-        try:
-            axis = screws.midline_symmetry_axis(pose.hinge_a, hc)
-        except ParallelLines:
-            continue
-        refl = screws.line_reflection(axis)
-        resid = screws.unoriented_line_distance(screws.apply(refl, pose.hinge_b), pose.hinge_d)
-        if best is None or resid < best[0]:
-            best = (resid, axis)
-    if best is None or best[0] > _CLOSURE_TOL:
-        raise CollapsedPose("no hinge-swapping axis at this pose")
-    return best[1]
+    """Symmetry axis s of the skew isogram: the line reflection in s swaps the
+    opposite hinges (A, C) and (B, D). With the hinges oriented as
+    solve_bennett_isogram orients them, s is the dual unit of A - C, whose
+    line reflection carries A onto -C; on zero-offset cells it passes through
+    the common point of the hinges. The reflection of B is checked against
+    D, lengths in units of max(1, a + b). Undefined at the aligned poses,
+    where the arms lie on the base."""
+    if _on_base(pose.arm_a_line, pose.base_line):
+        raise CollapsedPose("symmetry axis undefined at the aligned pose")
+    a, b, c, d = map(_dual_vector, pose.hinges)
+    s = _dual_unit(a - c)
+    weight = np.r_[np.ones(3), np.full(3, 1.0 / max(1.0, pose.spec.a_len + pose.spec.b_len))]
+    resid = _unsigned_gap(weight * _dual_halfturn(s, b), weight * d)
+    if resid > _CLOSURE_TOL:
+        raise ClosureFailure(f"the symmetry axis does not swap hinges B and D (residual {resid:.3e})")
+    return _line(s)

@@ -19,7 +19,18 @@ from typing import Mapping
 
 import numpy as np
 
-from . import screws, sphere
+from . import sphere
+from ._dual import (
+    _dual_angle,
+    _dual_cross,
+    _dual_halfturn,
+    _dual_over_square,
+    _dual_unit,
+    _dual_vector,
+    _line,
+    _qmul,
+    _unsigned_gap,
+)
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
 from .isogram import (
     Branch,
@@ -276,25 +287,6 @@ def derive_spec(spec):
 # Dual vectors (direction; moment) are 6-arrays; the spherical linkage uses
 # their direction halves. g0 is the z axis, so its dual vector is e_z.
 _EZ = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-_TINY = 1e-14
-
-
-def _dual_unit(x: np.ndarray) -> np.ndarray:
-    """x / |x| over the dual numbers, row by row: (a/|a|, b/|a| - a (a.b)/|a|^3)."""
-    a, b = x[..., :3], x[..., 3:]
-    na = np.linalg.norm(a, axis=-1, keepdims=True)
-    if np.min(na) < _TINY:
-        raise ClosureFailure("symmetry axis undefined: the two lines it is built from coincide")
-    return np.concatenate([a / na, b / na - a * (np.sum(a * b, axis=-1, keepdims=True) / na**3)], axis=-1)
-
-
-def _dual_over_square(x: np.ndarray) -> np.ndarray:
-    """x / |x|^2 over the dual numbers: (a/|a|^2, b/|a|^2 - 2a (a.b)/|a|^4)."""
-    a, b = x[:3], x[3:]
-    aa = float(np.dot(a, a))
-    if aa < _TINY**2:
-        raise ClosureFailure("symmetry axis undefined: the two bars it bisects coincide")
-    return np.concatenate([a / aa, b / aa - a * (2 * np.dot(a, b) / aa**2)])
 
 
 def _half_angle_construction(v: ValidatedSpherical, heights, phi1: float):
@@ -335,41 +327,6 @@ def _half_angle_construction(v: ValidatedSpherical, heights, phi1: float):
     return arms, bars, axes
 
 
-def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Image of the dual vector x under the half-turn about the unit dual
-    vector s: 2<s, x> s - x over the dual numbers. On lines this is the line
-    reflection in s; with zero moments, or on direction-only 3-vectors, it is
-    the spherical half-turn. It does not depend on the orientation of s."""
-    out = 2 * np.dot(s[:3], x[:3]) * s - x
-    if len(x) > 3:
-        out[3:] += 2 * (np.dot(s[:3], x[3:]) + np.dot(s[3:], x[:3])) * s[:3]
-    return out
-
-
-def _dual_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x × y over the dual numbers, row by row of (..., 6) stacks:
-    (a × c, a × d + b × c) for x = (a, b) and y = (c, d)."""
-    a, b, c, d = (part for z in np.broadcast_arrays(x, y) for part in (z[..., :3], z[..., 3:]))
-    ac, ad, bc = np.cross(np.array([a, a, b]), np.array([c, d, c]))
-    return np.concatenate([ac, ad + bc], axis=-1)
-
-
-def _dual_angle(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """screws.dual_angle of the oriented lines x and y, row by row of (..., 6)
-    stacks: theta + eps l = atan2(|x × y|, <x, y>) over the dual numbers, in
-    which a dual factor of x or y cancels, so rows need be unit lines only to
-    rounding. Raises ParallelLines where a pair is parallel."""
-    cross = _dual_cross(x, y)
-    r = np.linalg.norm(cross[..., :3], axis=-1)
-    if np.min(r) < screws.PARALLEL_EPS:
-        raise ParallelLines("lines are parallel (or identical)")
-    r_dual = np.sum(cross[..., :3] * cross[..., 3:], axis=-1) / r
-    p = np.sum(x[..., :3] * y[..., :3], axis=-1)
-    q = np.sum(x[..., :3] * y[..., 3:] + x[..., 3:] * y[..., :3], axis=-1)
-    # atan2(r + eps r', p + eps q) = atan2(r, p) + eps (p r' - r q) / (r^2 + p^2)
-    return np.arctan2(r, p), np.abs(p * r_dual - r * q) / (r * r + p * p)
-
-
 def _n_and_t(s: np.ndarray) -> np.ndarray:
     """For the unit symmetry axes s (rows S1..S6): the line n they meet at right
     angles, the dual unit of S1 × S2, and the line t that bisects S1 and S4
@@ -377,11 +334,6 @@ def _n_and_t(s: np.ndarray) -> np.ndarray:
     the sphere they are the poles of n and of t1 or t2."""
     t = s[0] + (1.0 if np.dot(s[0, :3], s[3, :3]) >= 0 else -1.0) * s[3]
     return _dual_unit(np.array([_dual_cross(s[0], s[1]), t]))
-
-
-def _unsigned_gap(x: np.ndarray, y: np.ndarray) -> float:
-    """Distance of x from y up to sign."""
-    return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
 
 
 # (element, symmetry axis S_k as k - 1, source): the half-turn about S_k
@@ -526,17 +478,15 @@ def _about_n(s, g, h):
 def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
     """Residuals of the half-turn product identities and the derived
     symmetry statements at a non-collapsed pose. All entries are distances
-    (quaternion distances up to sign for displacement identities). Each
+    (quaternion distances up to sign for the product identities). Each
     half-turn acts by _dual_halfturn on the direction vectors; reflecting in
     the circle t is -_dual_halfturn(t.n, .), and the mirror checks are up to
     sign."""
     if pose.aligned:
         raise CollapsedPose("half-turn products are undefined at the aligned pose")
-    sig = [sphere.halfturn_about(s) for s in pose.centers]
-    s = [c.v for c in pose.centers]
+    s = np.array([c.v for c in pose.centers])
     g, h = [c.n for c in pose.g], [c.n for c in pose.h]
     t1, t2 = pose.t1.n, pose.t2.n
-    comp = sphere.compose
     rep: dict[str, float] = {}
 
     for key, k, src, dst in (
@@ -552,52 +502,56 @@ def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
     ):
         rep[key] = float(np.linalg.norm(_dual_halfturn(s[k], src) + dst))
 
-    rho21 = comp(sig[1], sig[0])
-    rho12 = comp(sig[0], sig[1])
-    rho54 = comp(sig[4], sig[3])
-    tau321 = comp(sig[2], rho21)
-    tau654 = comp(sig[5], rho54)
-    axis321, axis654 = tau321.axis().v, tau654.axis().v
-    rep["sigma3_conjugates_rho21"] = sphere.rotation_distance(comp(sig[2], comp(rho21, sig[2])), rho12)
-    rep["tau321_involutive"] = sphere.rotation_distance(tau321, sphere.inverse(tau321))
-    rep["tau321_halfturn"] = float(abs(tau321.q[0]))
+    # the half-turn about S_k is the quaternion (0, S_k), and rho_XY is the
+    # product sigma_X sigma_Y, the half-turn about S_Y and then about S_X
+    sig = np.c_[np.zeros(6), s]
+    products = _qmul(sig[:, None], sig)
+    rho = {f"rho{x + 1}{y + 1}": products[x, y] for x in range(6) for y in range(6)}
+    # tau321 = sigma3 rho21, tau654 = sigma6 rho54; sigma3 rho21 sigma3 = rho32 rho13
+    tau321, tau654, conj = _qmul(
+        np.array([sig[2], sig[5], rho["rho32"]]), np.array([rho["rho21"], rho["rho54"], rho["rho13"]])
+    )
+    axis321, axis654 = (tau[1:] / np.linalg.norm(tau[1:]) for tau in (tau321, tau654))
+    rep["sigma3_conjugates_rho21"] = _unsigned_gap(conj, rho["rho12"])
+    rep["tau321_involutive"] = _unsigned_gap(tau321, tau321 * [1, -1, -1, -1])
+    rep["tau321_halfturn"] = float(abs(tau321[0]))
     rep["tau321_axis_in_h1"] = float(abs(np.dot(axis321, h[1])))
     rep["tau321_axis_in_n"] = float(abs(np.dot(axis321, pose.n_circle.n)))
-    rep["tau654_halfturn"] = float(abs(tau654.q[0]))
+    rep["tau654_halfturn"] = float(abs(tau654[0]))
     rep["tau654_axis_in_g1"] = float(abs(np.dot(axis654, g[1])))
     rep["tau654_axis_in_n"] = float(abs(np.dot(axis654, pose.n_circle.n)))
     rep["tau_axes_mirror_t1"] = _unsigned_gap(_dual_halfturn(t1, axis321), axis654)
     rep["tau_axes_mirror_t2"] = _unsigned_gap(_dual_halfturn(t2, axis321), axis654)
 
-    rho = {f"rho{b + 1}{a + 1}": comp(sig[b], sig[a]) for _, a, b in _ABOUT_N}
-    rep["rho42_eq_rho51"] = sphere.rotation_distance(rho["rho42"], comp(sig[4], sig[0]))
-    rep["rho62_eq_rho53"] = sphere.rotation_distance(comp(sig[5], sig[1]), rho["rho53"])
-    rep["rho61_eq_rho43"] = sphere.rotation_distance(rho["rho61"], comp(sig[3], sig[2]))
+    for key, other in (("rho42", "rho51"), ("rho62", "rho53"), ("rho61", "rho43")):
+        rep[f"{key}_eq_{other}"] = _unsigned_gap(rho[key], rho[other])
     for _, a, b, to_g, to_h in _about_n(s, g, h):
         key = f"rho{b + 1}{a + 1}"
         rep[f"{key}_maps_g0"], rep[f"{key}_maps_h"] = to_g, to_h
-        q = rho[key].q[1:]
+        q = rho[key][1:]
         rep[f"{key}_axis_on_N"] = _unsigned_gap(q / np.linalg.norm(q), pose.n_pole.v)
-
-    rep["rho54_eq_rho12"] = sphere.rotation_distance(rho54, rho12)
-    rep["rho65_eq_rho23"] = sphere.rotation_distance(comp(sig[5], sig[4]), comp(sig[1], sig[2]))
-    rep["rho46_eq_rho31"] = sphere.rotation_distance(comp(sig[3], sig[5]), comp(sig[2], sig[0]))
+    for key, other in (("rho54", "rho12"), ("rho65", "rho23"), ("rho46", "rho31")):
+        rep[f"{key}_eq_{other}"] = _unsigned_gap(rho[key], rho[other])
 
     for t_key, t in (("t1", t1), ("t2", t2)):
         for k in range(3):
             rep[f"{t_key}_swaps_S{k + 1}S{k + 4}"] = _unsigned_gap(_dual_halfturn(t, s[k]), s[k + 3])
     n = pose.n_circle
-    # the points n ^ g_i and n ^ h_i (rows i and i + 4), which t1 and t2 exchange
-    x = np.cross(n.n, [*g, *h])
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    bars = np.array([*g, *h])
+    # the points n ^ g_i and n ^ h_i (rows i and i + 4), which t1 and t2
+    # exchange, and the angle of each bar's plane to n's, folded into [0, pi/2]
+    x = np.cross(n.n, bars)
+    r = np.linalg.norm(x, axis=1, keepdims=True)
+    x /= r
+    angles = np.arctan2(r[:, 0], bars @ n.n)
+    angles = np.minimum(angles, np.pi - angles)
     for i in range(4):
         rep[f"bisector_t1_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t1, x[i]), x[i + 4])
         rep[f"bisector_t2_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t2, x[i]), x[i + 4])
 
-    stack = np.array(s)
-    rep["centers_on_n"] = float(np.max(np.abs(stack @ n.n)))
+    rep["centers_on_n"] = float(np.max(np.abs(s @ n.n)))
     # coplanarity through O of the first three centers
-    rep["triple_centers_aligned"] = float(abs(np.dot(np.cross(stack[0], stack[1]), stack[2])))
+    rep["triple_centers_aligned"] = float(abs(np.dot(np.cross(s[0], s[1]), s[2])))
     for quad_key, quad in (
         ("joint_band_10", ("R10", "R01", "R23", "R32")),
         ("joint_band_20", ("R20", "R02", "R31", "R13")),
@@ -605,10 +559,8 @@ def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
     ):
         ds = [abs(float(np.dot(pose.joints[k].v, n.n))) for k in quad]
         rep[quad_key] = max(ds) - min(ds)
-    g_angles = [sphere.circle_angle(n, c) for c in pose.g]
-    h_angles = [sphere.circle_angle(n, c) for c in pose.h]
-    rep["cohort_angles_g"] = max(g_angles) - min(g_angles)
-    rep["cohort_angles_h"] = max(h_angles) - min(h_angles)
+    rep["cohort_angles_g"] = float(np.ptp(angles[:4]))
+    rep["cohort_angles_h"] = float(np.ptp(angles[4:]))
     return rep
 
 
@@ -634,14 +586,6 @@ class SpatialEightBarPose:
 
     def bar(self, key: str) -> OrientedLine:
         return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
-
-
-def _line(x: np.ndarray) -> OrientedLine:
-    return OrientedLine(x[:3], x[3:])
-
-
-def _dual_vector(line: OrientedLine) -> np.ndarray:
-    return np.concatenate([line.d, line.m])
 
 
 def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:

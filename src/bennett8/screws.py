@@ -1,13 +1,10 @@
-"""Line geometry and rigid displacements in 3-space.
+"""Line geometry in 3-space.
 
 Lines are oriented Pluecker pairs (d, m) with unit direction d and moment
 m = p x d for any point p of the line; reversing orientation negates both.
-Displacements are unit dual quaternions (q_r; q_d) with the Study condition
-q_r . q_d = 0; (q, d) and (-q, -d) are the same displacement.
-
-Sign conventions: screw translation is positive along the positive axis
-direction (right-handed); the angle of an oriented line pair uses the full
-[0, pi] range since orientation matters downstream.
+The angle of an oriented line pair uses the full [0, pi] range since
+orientation matters downstream. Half-turns and screws act on lines through
+the dual-vector kernel in _dual.py.
 """
 from __future__ import annotations
 
@@ -51,98 +48,12 @@ class OrientedLine:
         p = np.asarray(p, dtype=float)
         return cls(d, np.cross(p, d))
 
-    @classmethod
-    def from_points(cls, p, q) -> "OrientedLine":
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return cls.from_point_direction(p, q - p)
-
     def reversed(self) -> "OrientedLine":
         return OrientedLine(-self.d, -self.m)
 
     def foot(self) -> np.ndarray:
         """Point of the line closest to the origin."""
         return np.cross(self.d, self.m)
-
-
-@dataclass(frozen=True, eq=False)
-class Displacement:
-    """Rigid displacement as a unit dual quaternion (q_r; q_d)."""
-
-    q_r: np.ndarray
-    q_d: np.ndarray
-
-    def __post_init__(self):
-        qr = np.asarray(self.q_r, dtype=float).reshape(4).copy()
-        qd = np.asarray(self.q_d, dtype=float).reshape(4).copy()
-        n = np.linalg.norm(qr)
-        if n < 1e-14:
-            raise ValueError("Displacement: zero real part")
-        qr /= n
-        qd /= n
-        study = np.dot(qr, qd)
-        if abs(study) > PLUCKER_TOL * max(1.0, np.linalg.norm(qd)):
-            raise ValueError(f"Displacement: Study condition violated ({study:.3e})")
-        qd -= study * qr
-        qr.setflags(write=False)
-        qd.setflags(write=False)
-        object.__setattr__(self, "q_r", qr)
-        object.__setattr__(self, "q_d", qd)
-
-    @classmethod
-    def identity(cls) -> "Displacement":
-        return cls(np.array([1.0, 0, 0, 0]), np.zeros(4))
-
-    def translation(self) -> np.ndarray:
-        """Translation vector (2 q_d conj(q_r), vector part)."""
-        return 2.0 * _qmul(self.q_d, _qconj(self.q_r))[1:]
-
-    def rotation_matrix_apply(self, v: np.ndarray) -> np.ndarray:
-        w = self.q_r[0]
-        u = self.q_r[1:]
-        return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
-
-
-def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
-def _qconj(a: np.ndarray) -> np.ndarray:
-    return np.array([a[0], -a[1], -a[2], -a[3]])
-
-
-def compose(d2: Displacement, d1: Displacement) -> Displacement:
-    """d2 after d1 (dual quaternion product)."""
-    return Displacement(
-        _qmul(d2.q_r, d1.q_r),
-        _qmul(d2.q_r, d1.q_d) + _qmul(d2.q_d, d1.q_r),
-    )
-
-
-def inverse(d: Displacement) -> Displacement:
-    return Displacement(_qconj(d.q_r), _qconj(d.q_d))
-
-
-def apply(d: Displacement, x):
-    """Apply the displacement to a 3-point (array) or an OrientedLine."""
-    t = d.translation()
-    if isinstance(x, OrientedLine):
-        d2 = d.rotation_matrix_apply(x.d)
-        m2 = d.rotation_matrix_apply(x.m) + np.cross(t, d2)
-        return OrientedLine(d2, m2)
-    p = np.asarray(x, dtype=float)
-    if p.shape == (3,):
-        return d.rotation_matrix_apply(p) + t
-    raise TypeError(f"cannot displace {type(x).__name__}")
 
 
 def line_distance(l1: OrientedLine, l2: OrientedLine) -> float:
@@ -205,25 +116,6 @@ def dual_angle(l1: OrientedLine, l2: OrientedLine) -> tuple[float, float]:
         raise ParallelLines("lines are parallel (or identical)")
     moment = float(np.dot(l1.d, l2.m) + np.dot(l1.m, l2.d))
     return float(np.arctan2(nc, np.dot(l1.d, l2.d))), abs(moment) / nc
-
-
-def line_reflection(axis: OrientedLine) -> Displacement:
-    """Half-turn about the axis; as a dual quaternion this is the line itself."""
-    return Displacement(np.array([0.0, *axis.d]), np.array([0.0, *axis.m]))
-
-
-def screw_displacement(axis: OrientedLine, angle: float, translation: float) -> Displacement:
-    """Rotation by angle about the axis line composed with translation along it."""
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    h = translation / 2
-    return Displacement(
-        np.array([c, *(s * axis.d)]),
-        np.array([-h * s, *(h * c * axis.d + s * axis.m)]),
-    )
-
-
-def rotation_about_line(axis: OrientedLine, angle: float) -> Displacement:
-    return screw_displacement(axis, angle, 0.0)
 
 
 def midline_symmetry_axis(h1: OrientedLine, h3rev: OrientedLine) -> OrientedLine:

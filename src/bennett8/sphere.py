@@ -73,11 +73,8 @@ class OrientedGreatCircle:
 
 @dataclass(frozen=True, eq=False)
 class SphericalRotation:
-    """Rotation of the sphere as a unit quaternion (w, x, y, z).
-
-    q and -q represent the same rotation; comparisons go through
-    rotation_distance.
-    """
+    """Rotation of the sphere as a unit quaternion (w, x, y, z); q and -q
+    represent the same rotation."""
 
     q: np.ndarray
 
@@ -89,10 +86,6 @@ class SphericalRotation:
         a /= n
         a.setflags(write=False)
         object.__setattr__(self, "q", a)
-
-    def axis(self) -> SpherePoint:
-        """Axis direction; undefined for the identity."""
-        return SpherePoint(self.q[1:])
 
 
 def antipode(p: SpherePoint) -> SpherePoint:
@@ -140,26 +133,6 @@ def halfturn_about(p: SpherePoint) -> SphericalRotation:
     return SphericalRotation(np.array([0.0, *p.v]))
 
 
-def compose(r2: SphericalRotation, r1: SphericalRotation) -> SphericalRotation:
-    """r2 after r1 (quaternion product q2 * q1)."""
-    w1, x1, y1, z1 = r1.q
-    w2, x2, y2, z2 = r2.q
-    return SphericalRotation(
-        np.array(
-            [
-                w2 * w1 - x2 * x1 - y2 * y1 - z2 * z1,
-                w2 * x1 + x2 * w1 + y2 * z1 - z2 * y1,
-                w2 * y1 - x2 * z1 + y2 * w1 + z2 * x1,
-                w2 * z1 + x2 * y1 - y2 * x1 + z2 * w1,
-            ]
-        )
-    )
-
-
-def inverse(r: SphericalRotation) -> SphericalRotation:
-    return SphericalRotation(np.array([r.q[0], -r.q[1], -r.q[2], -r.q[3]]))
-
-
 def _rotate_vec(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = q[0]
     u = q[1:]
@@ -173,13 +146,6 @@ def apply(r: SphericalRotation, x):
     if isinstance(x, OrientedGreatCircle):
         return OrientedGreatCircle(_rotate_vec(r.q, x.n))
     raise TypeError(f"cannot rotate {type(x).__name__}")
-
-
-def rotation_distance(r1: SphericalRotation, r2: SphericalRotation) -> float:
-    """Quaternion distance up to sign; 0 iff same rotation."""
-    d = np.linalg.norm(r1.q - r2.q)
-    s = np.linalg.norm(r1.q + r2.q)
-    return float(min(d, s))
 
 
 def symmetry_centers(

@@ -5,7 +5,7 @@ import numpy as np
 
 from bennett8.isogram import SphericalIsogramSpec
 from bennett8.linkage import EightBarSpec, SpatialEightBarSpec
-from bennett8.screws import Displacement, OrientedLine
+from bennett8.screws import OrientedLine
 from bennett8.sphere import OrientedGreatCircle, SpherePoint
 
 
@@ -43,11 +43,17 @@ def random_line_pair(rng: np.random.Generator, min_cross: float = 1e-3):
             return l1, l2
 
 
-def random_displacement(rng: np.random.Generator) -> Displacement:
-    from bennett8.screws import screw_displacement
+def reflect_line(axis: OrientedLine, line: OrientedLine) -> OrientedLine:
+    """Line reflection in axis, point by point: two points p of the line go
+    to 2 f(p) - p, with f(p) the foot of p on the axis."""
 
-    axis = random_line(rng)
-    return screw_displacement(axis, rng.uniform(-3, 3), rng.uniform(-2, 2))
+    def image(p):
+        foot = axis.foot() + np.dot(p - axis.foot(), axis.d) * axis.d
+        return 2 * foot - p
+
+    p = line.foot()
+    q0, q1 = image(p), image(p + line.d)
+    return OrientedLine.from_point_direction(q0, q1 - q0)
 
 
 def random_isogram_spec(rng: np.random.Generator) -> SphericalIsogramSpec:

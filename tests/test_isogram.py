@@ -10,6 +10,8 @@ the backward-folded aligned pose,
 The magnitudes match the classic half-angle law; the plus-branch numerator
 sign is what actually closes the loop (the arms counter-rotate).
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,7 @@ from bennett8.isogram import (
     transmission_coefficient,
 )
 from bennett8.oracle import LoopProblem, problem_from_spherical_vertices, solve_loop
-from bennett8.screws import (
-    OrientedLine,
-    apply as apply_disp,
-    line_reflection,
-    unoriented_line_distance,
-)
+from bennett8.screws import OrientedLine, unoriented_line_distance
 from bennett8.sphere import (
     OrientedGreatCircle,
     SpherePoint,
@@ -43,7 +40,7 @@ from bennett8.sphere import (
     apply as rotate,
     spherical_distance,
 )
-from conftest import random_driving_angle, random_isogram_spec
+from conftest import random_driving_angle, random_isogram_spec, reflect_line
 
 G0 = OrientedGreatCircle(np.array([0.0, 0, 1]))
 P0 = SpherePoint.of(1, 0, 0)
@@ -344,10 +341,10 @@ def test_bennett_large_lengths_raise_only_typed_errors(scale):
             pass
 
 
-@pytest.mark.parametrize("scale", [1e8, 1e10])
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8, 1e10])
 def test_bennett_closure_ignores_length_unit(scale):
     # the demo cell with its side lengths scaled closes at every angle, and
-    # its pose is the unscaled one times the scale
+    # its pose and symmetry axis are the unscaled ones times the scale
     spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0)
     scaled = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
     for phi in (0.0, 0.5, 2.0, -2.5):
@@ -355,7 +352,10 @@ def test_bennett_closure_ignores_length_unit(scale):
         got = solve_bennett_isogram(scaled, Z_AXIS, np.zeros(3), phi)
         for a, b in zip(got.vertices, want.vertices):
             assert np.max(np.abs(a / scale - b)) <= 1e-12, phi
-        for a, b in zip(got.hinges, want.hinges):
+        pairs = list(zip(got.hinges, want.hinges))
+        if phi != 0.0:  # the axis is undefined at the aligned pose
+            pairs.append((bennett_symmetry_axis(got), bennett_symmetry_axis(want)))
+        for a, b in pairs:
             assert np.max(np.abs(np.r_[a.d, a.m / scale] - np.r_[b.d, b.m])) <= 1e-12, phi
 
 
@@ -382,22 +382,41 @@ def test_bennett_solve_aligned_pose_collinear():
 
 
 def test_bennett_symmetry_axis_swaps_hinges():
+    # every fifth cell has zero offsets, the spherical image itself
     rng = np.random.default_rng(67)
-    for _ in range(25):
+    for i in range(25):
         alpha = rng.uniform(0.4, 2.4)
         beta = rng.uniform(0.4, 2.4)
-        k = rng.uniform(0.4, 2.0)
+        k = 0.0 if i % 5 == 0 else rng.uniform(0.4, 2.0)
         spec = BennettIsogramSpec(alpha, beta, k * np.sin(alpha), k * np.sin(beta))
         pose = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), random_driving_angle(rng))
         axis = bennett_symmetry_axis(pose)
-        refl = line_reflection(axis)
-        assert unoriented_line_distance(apply_disp(refl, pose.hinge_a), pose.hinge_c) < 1e-9
-        assert unoriented_line_distance(apply_disp(refl, pose.hinge_b), pose.hinge_d) < 1e-9
+        assert unoriented_line_distance(reflect_line(axis, pose.hinge_a), pose.hinge_c) < 1e-9
+        assert unoriented_line_distance(reflect_line(axis, pose.hinge_b), pose.hinge_d) < 1e-9
         # reflecting the whole pose reproduces its hinge set (involution)
-        imgs = [apply_disp(refl, hg) for hg in pose.hinges]
-        back = [apply_disp(refl, im) for im in imgs]
+        imgs = [reflect_line(axis, hg) for hg in pose.hinges]
+        back = [reflect_line(axis, im) for im in imgs]
         for hg, bk in zip(pose.hinges, back):
             assert unoriented_line_distance(hg, bk) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e10])
+@pytest.mark.parametrize("motion", ["rotated", "translated"])
+def test_bennett_symmetry_axis_rejects_a_moved_hinge(scale, motion):
+    # the axis is built from A and C alone; a hinge D moved by 1e-6 (in
+    # units of max(1, a + b)) must fail the check that the axis swaps B, D
+    spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
+    pose = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), 0.8)
+    bennett_symmetry_axis(pose)
+    d = pose.hinge_d
+    if motion == "rotated":
+        tilt = 1e-6 * np.cross(d.d, [0.3, -0.5, 0.8])
+        moved = OrientedLine.from_point_direction(d.foot(), d.d + tilt)
+    else:
+        shift = 1e-6 * max(1.0, 3.0 * scale) * np.cross(d.d, [0.3, -0.5, 0.8])
+        moved = OrientedLine.from_point_direction(d.foot() + shift, d.d)
+    with pytest.raises(ClosureFailure):
+        bennett_symmetry_axis(replace(pose, hinge_d=moved))
 
 
 def test_bennett_symmetry_axis_zero_offset_passes_through_center():

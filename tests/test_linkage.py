@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bennett8._dual import _dual_angle, _dual_cross, _dual_halfturn, _dual_unit
 from bennett8.errors import ClosureFailure, CollapsedPose, InvalidSpec, ParallelLines
 from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from bennett8.linkage import (
@@ -28,10 +29,6 @@ from bennett8.linkage import (
     validate_spec,
     _cell_design_residual,
     _PLACEMENT,
-    _dual_angle,
-    _dual_cross,
-    _dual_halfturn,
-    _dual_unit,
     _mobility_jacobian,
     _spatial_cell_residuals,
 )
@@ -43,26 +40,23 @@ from bennett8.oracle import (
     solve_loop,
 )
 from bennett8.scene import load_spec
-from bennett8.screws import apply as apply_displacement
-from bennett8.screws import compose as compose_displacements
 from bennett8.screws import (
     OrientedLine,
     common_perpendicular,
     dual_angle,
     line_distance,
-    line_reflection,
     midline_symmetry_axis,
 )
 from bennett8.sphere import OrientedGreatCircle, reflect_in_circle
 from bennett8.sphere import apply as rotate
 from bennett8.sphere import arc_point, halfturn_about, lies_on, spherical_distance
-from bennett8.sphere import compose as compose_rotations
 from conftest import (
     random_eightbar_spec,
     random_line,
     random_line_pair,
     random_point,
     random_spatial_spec,
+    reflect_line,
 )
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
@@ -395,6 +389,39 @@ def test_badly_conditioned_spatial_design_closes():
         assert assemble_spatial(v, phi).closure_residual < 1e-10
 
 
+def _ill_conditioned_spec(rng, spatial: bool):
+    """A design whose largest transmission coefficient |c| lies in (25, 1e3],
+    the range conftest.random_eightbar_spec rejects, with arcs over
+    (0.1, pi - 0.1)."""
+    while True:
+        u1 = rng.uniform(0.0, 0.4)
+        a1, a2, b1, b2 = rng.uniform(0.1, np.pi - 0.1, size=4)
+        if a1 + a2 >= np.pi - 0.1:
+            continue
+        br1, br2 = ("plus" if rng.uniform() < 0.5 else "minus" for _ in range(2))
+        spec = EightBarSpec(u1, u1 + a1, u1 + a1 + a2, b1, b2, br1, br2)
+        try:
+            v = validate_spec(spec)
+        except InvalidSpec:
+            continue
+        if 25 < max(abs(v.c21), abs(v.c32), abs(v.c31)) <= 1e3:
+            break
+    if not spatial:
+        return spec
+    lengths = rng.uniform(0.4, 1.6, size=2)
+    return SpatialEightBarSpec(**vars(spec), a1=lengths[0], a2=lengths[1])
+
+
+@pytest.mark.parametrize("kind", ["spherical", "spatial"])
+def test_ill_conditioned_designs_pass(kind):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        spec = _ill_conditioned_spec(rng, kind == "spatial")
+        for sample in sweep(spec, phi_grid(-np.pi, np.pi, 41)):
+            assert sample.error is None, (spec, sample.phi1, sample.error)
+            assert max(sample.families.values()) < 1e-10, (spec, sample.phi1, sample.families)
+
+
 def test_spatial_spherical_image():
     # the directions of bars and hinges are the spherical pose of the
     # angular design: the placement is the same table of half-turns
@@ -498,20 +525,20 @@ def test_large_lengths_raise_only_typed_errors(scale):
 def test_dual_halfturn_is_the_line_reflection(moments):
     # 2<s, x> s - x over the dual numbers: the line reflection in s, and the
     # spherical half-turn where the moments vanish or are left out (3-vectors),
-    # which is minus the reflection in the polar circle of s. Two of them are
-    # the product of the quaternions, the reference for the rotations about N
+    # which is minus the reflection in the polar circle of s. The references
+    # reflect points of the line, and rotate the sphere
     rng = np.random.default_rng(37)
     for _ in range(50):
         if moments:
             a, b, x = random_line(rng), random_line(rng), random_line(rng)
-            want = apply_displacement(line_reflection(a), x)
-            twice = apply_displacement(compose_displacements(line_reflection(b), line_reflection(a)), x)
+            want = reflect_line(a, x)
+            twice = reflect_line(b, want)
             want, twice = np.r_[want.d, want.m], np.r_[twice.d, twice.m]
             a, b, x = (np.r_[line.d, line.m] for line in (a, b, x))
         else:
             a, b, x = random_point(rng), random_point(rng), random_point(rng)
             want = rotate(halfturn_about(a), x).v
-            twice = rotate(compose_rotations(halfturn_about(b), halfturn_about(a)), x).v
+            twice = rotate(halfturn_about(b), rotate(halfturn_about(a), x)).v
             mirror = reflect_in_circle(OrientedGreatCircle(a.v), x).v
             assert np.max(np.abs(_dual_halfturn(a.v, x.v) + mirror)) <= 1e-14
             a, b, x = a.v, b.v, x.v

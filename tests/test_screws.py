@@ -1,35 +1,51 @@
-"""Line geometry and displacements: examples and invariants."""
+"""Line geometry, and the half-turns and screws of the dual-vector kernel."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bennett8._dual import _dual_halfturn, _dual_vector, _line, _screw
 from bennett8.errors import ParallelLines
 from bennett8.screws import (
-    Displacement,
     OrientedLine,
-    apply,
     common_perpendicular,
-    compose,
     dual_angle,
-    inverse,
     line_distance,
-    line_reflection,
     midline_symmetry_axis,
-    rotation_about_line,
-    screw_displacement,
 )
-from conftest import random_displacement, random_line, random_line_pair
+from bennett8.sphere import rotation_about
+from bennett8.sphere import apply as rotate
+from conftest import random_line, random_line_pair, random_point, reflect_line, unit_vector
 
 X_AXIS = OrientedLine.from_point_direction(np.zeros(3), np.array([1.0, 0, 0]))
+Y_AXIS = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 1, 0]))
 Z_AXIS = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0, 1]))
 
 
-def displacement_distance(d1: Displacement, d2: Displacement) -> float:
-    """8-vector distance up to the overall dual-quaternion sign."""
-    a = np.concatenate([d1.q_r, d1.q_d])
-    b = np.concatenate([d2.q_r, d2.q_d])
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+def screw_line(axis: OrientedLine, angle: float, slide: float, line: OrientedLine) -> OrientedLine:
+    """The screw about axis, point by point: two points of the line are
+    turned about the axis by Rodrigues' formula and slid along it."""
+
+    def image(p):
+        r = p - axis.foot()
+        turned = (
+            np.cos(angle) * r
+            + np.sin(angle) * np.cross(axis.d, r)
+            + (1 - np.cos(angle)) * np.dot(axis.d, r) * axis.d
+        )
+        return axis.foot() + turned + slide * axis.d
+
+    p = line.foot()
+    q0, q1 = image(p), image(p + line.d)
+    return OrientedLine.from_point_direction(q0, q1 - q0)
+
+
+def screwed(axis: OrientedLine, angle: float, slide: float, line: OrientedLine) -> OrientedLine:
+    return _line(_screw(_dual_vector(axis), angle, slide, _dual_vector(line)))
+
+
+def halfturn(axis: OrientedLine, line: OrientedLine) -> OrientedLine:
+    return _line(_dual_halfturn(_dual_vector(axis), _dual_vector(line)))
 
 
 def test_common_perpendicular_example():
@@ -70,78 +86,90 @@ def test_common_perpendicular_intersecting():
 
 
 def test_line_reflection_examples():
-    refl = line_reflection(Z_AXIS)
-    assert np.allclose(apply(refl, np.array([1.0, 0, 0])), [-1, 0, 0], atol=1e-15)
-    # applied twice = identity
-    assert displacement_distance(compose(refl, refl), Displacement.identity()) < 1e-15
-    img = apply(refl, X_AXIS)
-    assert line_distance(img, X_AXIS.reversed()) < 1e-15
+    assert line_distance(halfturn(Z_AXIS, X_AXIS), X_AXIS.reversed()) < 1e-15
+    shifted = OrientedLine.from_point_direction(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+    want = OrientedLine.from_point_direction(np.array([-1.0, 0, 0]), np.array([0, -1.0, 0]))
+    assert line_distance(halfturn(Z_AXIS, shifted), want) < 1e-15
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        axis, line = random_line(rng), random_line(rng)
+        img = halfturn(axis, line)
+        assert line_distance(img, reflect_line(axis, line)) < 1e-13
+        # applied twice it is the identity
+        assert line_distance(halfturn(axis, img), line) < 1e-13
 
 
 def test_line_reflection_has_zero_scalar_part():
-    rng = np.random.default_rng(2)
+    # the line reflection is the screw whose dual quaternion has the scalar
+    # part cos((theta + eps slide) / 2) = 0: the screw by pi without slide
+    rng = np.random.default_rng(3)
     for _ in range(50):
-        refl = line_reflection(random_line(rng))
-        assert refl.q_r[0] == 0.0
+        axis, line = random_line(rng), random_line(rng)
+        assert line_distance(screwed(axis, np.pi, 0.0, line), halfturn(axis, line)) < 1e-13
 
 
 def test_compose_of_two_line_reflections_is_screw():
-    # reflections about two lines with common perpendicular p and signed dual
-    # angle (theta, c) from l1 to l2 about p compose to the screw about p with
-    # angle 2 theta and translation 2c
+    # reflections about two lines with common perpendicular p and signed
+    # dual angle (theta, c) from l1 to l2 about p make the screw about p by
+    # angle 2 theta and slide 2c
     rng = np.random.default_rng(4)
     for _ in range(50):
         l1, l2 = random_line_pair(rng, min_cross=0.05)
         cp = common_perpendicular(l1, l2)
-        p = cp.axis
-        theta = np.arctan2(np.dot(np.cross(l1.d, l2.d), p.d), np.dot(l1.d, l2.d))
-        c = np.dot(cp.foot2 - cp.foot1, p.d)
-        d = compose(line_reflection(l2), line_reflection(l1))
-        assert displacement_distance(d, screw_displacement(p, 2 * theta, 2 * c)) < 1e-12
+        c = np.dot(cp.foot2 - cp.foot1, cp.axis.d)
+        x = random_line(rng)
+        want = screwed(cp.axis, 2 * cp.angle, 2 * c, x)
+        assert line_distance(halfturn(l2, halfturn(l1, x)), want) < 1e-12
 
 
 def test_reflections_about_intersecting_orthogonal_axes():
-    d = compose(line_reflection(Z_AXIS), line_reflection(X_AXIS))
-    y_axis = OrientedLine.from_point_direction(np.zeros(3), np.array([0, 1.0, 0]))
-    assert displacement_distance(d, line_reflection(y_axis)) < 1e-15
-
-
-@pytest.mark.parametrize("size", [1.0, 1e4, 1e8])
-def test_study_check_is_relative(size):
-    # the Study condition q_r . q_d = 0 is checked relative to |q_d|, so a
-    # violation of relative size 1e-6 raises at every length unit
-    q_r = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="Study"):
-        Displacement(q_r, size * np.array([1e-6, 0.0, 1.0, 0.0]))
-    # round-off of relative size 1e-12 passes and is projected out
-    d = Displacement(q_r, size * np.array([1e-12, 0.0, 1.0, 0.0]))
-    assert d.q_d[0] == 0.0
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = random_line(rng)
+        assert line_distance(halfturn(Z_AXIS, halfturn(X_AXIS, x)), halfturn(Y_AXIS, x)) < 1e-14
 
 
 def test_compose_inverse_identity():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        d = random_displacement(rng)
-        assert displacement_distance(compose(d, inverse(d)), Displacement.identity()) < 1e-12
+        axis, line = random_line(rng), random_line(rng)
+        angle, slide = rng.uniform(-3, 3), rng.uniform(-2, 2)
+        back = screwed(axis, -angle, -slide, screwed(axis, angle, slide, line))
+        assert line_distance(back, line) < 1e-12
 
 
 def test_chain_preserves_norm_and_study():
+    # the unit and Pluecker conditions of a line, the counterparts of the
+    # Study condition, survive a chain of 100 screws without renormalizing
     rng = np.random.default_rng(8)
-    d = Displacement.identity()
+    x = _dual_vector(random_line(rng))
     for _ in range(100):
-        d = compose(d, random_displacement(rng))
-        qr, qd = d.q_r, d.q_d
-        assert abs(np.linalg.norm(qr) - 1) < 1e-10
-        assert abs(np.dot(qr, qd)) < 1e-10
+        x = _screw(_dual_vector(random_line(rng)), rng.uniform(-3, 3), rng.uniform(-2, 2), x)
+        assert abs(np.linalg.norm(x[:3]) - 1) < 1e-10
+        assert abs(np.dot(x[:3], x[3:])) < 1e-10
 
 
 def test_apply_preserves_pluecker():
+    # the dual Rodrigues formula against screwing two points of the line
     rng = np.random.default_rng(9)
     for _ in range(100):
-        d = random_displacement(rng)
-        line = apply(d, random_line(rng))
-        assert abs(np.linalg.norm(line.d) - 1) < 1e-10
-        assert abs(np.dot(line.d, line.m)) < 1e-10
+        axis, line = random_line(rng), random_line(rng)
+        angle, slide = rng.uniform(-3, 3), rng.uniform(-2, 2)
+        img = _screw(_dual_vector(axis), angle, slide, _dual_vector(line))
+        assert abs(np.linalg.norm(img[:3]) - 1) < 1e-12
+        assert abs(np.dot(img[:3], img[3:])) < 1e-12
+        want = screw_line(axis, angle, slide, line)
+        assert np.max(np.abs(img - _dual_vector(want))) < 1e-12
+
+
+def test_screw_without_moments_is_the_rotation():
+    rng = np.random.default_rng(10)
+    zero = np.zeros(3)
+    for _ in range(50):
+        p, x, angle = random_point(rng), random_point(rng), rng.uniform(-3, 3)
+        img = _screw(np.r_[p.v, zero], angle, 0.0, np.r_[x.v, zero])
+        want = rotate(rotation_about(p, angle), x).v
+        assert np.max(np.abs(img - np.r_[want, zero])) < 1e-14
 
 
 def test_dual_angle_examples():
@@ -164,8 +192,8 @@ def test_dual_angle_rigid_invariance():
         a0 = dual_angle(l1, l2)
         cp = common_perpendicular(l1, l2)
         assert a0 == pytest.approx((cp.angle, cp.distance), abs=1e-12)
-        d = random_displacement(rng)
-        a1 = dual_angle(apply(d, l1), apply(d, l2))
+        axis, angle, slide = random_line(rng), rng.uniform(-3, 3), rng.uniform(-2, 2)
+        a1 = dual_angle(*(screwed(axis, angle, slide, line) for line in (l1, l2)))
         assert a1[0] == pytest.approx(a0[0], abs=1e-10)
         assert a1[1] == pytest.approx(a0[1], abs=1e-9)
 
@@ -175,7 +203,7 @@ def test_midline_symmetry_axis():
     for _ in range(100):
         l1, l2 = random_line_pair(rng, min_cross=0.02)
         s = midline_symmetry_axis(l1, l2)
-        img = apply(line_reflection(s), l1)
+        img = reflect_line(s, l1)
         assert line_distance(img, l2) < 1e-10
     # intersecting lines: the axis passes through the intersection point
     meet = OrientedLine.from_point_direction(np.array([2.0, 0, 0]), np.array([0, 1.0, 0]))
@@ -191,7 +219,7 @@ def test_midline_round_trip_through_reflection():
         line = random_line(rng)
         if np.linalg.norm(np.cross(axis.d, line.d)) < 0.05:
             continue
-        img = apply(line_reflection(axis), line)
+        img = reflect_line(axis, line)
         if np.linalg.norm(np.cross(line.d, img.d)) < 1e-6:
             continue  # line orthogonal to axis maps to its own reverse
         s = midline_symmetry_axis(line, img)
@@ -202,18 +230,19 @@ def test_midline_round_trip_through_reflection():
 
 
 def test_rotation_about_line_moves_points_correctly():
-    rot = rotation_about_line(Z_AXIS, np.pi / 2)
-    assert np.allclose(apply(rot, np.array([1.0, 0, 0])), [0, 1, 0], atol=1e-15)
+    assert line_distance(screwed(Z_AXIS, np.pi / 2, 0.0, X_AXIS), Y_AXIS) < 1e-15
+    # the half-turn about the line x = 1 along z carries the origin to (2, 0, 0)
     shifted = OrientedLine.from_point_direction(np.array([1.0, 0, 0]), np.array([0, 0, 1.0]))
-    rot = rotation_about_line(shifted, np.pi)
-    assert np.allclose(apply(rot, np.array([0.0, 0, 0])), [2, 0, 0], atol=1e-14)
+    want = OrientedLine.from_point_direction(np.array([2.0, 0, 0]), np.array([0, -1.0, 0]))
+    assert line_distance(screwed(shifted, np.pi, 0.0, Y_AXIS), want) < 1e-14
+
+
+LINE = OrientedLine.from_point_direction(np.array([0.3, -1.2, 0.5]), unit_vector(np.random.default_rng(16)))
 
 
 @given(st.floats(-3, 3), st.floats(-2, 2), st.floats(-3, 3), st.floats(-2, 2))
 @settings(max_examples=50, deadline=None)
 def test_screws_about_same_axis_commute_and_add(a1, t1, a2, t2):
-    d1 = screw_displacement(Z_AXIS, a1, t1)
-    d2 = screw_displacement(Z_AXIS, a2, t2)
-    combined = screw_displacement(Z_AXIS, a1 + a2, t1 + t2)
-    assert displacement_distance(compose(d2, d1), combined) < 1e-12
-    assert displacement_distance(compose(d1, d2), combined) < 1e-12
+    combined = screwed(Z_AXIS, a1 + a2, t1 + t2, LINE)
+    assert line_distance(screwed(Z_AXIS, a2, t2, screwed(Z_AXIS, a1, t1, LINE)), combined) < 1e-12
+    assert line_distance(screwed(Z_AXIS, a1, t1, screwed(Z_AXIS, a2, t2, LINE)), combined) < 1e-12

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bennett8._dual import _qmul, _unsigned_gap
 from bennett8.errors import DegenerateCircle
 from bennett8.sphere import (
     OrientedGreatCircle,
@@ -14,14 +15,11 @@ from bennett8.sphere import (
     arc_point,
     circle_angle,
     common_perpendicular_circle,
-    compose,
     great_circle_through,
     halfturn_about,
-    inverse,
     lies_on,
     reflect_in_circle,
     rotation_about,
-    rotation_distance,
     spherical_distance,
     symmetry_centers,
 )
@@ -31,6 +29,11 @@ EX = SpherePoint.of(1, 0, 0)
 EY = SpherePoint.of(0, 1, 0)
 EZ = SpherePoint.of(0, 0, 1)
 IDENTITY = SphericalRotation(np.array([1.0, 0, 0, 0]))
+
+
+def rotation_distance(r1: SphericalRotation, r2: SphericalRotation) -> float:
+    """Quaternion distance up to sign; 0 iff same rotation."""
+    return _unsigned_gap(r1.q, r2.q)
 
 unit3 = st.tuples(
     st.floats(-1, 1, allow_nan=False),
@@ -106,44 +109,41 @@ def test_rotation_about_examples():
 
 
 def test_compose_halfturns_orthogonal_axes():
-    r = compose(halfturn_about(EY), halfturn_about(EX))
-    assert rotation_distance(r, halfturn_about(EZ)) < 1e-15
+    q = _qmul(halfturn_about(EY).q, halfturn_about(EX).q)
+    assert rotation_distance(SphericalRotation(q), halfturn_about(EZ)) < 1e-15
 
 
 def test_compose_inverse_identity():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        r = rotation_about(random_point(rng), rng.uniform(-3, 3))
-        assert rotation_distance(compose(r, inverse(r)), IDENTITY) < 1e-12
+    q = np.array([rotation_about(random_point(rng), rng.uniform(-3, 3)).q for _ in range(50)])
+    conj = q * [1, -1, -1, -1]
+    assert np.max(np.abs(_qmul(q, conj) - IDENTITY.q)) < 1e-15
+    assert np.max(np.abs(_qmul(conj, q) - IDENTITY.q)) < 1e-15
 
 
 def test_halfturn_product_doubles_angle():
-    # half-turns about S1, S2 compose to a rotation through twice their distance
+    # the half-turns about S1, then S2 make the rotation about unit(S1 x S2)
+    # through twice their distance
     rng = np.random.default_rng(13)
     for _ in range(100):
         s1, s2 = random_point(rng), random_point(rng)
         dist = spherical_distance(s1, s2)
         if not 1e-3 < dist < np.pi - 1e-3:
             continue
-        r = compose(halfturn_about(s2), halfturn_about(s1))
-        angle = 2 * np.arctan2(np.linalg.norm(r.q[1:]), abs(r.q[0]))
-        expected = 2 * dist if dist <= np.pi / 2 else 2 * np.pi - 2 * dist
-        assert angle == pytest.approx(expected, abs=1e-10)
-        axis = r.q[1:] / np.linalg.norm(r.q[1:])
-        p_dir = np.cross(s1.v, s2.v)
-        p_dir /= np.linalg.norm(p_dir)
-        assert min(np.linalg.norm(axis - p_dir), np.linalg.norm(axis + p_dir)) < 1e-10
+        q = _qmul(halfturn_about(s2).q, halfturn_about(s1).q)
+        want = rotation_about(SpherePoint(np.cross(s1.v, s2.v)), 2 * dist)
+        assert rotation_distance(SphericalRotation(q), want) < 1e-12
 
 
 @given(angles, angles, angles, unit3, unit3, unit3)
 @settings(max_examples=60, deadline=None)
 def test_compose_associative(a1, a2, a3, v1, v2, v3):
-    r1 = rotation_about(SpherePoint(np.array(v1)), a1)
-    r2 = rotation_about(SpherePoint(np.array(v2)), a2)
-    r3 = rotation_about(SpherePoint(np.array(v3)), a3)
-    left = compose(compose(r3, r2), r1)
-    right = compose(r3, compose(r2, r1))
-    assert rotation_distance(left, right) < 1e-12
+    r1 = rotation_about(SpherePoint(np.array(v1)), a1).q
+    r2 = rotation_about(SpherePoint(np.array(v2)), a2).q
+    r3 = rotation_about(SpherePoint(np.array(v3)), a3).q
+    left = _qmul(_qmul(r3, r2), r1)
+    right = _qmul(r3, _qmul(r2, r1))
+    assert np.max(np.abs(left - right)) < 1e-14
 
 
 def test_symmetry_centers_example():
