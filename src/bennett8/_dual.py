@@ -3,10 +3,10 @@
 A dual vector is a (..., 6) array (direction; moment). A unit dual vector is
 an oriented line, and every formula here is the spherical one with its
 scalars made dual numbers a + eps b (eps^2 = 0), by the transference
-principle. With zero moments, or on direction-only 3-vectors where a
-formula allows them, it is the spherical formula itself. Quaternions are
-(..., 4) arrays (w, x, y, z); the half-turn about the unit vector s is
-(0, s).
+principle. With zero moments it is the spherical formula itself. Quaternions
+are (..., 4) arrays (w, x, y, z); the half-turn about the unit vector s is
+(0, s). Dual quaternions are (..., 8) arrays (real quaternion; dual
+quaternion); the half-turn about the line s = (d; m) is (0, d; 0, m).
 """
 from __future__ import annotations
 
@@ -26,13 +26,33 @@ def _line(x: np.ndarray) -> OrientedLine:
     return OrientedLine(x[:3], x[3:])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a × b row by row of (..., 3) stacks, in np.cross's bits without its
+    axis handling, which costs more than the arithmetic on a few rows."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
+def _dual_dot(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<x, y> over the dual numbers, row by row: (a . c, a . d + b . c) for
+    x = (a, b) and y = (c, d)."""
+    a, b, c, d = x[..., :3], x[..., 3:], y[..., :3], y[..., 3:]
+    return (a * c).sum(axis=-1), (a * d + b * c).sum(axis=-1)
+
+
+def _dual_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x| over the dual numbers, row by row: (|a|, a . b / |a|), or (0, 0)."""
+    a, b = x[..., :3], x[..., 3:]
+    r = _length(a)
+    return r, (a * b).sum(axis=-1) / np.where(r > 0, r, 1.0)
+
+
 def _dual_unit(x: np.ndarray) -> np.ndarray:
     """x / |x| over the dual numbers, row by row: (a/|a|, b/|a| - a (a.b)/|a|^3)."""
     a, b = x[..., :3], x[..., 3:]
-    na = np.linalg.norm(a, axis=-1, keepdims=True)
+    na, na_dual = (part[..., None] for part in _dual_norm(x))
     if np.min(na) < _TINY:
         raise ClosureFailure("symmetry axis undefined: the two lines it is built from coincide")
-    return np.concatenate([a / na, b / na - a * (np.sum(a * b, axis=-1, keepdims=True) / na**3)], axis=-1)
+    return np.concatenate([a / na, b / na - a * (na_dual / na**2)], axis=-1)
 
 
 def _dual_over_square(x: np.ndarray) -> np.ndarray:
@@ -46,21 +66,28 @@ def _dual_over_square(x: np.ndarray) -> np.ndarray:
 
 def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Image of the dual vector x under the half-turn about the unit dual
-    vector s: 2<s, x> s - x over the dual numbers. On lines this is the line
-    reflection in s; with zero moments, or on direction-only 3-vectors, it is
-    the spherical half-turn. It does not depend on the orientation of s."""
-    out = 2 * np.dot(s[:3], x[:3]) * s - x
-    if len(x) > 3:
-        out[3:] += 2 * (np.dot(s[:3], x[3:]) + np.dot(s[3:], x[:3])) * s[:3]
+    vector s, row by row: 2<s, x> s - x over the dual numbers. On lines this
+    is the line reflection in s; with zero moments it is the spherical
+    half-turn. It does not depend on the orientation of s."""
+    p, q = (2 * part[..., None] for part in _dual_dot(s, x))
+    out = p * s - x
+    out[..., 3:] += q * s[..., :3]
     return out
 
 
 def _dual_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x × y over the dual numbers, row by row of (..., 6) stacks:
     (a × c, a × d + b × c) for x = (a, b) and y = (c, d)."""
-    a, b, c, d = (part for z in np.broadcast_arrays(x, y) for part in (z[..., :3], z[..., 3:]))
-    ac, ad, bc = np.cross(np.array([a, a, b]), np.array([c, d, c]))
-    return np.concatenate([ac, ad + bc], axis=-1)
+    a, b, c, d = x[..., :3], x[..., 3:], y[..., :3], y[..., 3:]
+    return np.concatenate([_cross(a, c), _cross(a, d) + _cross(b, c)], axis=-1)
+
+
+def _dual_atan2(r: tuple[np.ndarray, np.ndarray], p: tuple[np.ndarray, np.ndarray]):
+    """theta + eps l = atan2(r, p) of the dual numbers r and p (pairs of real
+    and dual parts), row by row, with l taken as a distance, >= 0."""
+    (r, r_dual), (p, q) = r, p
+    # atan2(r + eps r', p + eps q) = atan2(r, p) + eps (p r' - r q) / (r^2 + p^2)
+    return np.arctan2(r, p), np.abs(p * r_dual - r * q) / (r * r + p * p)
 
 
 def _dual_angle(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,15 +95,10 @@ def _dual_angle(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stacks: theta + eps l = atan2(|x × y|, <x, y>) over the dual numbers, in
     which a dual factor of x or y cancels, so rows need be unit lines only to
     rounding. Raises ParallelLines where a pair is parallel."""
-    cross = _dual_cross(x, y)
-    r = np.linalg.norm(cross[..., :3], axis=-1)
-    if np.min(r) < PARALLEL_EPS:
+    r = _dual_norm(_dual_cross(x, y))
+    if np.min(r[0]) < PARALLEL_EPS:
         raise ParallelLines("lines are parallel (or identical)")
-    r_dual = np.sum(cross[..., :3] * cross[..., 3:], axis=-1) / r
-    p = np.sum(x[..., :3] * y[..., :3], axis=-1)
-    q = np.sum(x[..., :3] * y[..., 3:] + x[..., 3:] * y[..., :3], axis=-1)
-    # atan2(r + eps r', p + eps q) = atan2(r, p) + eps (p r' - r q) / (r^2 + p^2)
-    return np.arctan2(r, p), np.abs(p * r_dual - r * q) / (r * r + p * p)
+    return _dual_atan2(r, _dual_dot(x, y))
 
 
 def _screw(a: np.ndarray, theta: float, slide: float, x: np.ndarray) -> np.ndarray:
@@ -87,8 +109,7 @@ def _screw(a: np.ndarray, theta: float, slide: float, x: np.ndarray) -> np.ndarr
     c, s = np.cos(theta), np.sin(theta)
     # cos T = c - eps slide s, sin T = s + eps slide c
     ax = _dual_cross(a, x)
-    p = np.dot(a[:3], x[:3])
-    q = np.dot(a[:3], x[3:]) + np.dot(a[3:], x[:3])
+    p, q = _dual_dot(a, x)
     # (1 - cos T) <a, x> = k + eps k'
     k, k_dual = (1 - c) * p, (1 - c) * q + slide * s * p
     return np.concatenate([
@@ -102,10 +123,25 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     q, then p."""
     pw, pv, qw, qv = p[..., :1], p[..., 1:], q[..., :1], q[..., 1:]
     return np.concatenate(
-        [pw * qw - np.sum(pv * qv, axis=-1, keepdims=True), pw * qv + qw * pv + np.cross(pv, qv)], axis=-1
+        [pw * qw - (pv * qv).sum(axis=-1, keepdims=True), pw * qv + qw * pv + _cross(pv, qv)], axis=-1
     )
 
 
-def _unsigned_gap(x: np.ndarray, y: np.ndarray) -> float:
-    """Distance of x from y up to sign."""
-    return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
+def _dual_qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Dual-quaternion products p q, row by row of (..., 8) stacks:
+    (P + eps P')(Q + eps Q') = P Q + eps (P Q' + P' Q), in one _qmul call."""
+    p, q = np.broadcast_arrays(p, q)
+    pq, pq_dual, p_dual_q = _qmul(
+        np.array([p[..., :4], p[..., :4], p[..., 4:]]), np.array([q[..., :4], q[..., 4:], q[..., :4]])
+    )
+    return np.concatenate([pq, pq_dual + p_dual_q], axis=-1)
+
+
+def _length(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) at less overhead."""
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+def _unsigned_gap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Distance of x from y up to sign, row by row."""
+    return np.minimum(_length(x - y), _length(x + y))

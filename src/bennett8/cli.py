@@ -102,13 +102,12 @@ def cmd_pose(args) -> int:
 def _sweep_rows(v, grid):
     samples = linkage.sweep(v, grid)
     spatial = isinstance(v, linkage.ValidatedSpatial)
-    family_keys = linkage.FAMILIES_SPATIAL if spatial else linkage.FAMILIES_SPHERICAL
     point_keys = list(linkage.HINGE_KEYS if spatial else linkage.JOINT_KEYS)
     point_keys.sort()
     header = ["phi1"]
     for key in point_keys:
         header += [f"{key}_x", f"{key}_y", f"{key}_z"]
-    header += [f"res_{k}" for k in family_keys]
+    header += [f"res_{k}" for k in linkage.FAMILIES]
     header.append("error")
     rows = [header]
     for s in samples:
@@ -119,7 +118,7 @@ def _sweep_rows(v, grid):
             points = s.pose.vertices if spatial else {k: p.v for k, p in s.pose.joints.items()}
             for key in point_keys:
                 row += [format_float(float(c)) for c in points[key]]
-        for key in family_keys:
+        for key in linkage.FAMILIES:
             row.append(format_float(s.families[key]) if s.families and key in s.families else "")
         row.append(s.error or "")
         rows.append(row)

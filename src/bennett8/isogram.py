@@ -356,16 +356,8 @@ def _reference_perpendicular(d: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _on_base(arm: OrientedLine, base: OrientedLine) -> bool:
-    """Whether the arm lies along the base, as at the aligned poses."""
-    return bool(np.linalg.norm(np.cross(arm.d, base.d)) < 1e-9)
-
-
-def _meet(l1: OrientedLine, l2: OrientedLine, tol: float) -> np.ndarray:
-    cp = screws.common_perpendicular(l1, l2)
-    if cp.distance > tol:
-        raise ClosureFailure(f"expected intersecting lines, gap {cp.distance:.3e}")
-    return (cp.foot1 + cp.foot2) / 2
+def _point_line_distance(p: np.ndarray, line: OrientedLine) -> float:
+    return float(np.linalg.norm(np.cross(p, line.d) - line.m))
 
 
 def solve_bennett_isogram(
@@ -404,24 +396,17 @@ def solve_bennett_isogram(
     x_c = _screw(x_arm_b, -spec.beta_twist, -spec.b_len, x_b)
     hinge_b, hinge_c, hinge_d, arm_a, arm_b = map(_line, (x_b, x_c, x_d, x_arm_a, x_arm_b))
 
+    # the coupler is the common perpendicular of hinges C and D, with its feet
+    # C and D on them, where the arms must meet it. Feet of perpendicular
+    # lines stay well-conditioned where the sides turn collinear
     scale = max(1.0, abs(spec.a_len) + abs(spec.b_len))
     cp = screws.common_perpendicular(hinge_c, hinge_d)
-    resid = max(abs(cp.angle - spec.alpha_twist), abs(cp.distance - abs(spec.a_len)) / scale)
+    coupler, vertex_c, vertex_d = cp.axis, cp.foot1, cp.foot2
+    miss = max(_point_line_distance(vertex_c, arm_b), _point_line_distance(vertex_d, arm_a))
+    resid = max(abs(cp.angle - spec.alpha_twist), abs(cp.distance - abs(spec.a_len)) / scale, miss / scale)
     if resid > _CLOSURE_TOL:
         raise ClosureFailure(f"Bennett cell failed to close (residual {resid:.3e})")
-    coupler = cp.axis
-
-    if _on_base(arm_a, base):
-        # aligned pose: all sides collinear, vertices are the hinge feet
-        vertex_a, vertex_b, vertex_c, vertex_d = (
-            screws.common_perpendicular(base, hg).foot1
-            for hg in (hinge_a, hinge_b, hinge_c, hinge_d)
-        )
-    else:
-        vertex_a = _meet(base, arm_a, _CLOSURE_TOL * scale)
-        vertex_b = _meet(base, arm_b, _CLOSURE_TOL * scale)
-        vertex_c = _meet(arm_b, coupler, _CLOSURE_TOL * scale)
-        vertex_d = _meet(arm_a, coupler, _CLOSURE_TOL * scale)
+    vertex_a, vertex_b = foot, screws.common_perpendicular(base, hinge_b).foot1
 
     return BennettIsogramPose(
         spec=spec,
@@ -450,7 +435,8 @@ def bennett_symmetry_axis(pose: BennettIsogramPose) -> OrientedLine:
     the common point of the hinges. The reflection of B is checked against
     D, lengths in units of max(1, a + b). Undefined at the aligned poses,
     where the arms lie on the base."""
-    if _on_base(pose.arm_a_line, pose.base_line):
+    # the arms lie on the base at the aligned poses
+    if np.linalg.norm(np.cross(pose.arm_a_line.d, pose.base_line.d)) < 1e-9:
         raise CollapsedPose("symmetry axis undefined at the aligned pose")
     a, b, c, d = map(_dual_vector, pose.hinges)
     s = _dual_unit(a - c)

@@ -21,17 +21,21 @@ import numpy as np
 
 from . import sphere
 from ._dual import (
+    _cross,
     _dual_angle,
+    _dual_atan2,
     _dual_cross,
+    _dual_dot,
     _dual_halfturn,
+    _dual_norm,
     _dual_over_square,
+    _dual_qmul,
     _dual_unit,
-    _dual_vector,
+    _length,
     _line,
-    _qmul,
     _unsigned_gap,
 )
-from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
+from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec
 from .isogram import (
     Branch,
     SphericalIsogramSpec,
@@ -265,6 +269,16 @@ def validate_spec(spec):
     raise TypeError(f"cannot validate {type(spec).__name__}")
 
 
+def _design(v):
+    """(angular design, base lengths (a1, a2, a1 + a2), arm offsets b1..b3,
+    weights) of a validated spec. The weights (1, 1, 1, 1/L, 1/L, 1/L) put
+    the moments of 6-vectors, and every dual part built from them, in units
+    of L = a1 + a2; on the sphere every length is 0 and L = 1."""
+    if isinstance(v, ValidatedSpatial):
+        return v.angular, (*v.a, sum(v.a)), v.b, np.repeat([1.0, 1.0 / sum(v.a)], 3)
+    return v, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), np.ones(6)
+
+
 def derive_spec(spec):
     """Completed raw spec with beta3/branch3 (and spatial offsets) filled in."""
     v = validate_spec(spec)
@@ -350,35 +364,38 @@ _PLACEMENT = (
 )
 
 
-def _placement(v: ValidatedSpherical, heights, phi1: float):
+def _placement(v, phi1: float):
     """Bars g0..g3 and h0..h3, unit symmetry axes S1..S6 and the joints (rows
     in JOINT_KEYS order) at phi1, all as dual vectors, plus the largest
-    coupler and joint closure residual and the incidence. Base joint R0j is
-    the hinge along e_j = (cos u_j, sin u_j, 0) at height x_j on g0, with
+    coupler and joint closure residual and the incidence, lengths in units of
+    L (see _design). Base joint R0j is the hinge along
+    e_j = (cos u_j, sin u_j, 0) at height x_j = 0, a1, a1 + a2 on g0, with
     moment x_j e_z x e_j (zero for the spherical linkage). The incidence is
     the largest part of <R_ij, g_i> and <R_ij, h_j> over the dual numbers:
     the real part is 0 when the joint is at a right angle to the bar, the
     dual part when the two lines meet. Without moments it is |R_ij . n|."""
-    arms, bars, axes = _half_angle_construction(v, heights, phi1)
+    ang, lengths, _, weights = _design(v)
+    heights = (0.0, lengths[0], lengths[2])
+    arms, bars, axes = _half_angle_construction(ang, heights, phi1)
     units = _dual_unit(np.array(axes))
     x = {"h1": arms[0], "h2": arms[1], "h3": arms[2]}
-    for j, (u, xj) in enumerate(zip(v.u, heights), start=1):
+    for j, (u, xj) in enumerate(zip(ang.u, heights), start=1):
         x[f"R0{j}"] = np.array([np.cos(u), np.sin(u), 0.0, -xj * np.sin(u), xj * np.cos(u), 0.0])
-    resid = 0.0
-    for key, k, src in _PLACEMENT:
-        image = _dual_halfturn(units[k], x[src])
-        if key in x:
-            resid = max(resid, float(np.linalg.norm(image - x[key])))
-        else:
-            x[key] = image
+    gaps = []
+    # one batch of half-turns moves base joints and arms, the next the joints it placed
+    for rows in (_PLACEMENT[:9], _PLACEMENT[9:]):
+        images = _dual_halfturn(units[[k for _, k, _ in rows]], np.array([x[src] for _, _, src in rows]))
+        for (key, _, _), image in zip(rows, images):
+            if key in x:
+                gaps.append(image - x[key])
+            else:
+                x[key] = image
+    resid = float(np.max(_length(weights * np.array(gaps))))
     g, h = [_EZ, *bars], [-x["-h0"], *arms]
     joints = np.array([x[k] for k in JOINT_KEYS])
-    r = np.r_[joints, joints]
     on = np.array([g[int(k[1])] for k in JOINT_KEYS] + [h[int(k[2])] for k in JOINT_KEYS])
-    real = np.sum(r[:, :3] * on[:, :3], axis=1)
-    # (d, m) . (m', d') = d . m' + m . d'
-    dual = np.sum(r * np.roll(on, 3, axis=1), axis=1)
-    incidence = float(np.max(np.abs(np.r_[real, dual])))
+    real, dual = _dual_dot(np.concatenate([joints, joints]), on)
+    incidence = float(max(np.max(np.abs(real)), np.max(np.abs(dual)) * weights[3]))
     return g, h, units, joints, resid, incidence
 
 
@@ -402,9 +419,7 @@ class EightBarPose:
     aligned: bool
     closure_residual: float
     incidence_residual: float
-
-    def bar(self, key: str) -> OrientedGreatCircle:
-        return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
+    cell_residuals: tuple[float, ...]
 
 
 def _phis(v: ValidatedSpherical, phi1: float) -> tuple[float, float, float]:
@@ -423,7 +438,7 @@ def assemble_spherical(spec, phi1: float) -> EightBarPose:
     on g0, with the symmetry elements marked absent.
     """
     v = spec if isinstance(spec, ValidatedSpherical) else validate_spec(spec)
-    g, h, units, joints, placement_resid, incidence = _placement(v, (0.0, 0.0, 0.0), phi1)
+    g, h, units, joints, placement_resid, incidence = _placement(v, phi1)
     s = np.array([sphere.tie_break_sign(u[:3]) * u for u in units])
     n, t = _n_and_t(s)[:, :3]
     n_circle = OrientedGreatCircle(sphere.tie_break_sign(n) * n)
@@ -452,116 +467,8 @@ def assemble_spherical(spec, phi1: float) -> EightBarPose:
         aligned=aligned,
         closure_residual=closure,
         incidence_residual=incidence,
+        cell_residuals=_cell_residuals(v, joints),
     )
-
-
-# ---------------------------------------------------------------------------
-# Reports (spherical)
-# ---------------------------------------------------------------------------
-
-
-# (i, a, b): the product of the half-turns about S_a and then S_b, the
-# rotation about N that the spherical report names rho_{b+1}{a+1}, carries g0
-# onto g_i and h_i onto h0. Over the dual numbers it is a screw about n.
-_ABOUT_N = ((1, 0, 5), (2, 1, 3), (3, 2, 4))
-
-
-def _about_n(s, g, h):
-    """(i, a, b, |rho g0 - g_i|, |rho h_i - h0|) for each rotation rho of
-    _ABOUT_N, given the axes s, bars g and bars h as dual (or direction)
-    vectors."""
-    for i, a, b in _ABOUT_N:
-        g_img, h_img = (_dual_halfturn(s[b], _dual_halfturn(s[a], x)) for x in (g[0], h[i]))
-        yield i, a, b, float(np.linalg.norm(g_img - g[i])), float(np.linalg.norm(h_img - h[0]))
-
-
-def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
-    """Residuals of the half-turn product identities and the derived
-    symmetry statements at a non-collapsed pose. All entries are distances
-    (quaternion distances up to sign for the product identities). Each
-    half-turn acts by _dual_halfturn on the direction vectors; reflecting in
-    the circle t is -_dual_halfturn(t.n, .), and the mirror checks are up to
-    sign."""
-    if pose.aligned:
-        raise CollapsedPose("half-turn products are undefined at the aligned pose")
-    s = np.array([c.v for c in pose.centers])
-    g, h = [c.n for c in pose.g], [c.n for c in pose.h]
-    t1, t2 = pose.t1.n, pose.t2.n
-    rep: dict[str, float] = {}
-
-    for key, k, src, dst in (
-        ("sigma1_swaps_g0_g3", 0, g[0], g[3]),
-        ("sigma1_swaps_h1_h2", 0, h[1], h[2]),
-        ("sigma2_swaps_g0_g1", 1, g[0], g[1]),
-        ("sigma2_swaps_h2_h3", 1, h[2], h[3]),
-        ("sigma3_swaps_g0_g2", 2, g[0], g[2]),
-        ("sigma3_swaps_h3_h1", 2, h[3], h[1]),
-        ("sigma4_swaps_g1_g2", 3, g[1], g[2]),
-        ("sigma5_swaps_g2_g3", 4, g[2], g[3]),
-        ("sigma6_swaps_g3_g1", 5, g[3], g[1]),
-    ):
-        rep[key] = float(np.linalg.norm(_dual_halfturn(s[k], src) + dst))
-
-    # the half-turn about S_k is the quaternion (0, S_k), and rho_XY is the
-    # product sigma_X sigma_Y, the half-turn about S_Y and then about S_X
-    sig = np.c_[np.zeros(6), s]
-    products = _qmul(sig[:, None], sig)
-    rho = {f"rho{x + 1}{y + 1}": products[x, y] for x in range(6) for y in range(6)}
-    # tau321 = sigma3 rho21, tau654 = sigma6 rho54; sigma3 rho21 sigma3 = rho32 rho13
-    tau321, tau654, conj = _qmul(
-        np.array([sig[2], sig[5], rho["rho32"]]), np.array([rho["rho21"], rho["rho54"], rho["rho13"]])
-    )
-    axis321, axis654 = (tau[1:] / np.linalg.norm(tau[1:]) for tau in (tau321, tau654))
-    rep["sigma3_conjugates_rho21"] = _unsigned_gap(conj, rho["rho12"])
-    rep["tau321_involutive"] = _unsigned_gap(tau321, tau321 * [1, -1, -1, -1])
-    rep["tau321_halfturn"] = float(abs(tau321[0]))
-    rep["tau321_axis_in_h1"] = float(abs(np.dot(axis321, h[1])))
-    rep["tau321_axis_in_n"] = float(abs(np.dot(axis321, pose.n_circle.n)))
-    rep["tau654_halfturn"] = float(abs(tau654[0]))
-    rep["tau654_axis_in_g1"] = float(abs(np.dot(axis654, g[1])))
-    rep["tau654_axis_in_n"] = float(abs(np.dot(axis654, pose.n_circle.n)))
-    rep["tau_axes_mirror_t1"] = _unsigned_gap(_dual_halfturn(t1, axis321), axis654)
-    rep["tau_axes_mirror_t2"] = _unsigned_gap(_dual_halfturn(t2, axis321), axis654)
-
-    for key, other in (("rho42", "rho51"), ("rho62", "rho53"), ("rho61", "rho43")):
-        rep[f"{key}_eq_{other}"] = _unsigned_gap(rho[key], rho[other])
-    for _, a, b, to_g, to_h in _about_n(s, g, h):
-        key = f"rho{b + 1}{a + 1}"
-        rep[f"{key}_maps_g0"], rep[f"{key}_maps_h"] = to_g, to_h
-        q = rho[key][1:]
-        rep[f"{key}_axis_on_N"] = _unsigned_gap(q / np.linalg.norm(q), pose.n_pole.v)
-    for key, other in (("rho54", "rho12"), ("rho65", "rho23"), ("rho46", "rho31")):
-        rep[f"{key}_eq_{other}"] = _unsigned_gap(rho[key], rho[other])
-
-    for t_key, t in (("t1", t1), ("t2", t2)):
-        for k in range(3):
-            rep[f"{t_key}_swaps_S{k + 1}S{k + 4}"] = _unsigned_gap(_dual_halfturn(t, s[k]), s[k + 3])
-    n = pose.n_circle
-    bars = np.array([*g, *h])
-    # the points n ^ g_i and n ^ h_i (rows i and i + 4), which t1 and t2
-    # exchange, and the angle of each bar's plane to n's, folded into [0, pi/2]
-    x = np.cross(n.n, bars)
-    r = np.linalg.norm(x, axis=1, keepdims=True)
-    x /= r
-    angles = np.arctan2(r[:, 0], bars @ n.n)
-    angles = np.minimum(angles, np.pi - angles)
-    for i in range(4):
-        rep[f"bisector_t1_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t1, x[i]), x[i + 4])
-        rep[f"bisector_t2_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t2, x[i]), x[i + 4])
-
-    rep["centers_on_n"] = float(np.max(np.abs(s @ n.n)))
-    # coplanarity through O of the first three centers
-    rep["triple_centers_aligned"] = float(abs(np.dot(np.cross(s[0], s[1]), s[2])))
-    for quad_key, quad in (
-        ("joint_band_10", ("R10", "R01", "R23", "R32")),
-        ("joint_band_20", ("R20", "R02", "R31", "R13")),
-        ("joint_band_30", ("R30", "R03", "R12", "R21")),
-    ):
-        ds = [abs(float(np.dot(pose.joints[k].v, n.n))) for k in quad]
-        rep[quad_key] = max(ds) - min(ds)
-    rep["cohort_angles_g"] = float(np.ptp(angles[:4]))
-    rep["cohort_angles_h"] = float(np.ptp(angles[4:]))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +489,20 @@ class SpatialEightBarPose:
     t_line: OrientedLine | None
     aligned: bool
     closure_residual: float
+    incidence_residual: float
     cell_residuals: tuple[float, ...]
-
-    def bar(self, key: str) -> OrientedLine:
-        return self.g[int(key[1])] if key[0] == "g" else self.h[int(key[1])]
 
 
 def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     """Pose of the spatial 8-bar at hinge angle phi1, by the construction of
     the spherical one over dual vectors; the aligned poses (phi1 = 0 or pi)
-    return its limit, the collapsed layout on the base line."""
+    return its limit, the collapsed layout on the base line. Whether it
+    closes does not depend on the unit of length: every length residual is
+    taken in units of L = a1 + a2."""
     v = spec if isinstance(spec, ValidatedSpatial) else validate_spec(spec)
     if not isinstance(v, ValidatedSpatial):
         raise TypeError("assemble_spatial needs a spatial spec")
-    ang = v.angular
-    xs = (0.0, v.a[0], v.a[0] + v.a[1])
-    g, h, units, hinges, placement_resid, incidence = _placement(ang, xs, phi1)
+    g, h, units, hinges, placement_resid, incidence = _placement(v, phi1)
     # sign(WS) = sign(sin phi1) orients each axis along the difference of
     # the two bars it bisects
     s = (-1.0 if np.sin(phi1) < 0 else 1.0) * units
@@ -607,12 +512,12 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     # pass through it too (g_i and h_j are parallel at the aligned poses)
     gi = np.array([g[int(k[1])] for k in JOINT_KEYS])
     hj = np.array([h[int(k[2])] for k in JOINT_KEYS])
-    feet = np.cross(np.array([gi[:, :3], hinges[:, :3]]), np.array([gi[:, 3:], hinges[:, 3:]]))
+    feet = _cross(np.array([gi[:, :3], hinges[:, :3]]), np.array([gi[:, 3:], hinges[:, 3:]]))
     vertices = feet[0] + np.sum(feet[1] * gi[:, :3], axis=1, keepdims=True) * gi[:, :3]
-    meet_resid = float(np.max(np.linalg.norm(np.cross(vertices, hj[:, :3]) - hj[:, 3:], axis=1)))
+    meet = np.max(_length(_cross(vertices, hj[:, :3]) - hj[:, 3:])) * _design(v)[3][3]
 
-    cell_residuals = _spatial_cell_residuals(v, hinges)
-    closure = max(placement_resid, incidence, meet_resid, max(cell_residuals))
+    cell_residuals = _cell_residuals(v, hinges)
+    closure = max(placement_resid, incidence, float(meet), max(cell_residuals))
     if not closure <= _CLOSURE_TOL:
         raise ClosureFailure(f"spatial 8-bar failed to close (residual {closure:.3e})")
 
@@ -621,7 +526,7 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
 
     return SpatialEightBarPose(
         spec=v,
-        phi=_phis(ang, phi1),
+        phi=_phis(v.angular, phi1),
         g=tuple(map(_line, g)),
         h=tuple(map(_line, h)),
         hinges=dict(zip(HINGE_KEYS, map(_line, hinges))),
@@ -631,93 +536,218 @@ def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
         t_line=None if aligned else _line(t),
         aligned=aligned,
         closure_residual=closure,
+        incidence_residual=incidence,
         cell_residuals=cell_residuals,
     )
 
 
-def _spatial_cell_residuals(v: ValidatedSpatial, hinges: np.ndarray) -> tuple[float, ...]:
-    """Bennett-cell closure of each cell, from the hinges (rows in JOINT_KEYS
-    order): opposite sides have equal dual angles, and the cell is the one the
-    spec designs (see _cell_design_residual). That each side meets its two
-    hinges at right angles is the incidence of _placement."""
-    quads = hinges[[[JOINT_KEYS.index(k) for k in quad] for quad, _ in CELLS]]
+# ---------------------------------------------------------------------------
+# The cells against their design
+# ---------------------------------------------------------------------------
+
+# the joints A, B, C, D of each cell, as rows of the joints in JOINT_KEYS
+# order, and the joints B, C, D, A that end its sides AB, BC, CD, DA
+_CELL_ROWS = np.array([[JOINT_KEYS.index(k) for k in quad] for quad, _ in CELLS])
+_CELL_NEXT_ROWS = np.roll(_CELL_ROWS, -1, axis=1)
+
+
+def _cell_residuals(v, joints: np.ndarray) -> tuple[float, ...]:
+    """Closure of each cell from the joints (rows in JOINT_KEYS order),
+    lengths in units of L (see _design): opposite sides have equal dual
+    angles, and the cell is the designed one (see _cell_design_residuals)."""
     # the dual angles (theta, l) of the sides AB, BC, CD, DA of every cell
-    sides = np.stack(_dual_angle(quads, np.roll(quads, -1, axis=1)), axis=-1)
+    sides = np.stack(_dual_angle(joints[_CELL_ROWS], joints[_CELL_NEXT_ROWS]), axis=-1)
     # the opposite sides AB, CD and BC, DA have equal dual angles
-    opposite = np.max(np.abs(sides[:, :2] - sides[:, 2:]), axis=(1, 2))
-    return tuple(max(float(r), _cell_design_residual(v, i, sides[i])) for i, r in enumerate(opposite))
+    scaled = sides * _design(v)[3][2:4]
+    opposite = np.max(np.abs(scaled[:, :2] - scaled[:, 2:]), axis=(1, 2))
+    return tuple(np.maximum(opposite, _cell_design_residuals(v, sides)).tolist())
 
 
-def _cell_design_residual(v: ValidatedSpatial, index: int, dual_sides) -> float:
-    """Distance of cell CELLS[index] from its design, with lengths in units
-    of L = a1 + a2. dual_sides are the dual angles (theta, l) of the sides
-    AB, BC, CD, DA. Every cell keeps the Bennett side proportion
-    l_AB sin(theta_BC) = l_BC sin(theta_AB). Cells 1-3 (base on g0) also
-    have base and coupler (alpha_i, a_i), with a_3 = a1 + a2, and arms
-    (|arm_joint_offset|, |b_i|): beta_i on the minus branch, pi - beta_i
-    on the plus branch."""
-    lengths = (*v.a, sum(v.a))
-    scale = 1.0 / lengths[2]
-    (theta_ab, l_ab), (theta_bc, l_bc) = dual_sides[:2]
-    resid = scale * abs(l_ab * np.sin(theta_bc) - l_bc * np.sin(theta_ab))
-    if index < 3:
-        ang = v.angular
-        cell = SphericalIsogramSpec(ang.alphas[index], ang.betas[index], ang.branches[index])
-        base = (ang.alphas[index], lengths[index])
-        arm = (abs(arm_joint_offset(cell)), abs(v.b[index]))
-        for (theta, length), (theta0, length0) in zip(dual_sides, (base, arm, base, arm)):
-            resid = max(resid, abs(theta - theta0), scale * abs(length - length0))
-    return float(resid)
+def _cell_design_residuals(v, sides: np.ndarray) -> np.ndarray:
+    """Distance of each cell from its design, lengths in units of L, given the
+    dual angles (theta, l) of the sides AB, BC, CD, DA of the six cells.
+    Every cell keeps the side proportion l_AB sin(theta_BC) = l_BC sin(theta_AB).
+    Cells 1-3 (base on g0) also have base and coupler (alpha_i, a_i), with
+    a_3 = a1 + a2, and arms (|arm_joint_offset|, |b_i|): beta_i on the minus
+    branch, pi - beta_i on the plus branch."""
+    ang, lengths, b, weights = _design(v)
+    sides = sides * weights[2:4]
+    theta, length = sides[..., 0], sides[..., 1]
+    resid = np.abs(length[:, 0] * np.sin(theta[:, 1]) - length[:, 1] * np.sin(theta[:, 0]))
+    design = [[(alpha, a), (abs(arm_joint_offset(SphericalIsogramSpec(alpha, beta, branch))), abs(bi))] * 2
+              for alpha, beta, branch, a, bi in zip(ang.alphas, ang.betas, ang.branches, lengths, b)]
+    resid[:3] = np.maximum(resid[:3], np.max(np.abs(sides[:3] - np.array(design) * weights[2:4]), axis=(1, 2)))
+    return resid
 
 
 # ---------------------------------------------------------------------------
-# Reports (spatial)
+# The symmetry report of both linkages
 # ---------------------------------------------------------------------------
+
+# Rows of the stack of dual vectors the report works on: the axes S1..S6,
+# the bars, the common perpendiculars n^g_i, n^h_i of n with each bar (on the
+# sphere the points where n meets the circles), the lines n, t1, t2, and the
+# axes of rho61, rho42, rho53 and of tau321, tau654.
+_ROW = {name: k for k, name in enumerate((
+    "S1", "S2", "S3", "S4", "S5", "S6", "g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3",
+    "n^g0", "n^g1", "n^g2", "n^g3", "n^h0", "n^h1", "n^h2", "n^h3",
+    "n", "t1", "t2", "rho61", "rho42", "rho53", "tau321", "tau654",
+))}
+# (key, mirror, element, image): the half-turn about the mirror carries the
+# element onto the image reversed
+_SWAPS = tuple((f"sigma{k}_swaps_{a}_{b}", f"S{k}", a, b) for k, a, b in (
+    (1, "g0", "g3"), (1, "h1", "h2"), (2, "g0", "g1"), (2, "h2", "h3"), (3, "g0", "g2"),
+    (3, "h3", "h1"), (4, "g1", "g2"), (5, "g2", "g3"), (6, "g3", "g1"),
+))
+# (key, mirror, element, image): the same up to orientation; reflecting in
+# the circle t is minus the half-turn about its pole
+_MIRRORS = (
+    *((f"tau_axes_mirror_{t}", t, "tau321", "tau654") for t in ("t1", "t2")),
+    *((f"{t}_swaps_S{k}S{k + 3}", t, f"S{k}", f"S{k + 3}") for t in ("t1", "t2") for k in (1, 2, 3)),
+    *((f"bisector_{t}_g{i}h{i}", t, f"n^g{i}", f"n^h{i}") for i in range(4) for t in ("t1", "t2")),
+)
+# (key, S_a, S_b, element, image): the half-turn about S_a and then about
+# S_b, the rotation rho_ba about N (a screw about n in space), carries g0
+# onto g_i and h_i onto h0
+_MAPS = tuple(
+    (f"rho{b}{a}_maps_{what}", f"S{a}", f"S{b}", src, dst)
+    for a, b, i in ((1, 6, 1), (2, 4, 2), (3, 5, 3))
+    for what, src, dst in (("g0", "g0", f"g{i}"), ("h", f"h{i}", "h0"))
+)
+# (key, p, q): the dual quaternions p and q are one displacement
+_PRODUCTS = (
+    ("sigma3_conjugates_rho21", "rho32 rho13", "rho12"),
+    ("tau321_involutive", "tau321", "tau321 conjugate"),
+    *((f"{p}_eq_{q}", p, q) for p, q in (
+        ("rho42", "rho51"), ("rho62", "rho53"), ("rho61", "rho43"),
+        ("rho54", "rho12"), ("rho65", "rho23"), ("rho46", "rho31"),
+    )),
+)
+# (key, element, line): the element meets the line at a right angle
+_PERPENDICULAR = (
+    ("tau321_axis_in_h1", "tau321", "h1"), ("tau321_axis_in_n", "tau321", "n"),
+    ("tau654_axis_in_g1", "tau654", "g1"), ("tau654_axis_in_n", "tau654", "n"),
+)
+# four joints with one angle (one dual angle in space) to n, up to orientation
+_BANDS = tuple((f"joint_band_{quad[0][1:]}", [JOINT_KEYS.index(k) for k in quad]) for quad in (
+    ("R10", "R01", "R23", "R32"), ("R20", "R02", "R31", "R13"), ("R30", "R03", "R12", "R21"),
+))
+# the conjugate of a dual quaternion negates its two vector parts
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+_AXES_ON_N = tuple(f"rho{rho}_axis_on_N" for rho in ("61", "42", "53"))
+_KEYS = {table: tuple(row[0] for row in rows) for table, rows in (
+    ("swaps", _SWAPS), ("mirrors", _MIRRORS), ("maps", _MAPS), ("products", _PRODUCTS),
+    ("perpendicular", _PERPENDICULAR), ("bands", _BANDS),
+)}
+# the order of the report's keys
+_REPORT_KEYS = (
+    *_KEYS["swaps"], *_KEYS["products"][:2], "tau321_halfturn", *_KEYS["perpendicular"][:2],
+    "tau654_halfturn", *_KEYS["perpendicular"][2:], *_KEYS["mirrors"][:2], *_KEYS["products"][2:5],
+    *(key for k in range(3) for key in (*_KEYS["maps"][2 * k : 2 * k + 2], _AXES_ON_N[k])),
+    *_KEYS["products"][5:], *_KEYS["mirrors"][2:],
+    "centers_on_n", "triple_centers_aligned", *_KEYS["bands"], "cohort_angles_g", "cohort_angles_h",
+)
+
+
+def _rows(*names: str) -> list[int]:
+    return [_ROW[name] for name in names]
+
+
+# the tables as rows of the stack: one batch of half-turns (the swaps, the
+# mirrors and the first half-turn of each map) with their targets, the
+# second half-turn of each map, and the pairs of perpendicular lines
+_HALFTURNS = _SWAPS + _MIRRORS + tuple((key, a, e, image) for key, a, _, e, image in _MAPS)
+_HALFTURN_ROWS = tuple(_rows(*column) for column in list(zip(*_HALFTURNS))[1:])
+_SECOND_HALFTURNS = _rows(*(b for _, _, b, _, _ in _MAPS))
+_PERPENDICULAR_ROWS = tuple(_rows(*column) for column in list(zip(*_PERPENDICULAR))[1:])
+
+
+def _report_inputs(pose) -> np.ndarray:
+    """Rows S1..S6, g0..g3, h0..h3, the joints in JOINT_KEYS order, n and t1
+    (the line t in space) as dual vectors, weighted by _design."""
+    if isinstance(pose, SpatialEightBarPose):
+        hinges = (pose.hinges[f"I{k[1:]}"] for k in JOINT_KEYS)
+        lines = (*pose.axes, *pose.g, *pose.h, *hinges, pose.n_line, pose.t_line)
+        return np.array([(x.d, x.m) for x in lines]).reshape(-1, 6) * _design(pose.spec)[3]
+    vectors = [p.v for p in pose.centers] + [c.n for c in (*pose.g, *pose.h)]
+    vectors += [pose.joints[k].v for k in JOINT_KEYS] + [pose.n_circle.n, pose.t1.n]
+    return np.array([(v, (0.0, 0.0, 0.0)) for v in vectors]).reshape(-1, 6)
+
+
+def _symmetry_report(pose) -> dict[str, float]:
+    """Residuals of the half-turn product identities and the derived
+    symmetry statements at a non-aligned pose of either linkage, over dual
+    vectors: by the transference principle each half-turn about a centre of
+    the sphere is a line reflection in space, and the sphere is the
+    moment-free case. Entries are distances, up to sign where orientation is
+    not part of the statement; a dual scalar reads its larger part."""
+    if pose.aligned:
+        raise CollapsedPose("symmetry elements are undefined at the aligned pose")
+    x = _report_inputs(pose)
+    s, bars, joints, n, t1 = x[:6], x[6:14], x[14:26], x[26], x[27]
+
+    # the half-turn about s_k is the dual quaternion (0, s_k), and rho_XY is
+    # the product sigma_X sigma_Y, the half-turn about s_Y and then about s_X
+    sig = np.zeros((6, 8))
+    sig[:, 1:4], sig[:, 5:] = s[:, :3], s[:, 3:]
+    products = _dual_qmul(sig[:, None], sig)
+    quats = {f"rho{i + 1}{j + 1}": products[i, j] for i in range(6) for j in range(6)}
+    # tau321 = sigma3 rho21, tau654 = sigma6 rho54; sigma3 rho21 sigma3 = rho32 rho13
+    tau321, tau654, quats["rho32 rho13"] = _dual_qmul(
+        np.array([sig[2], sig[5], quats["rho32"]]), np.array([quats["rho21"], quats["rho54"], quats["rho13"]])
+    )
+    quats["tau321"], quats["tau321 conjugate"] = tau321, tau321 * _CONJUGATE
+    movers = np.array([quats["rho61"], quats["rho42"], quats["rho53"], tau321, tau654])
+
+    # n x g_i, n x h_i, n x t1 and S1 x S2 in one batch; the dual units of
+    # the first nine and of the movers' vector parts are the lines n^g_i,
+    # n^h_i, t2 and the movers' axes
+    cross = _dual_cross(np.array([*[n] * 9, s[0]]), np.array([*bars, t1, s[1]]))
+    lines = _dual_unit(np.concatenate([cross[:9], movers[:, [1, 2, 3, 5, 6, 7]]]))
+    stack = np.concatenate([s, bars, lines[:8], [n, t1], lines[8:]])
+    # the dual angle of each bar with n, its angle folded into [0, pi/2]
+    angles, offsets = _dual_atan2(_dual_norm(cross[:8]), _dual_dot(n, bars))
+    angles = np.minimum(angles, np.pi - angles)
+
+    images = _dual_halfturn(stack[_HALFTURN_ROWS[0]], stack[_HALFTURN_ROWS[1]])
+    maps = slice(len(_SWAPS) + len(_MIRRORS), None)
+    images[maps] = _dual_halfturn(stack[_SECOND_HALFTURNS], images[maps])
+    targets = stack[_HALFTURN_ROWS[2]]
+    minus, plus = _length(images - targets), _length(images + targets)
+    gaps = np.concatenate([plus[: len(_SWAPS)], np.minimum(minus, plus)[len(_SWAPS) : maps.start], minus[maps]])
+    rep = dict(zip(_KEYS["swaps"] + _KEYS["mirrors"] + _KEYS["maps"], gaps.tolist()))
+    pairs = (np.array([quats[key] for key in column]) for column in list(zip(*_PRODUCTS))[1:])
+    rep.update(zip(_KEYS["products"], _unsigned_gap(*pairs).tolist()))
+    rep.update(zip(_AXES_ON_N, _unsigned_gap(stack[_rows("rho61", "rho42", "rho53")], n).tolist()))
+    rep["tau321_halfturn"] = float(max(abs(tau321[0]), abs(tau321[4])))
+    rep["tau654_halfturn"] = float(max(abs(tau654[0]), abs(tau654[4])))
+
+    # dual inner products: S1..S6 and the joints with n, the table of
+    # perpendicular lines, and S1 x S2 with S3, whose vanishing puts the
+    # first three centres in a plane through O
+    dots = np.abs(_dual_dot(
+        np.concatenate([s, joints, stack[_PERPENDICULAR_ROWS[0]], cross[9:]]),
+        np.concatenate([np.broadcast_to(n, (18, 6)), stack[_PERPENDICULAR_ROWS[1]], s[2:3]]),
+    ))
+    sizes = np.max(dots, axis=0)
+    rep.update(zip(_KEYS["perpendicular"], sizes[18:-1].tolist()))
+    rep["centers_on_n"] = float(np.max(sizes[:6]))
+    rep["triple_centers_aligned"] = float(sizes[-1])
+    for key, rows in _BANDS:
+        rep[key] = float(np.max(np.ptp(dots[:, 6:18][:, rows], axis=1)))
+    for key, rows in (("cohort_angles_g", slice(0, 4)), ("cohort_angles_h", slice(4, 8))):
+        rep[key] = float(max(np.ptp(angles[rows]), np.ptp(offsets[rows])))
+    return {key: rep[key] for key in _REPORT_KEYS}
+
+
+def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
+    """The symmetry report (see _symmetry_report) of a spherical pose."""
+    return _symmetry_report(pose)
 
 
 def symmetry_report_spatial(pose: SpatialEightBarPose) -> dict[str, float]:
-    """Residuals of the spatial symmetry statements: the six cell axes meet a
-    common line n orthogonally, the screws about n that are the products of
-    the line reflections in two cell axes exchange the bar cohorts, and the
-    axis t swaps the paired cell axes. Each line reflection acts by
-    _dual_halfturn on (d, m) 6-vectors."""
-    if pose.aligned:
-        raise CollapsedPose("symmetry elements are undefined at the aligned pose")
-    try:
-        return _spatial_report(pose)
-    except ParallelLines as exc:
-        # n and the bars turn parallel as the pose collapses
-        raise CollapsedPose(f"symmetry elements degenerate next to the aligned pose: {exc}") from exc
-
-
-def _spatial_report(pose: SpatialEightBarPose) -> dict[str, float]:
-    rep: dict[str, float] = {}
-    n, t = _dual_vector(pose.n_line), _dual_vector(pose.t_line)
-    s = np.array([_dual_vector(a) for a in pose.axes])
-    bars = np.array([_dual_vector(b) for b in (*pose.g, *pose.h)])
-    # dual angles with n of s1..s6, t and the bars g0..g3, h0..h3
-    angles, dists = _dual_angle(np.array([*s, t, *bars]), n)
-    for k, name in enumerate((*(f"s{k}" for k in range(1, 7)), "t")):
-        rep[f"{name}_meets_n"] = float(dists[k])
-        rep[f"{name}_orth_n"] = float(abs(angles[k] - np.pi / 2))
-    for k in range(3):
-        rep[f"t_swaps_s{k + 1}s{k + 4}"] = _unsigned_gap(_dual_halfturn(t, s[k]), s[k + 3])
-
-    for i, _, _, to_g, to_h in _about_n(s, bars[:4], bars[4:]):
-        rep[f"helix_g0g{i}"], rep[f"helix_h{i}h0"] = to_g, to_h
-
-    # each bar's distance to n, and its angle to n folded into [0, pi/2]
-    folds = np.minimum(angles[7:], np.pi - angles[7:])
-    for what, values in (("dists", dists[7:]), ("angles", folds)):
-        for name, part in (("g", values[:4]), ("h", values[4:])):
-            rep[f"{name}_{what}_to_n"] = float(np.ptp(part))
-    # the common perpendiculars of n with g_i and with h_i, which t swaps
-    cp = _dual_unit(_dual_cross(n, bars))
-    for i in range(4):
-        rep[f"cp_mirror_g{i}h{i}"] = _unsigned_gap(_dual_halfturn(t, cp[i]), cp[i + 4])
-
-    rep["cells"] = max(pose.cell_residuals)
-    return rep
+    """The symmetry report (see _symmetry_report) of a spatial pose."""
+    return _symmetry_report(pose)
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +773,8 @@ def _mobility_jacobian(pose: EightBarPose | SpatialEightBarPose) -> np.ndarray:
     into h_j. Any five faces form a cycle basis; the sixth adds no rank.
     """
     if isinstance(pose, SpatialEightBarPose):
-        scale = 1.0 / sum(pose.spec.a)
-        screw = {}
-        for key in JOINT_KEYS:
-            line = pose.hinges[f"I{key[1:]}"]
-            screw[key] = np.concatenate([line.d, scale * line.m])
+        lines, weights = (pose.hinges[f"I{key[1:]}"] for key in JOINT_KEYS), _design(pose.spec)[3]
+        screw = dict(zip(JOINT_KEYS, (np.concatenate([x.d, x.m]) * weights for x in lines)))
     else:
         screw = {key: pose.joints[key].v for key in JOINT_KEYS}
     rows = len(screw[JOINT_KEYS[0]])
@@ -777,46 +804,21 @@ def mobility_check(samples) -> list[MobilitySample]:
 # Invariant families and sweep
 # ---------------------------------------------------------------------------
 
-# Each family gates the maximum of its invariants: the keys of the pose's
-# report plus the pose-level residuals `closure` and `incidence`, which are
-# families of their own. Every invariant is in exactly one family; the
-# family order is the order of the sweep CSV's res_* columns.
-FAMILIES_SPHERICAL: dict[str, tuple[str, ...]] = {
+# One table for both linkages. Each family gates the maximum of its
+# invariants: the report's keys, or the pose-level `closure`, `incidence` and
+# `cells` (the largest cell residual), which are families of their own. Every
+# invariant is in exactly one family; the family order is the order of the
+# sweep CSV's res_* columns.
+FAMILIES: dict[str, tuple[str, ...]] = {
     "closure": ("closure",),
     "incidence": ("incidence",),
+    "cells": ("cells",),
     "centers": ("centers_on_n", "triple_centers_aligned"),
     "products": (
-        "sigma1_swaps_g0_g3", "sigma1_swaps_h1_h2", "sigma2_swaps_g0_g1", "sigma2_swaps_h2_h3",
-        "sigma3_swaps_g0_g2", "sigma3_swaps_h3_h1", "sigma4_swaps_g1_g2", "sigma5_swaps_g2_g3",
-        "sigma6_swaps_g3_g1", "sigma3_conjugates_rho21", "tau321_involutive", "tau321_halfturn",
-        "tau321_axis_in_h1", "tau321_axis_in_n", "tau654_halfturn", "tau654_axis_in_g1",
-        "tau654_axis_in_n", "rho42_eq_rho51", "rho62_eq_rho53", "rho61_eq_rho43",
-        "rho54_eq_rho12", "rho65_eq_rho23", "rho46_eq_rho31",
+        *_KEYS["swaps"], *_KEYS["products"], *_KEYS["perpendicular"], "tau321_halfturn", "tau654_halfturn",
     ),
-    "mapping": (
-        *(
-            f"{rho}_{what}"
-            for rho in ("rho61", "rho42", "rho53")
-            for what in ("maps_g0", "maps_h", "axis_on_N")
-        ),
-        "joint_band_10", "joint_band_20", "joint_band_30", "cohort_angles_g", "cohort_angles_h",
-    ),
-    "bisector": (
-        "tau_axes_mirror_t1", "tau_axes_mirror_t2",
-        *(f"{t}_swaps_{pair}" for t in ("t1", "t2") for pair in ("S1S4", "S2S5", "S3S6")),
-        *(f"bisector_{t}_g{i}h{i}" for i in range(4) for t in ("t1", "t2")),
-    ),
-}
-FAMILIES_SPATIAL: dict[str, tuple[str, ...]] = {
-    "closure": ("closure",),
-    "cells": ("cells",),
-    "perpendicular": tuple(f"s{k}_{what}" for k in range(1, 7) for what in ("meets_n", "orth_n")),
-    "helical": ("helix_g0g1", "helix_h1h0", "helix_g0g2", "helix_h2h0", "helix_g0g3", "helix_h3h0"),
-    "axis_t": (
-        "t_meets_n", "t_orth_n", "t_swaps_s1s4", "t_swaps_s2s5", "t_swaps_s3s6",
-        *(f"cp_mirror_g{i}h{i}" for i in range(4)),
-    ),
-    "cohorts": ("g_dists_to_n", "h_dists_to_n", "g_angles_to_n", "h_angles_to_n"),
+    "mapping": (*_KEYS["maps"], *_AXES_ON_N, *_KEYS["bands"], "cohort_angles_g", "cohort_angles_h"),
+    "bisector": _KEYS["mirrors"],
 }
 
 
@@ -847,15 +849,11 @@ def phi_grid(phi_from: float, phi_to: float, n: int, uniform_angle: bool = False
 def _families(pose, report: dict[str, float] | None) -> dict[str, float]:
     """Family maxima of one pose. An aligned pose has no report, so only its
     pose-level families are present."""
-    values = {"closure": pose.closure_residual}
-    if isinstance(pose, SpatialEightBarPose):
-        table = FAMILIES_SPATIAL
-    else:
-        table = FAMILIES_SPHERICAL
-        values["incidence"] = pose.incidence_residual
-    names = tuple(values) if report is None else tuple(table)
+    values = {"closure": pose.closure_residual, "incidence": pose.incidence_residual}
+    values["cells"] = max(pose.cell_residuals)
+    names = tuple(values) if report is None else tuple(FAMILIES)
     values.update(report or {})
-    return {name: max(values[k] for k in table[name]) for name in names}
+    return {name: max(values[k] for k in FAMILIES[name]) for name in names}
 
 
 def sweep(spec, phis) -> list[SweepSample]:

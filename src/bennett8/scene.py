@@ -167,33 +167,30 @@ def scene_from_pose(pose, segments: int = 128) -> dict[str, Any]:
     return _scene_bennett_cell(pose, segments)
 
 
+def _eightbar_document(pose, kind: str, bars, joints, symmetry, report) -> dict[str, Any]:
+    """Scene document of an 8-bar pose. Its residuals are the symmetry report
+    (none at the aligned poses), then the pose-level closure, incidence and
+    largest cell residual."""
+    residuals = {} if pose.aligned else dict(report(pose))
+    residuals["closure"] = pose.closure_residual
+    residuals["incidence"] = pose.incidence_residual
+    residuals["cells"] = max(pose.cell_residuals)
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "phi1": pose.phi[0], "aligned": pose.aligned,
+            "bars": bars, "joints": joints, "symmetry": symmetry, "residuals": residuals}
+
+
 def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
     bars = [_circle_entry(f"g{i}", pose.g[i], segments) for i in range(4)]
     bars += [_circle_entry(f"h{j}", pose.h[j], segments) for j in range(4)]
     joints = [{"id": key, "position": _vec(p.v)} for key, p in pose.joints.items()]
-    if pose.aligned:
-        symmetry = None
-        residuals: dict[str, float] = {"closure": pose.closure_residual}
-    else:
-        symmetry = {
-            "centers": {f"S{k + 1}": _vec(c.v) for k, c in enumerate(pose.centers)},
-            "circle_n": _circle_entry("n", pose.n_circle, segments),
-            "pole_N": _vec(pose.n_pole.v),
-            "t1": _circle_entry("t1", pose.t1, segments),
-            "t2": _circle_entry("t2", pose.t2, segments),
-        }
-        residuals = dict(halfturn_products_report(pose))
-        residuals["closure"] = pose.closure_residual
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "spherical8",
-        "phi1": pose.phi[0],
-        "aligned": pose.aligned,
-        "bars": bars,
-        "joints": joints,
-        "symmetry": symmetry,
-        "residuals": residuals,
+    symmetry = None if pose.aligned else {
+        "centers": {f"S{k + 1}": _vec(c.v) for k, c in enumerate(pose.centers)},
+        "circle_n": _circle_entry("n", pose.n_circle, segments),
+        "pole_N": _vec(pose.n_pole.v),
+        "t1": _circle_entry("t1", pose.t1, segments),
+        "t2": _circle_entry("t2", pose.t2, segments),
     }
+    return _eightbar_document(pose, "spherical8", bars, joints, symmetry, halfturn_products_report)
 
 
 def _scene_spatial(pose: SpatialEightBarPose, segments: int) -> dict[str, Any]:
@@ -214,30 +211,15 @@ def _scene_spatial(pose: SpatialEightBarPose, segments: int) -> dict[str, Any]:
                 "direction": _vec(line.d),
             }
         )
-    if pose.aligned:
-        symmetry = None
-        residuals: dict[str, float] = {"closure": pose.closure_residual}
-    else:
-        symmetry = {
-            "axes": {
-                f"s{k + 1}": _line_entry(f"s{k + 1}", s, verts, segments)
-                for k, s in enumerate(pose.axes)
-            },
-            "line_n": _line_entry("n", pose.n_line, verts, segments),
-            "axis_t": _line_entry("t", pose.t_line, verts, segments),
-        }
-        residuals = dict(symmetry_report_spatial(pose))
-        residuals["closure"] = pose.closure_residual
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "spatial8",
-        "phi1": pose.phi[0],
-        "aligned": pose.aligned,
-        "bars": bars,
-        "joints": joints,
-        "symmetry": symmetry,
-        "residuals": residuals,
+    symmetry = None if pose.aligned else {
+        "axes": {
+            f"s{k + 1}": _line_entry(f"s{k + 1}", s, verts, segments)
+            for k, s in enumerate(pose.axes)
+        },
+        "line_n": _line_entry("n", pose.n_line, verts, segments),
+        "axis_t": _line_entry("t", pose.t_line, verts, segments),
     }
+    return _eightbar_document(pose, "spatial8", bars, joints, symmetry, symmetry_report_spatial)
 
 
 def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str, Any]:

@@ -28,15 +28,16 @@ class OrientedLine:
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float).reshape(3).copy()
         m = np.asarray(self.m, dtype=float).reshape(3).copy()
-        nd = np.linalg.norm(d)
+        # np.sqrt(x.dot(x)) has np.linalg.norm's bits, at less overhead
+        nd = np.sqrt(d.dot(d))
         if nd < 1e-14:
             raise ValueError("OrientedLine: zero direction")
         d /= nd
         m /= nd
-        err = abs(np.dot(d, m))
-        if err > PLUCKER_TOL * max(1.0, np.linalg.norm(m)):
+        err = abs(d.dot(m))
+        if err > PLUCKER_TOL * max(1.0, np.sqrt(m.dot(m))):
             raise ValueError(f"OrientedLine: Pluecker condition violated (d.m = {err:.3e})")
-        m -= np.dot(d, m) * d
+        m -= d.dot(m) * d
         d.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "d", d)

@@ -20,6 +20,7 @@ from bennett8.isogram import (
     transmission_coefficient,
 )
 from bennett8.linkage import (
+    FAMILIES,
     assemble_spatial,
     assemble_spherical,
     halfturn_products_report,
@@ -141,14 +142,8 @@ def test_criterion_3_spherical_compound():
             for k in pose.joints
         )
         worst["incidence"] = max(worst["incidence"], inc)
-        worst["centers"] = max(worst["centers"], rep["centers_on_n"])
-        worst["mapping"] = max(
-            worst["mapping"], max(rep[k] for k in rep if "_maps_" in k or k.endswith("_axis_on_N"))
-        )
-        worst["bisector"] = max(
-            worst["bisector"],
-            max(rep[k] for k in rep if k.startswith(("bisector", "t1_swaps", "t2_swaps"))),
-        )
+        for family in ("centers", "mapping", "bisector"):
+            worst[family] = max(worst[family], max(rep[k] for k in FAMILIES[family]))
     ok = max(worst.values()) < 1e-9 and count == 500
     _report(3, "compound of six isograms / aligned centers", ok, f"{count} poses, worst {worst}")
 
@@ -179,11 +174,14 @@ def test_criterion_4_halfturn_product_identities():
 
 
 def test_criterion_5_spatial_compound():
-    """10 random spatial specs x 25 angles: cells close, the cell axes meet a
-    common perpendicular n, helical displacements exchange the cohorts, the
-    axis t swaps the pairs, and the cohort distances/angles agree, < 1e-9."""
+    """10 random spatial specs x 25 angles: the cells close, the cell axes
+    meet a common perpendicular n at right angles, the half-turn product
+    identities hold with line reflections, the screws about n exchange the
+    bar cohorts, and t1, t2 swap the axis pairs and the bars' feet on n,
+    all < 1e-9."""
     rng = np.random.default_rng(105)
-    worst = {"cells": 0.0, "perp": 0.0, "helix": 0.0, "t": 0.0, "cohort": 0.0}
+    families = ("centers", "products", "mapping", "bisector")
+    worst = dict.fromkeys(("cells", *families), 0.0)
     count = 0
     for _ in range(10):
         spec = random_spatial_spec(rng)
@@ -193,19 +191,9 @@ def test_criterion_5_spatial_compound():
             pose = assemble_spatial(v, phi1)
             rep = symmetry_report_spatial(pose)
             count += 1
-            worst["cells"] = max(worst["cells"], rep["cells"])
-            worst["perp"] = max(
-                worst["perp"],
-                max(rep[k] for k in rep if "_meets_n" in k or "_orth_n" in k),
-            )
-            worst["helix"] = max(worst["helix"], max(rep[k] for k in rep if k.startswith("helix")))
-            worst["t"] = max(
-                worst["t"],
-                max(rep[k] for k in rep if k.startswith(("t_swaps", "cp_mirror"))),
-            )
-            worst["cohort"] = max(
-                worst["cohort"], max(rep[k] for k in rep if k.endswith("_to_n"))
-            )
+            worst["cells"] = max(worst["cells"], *pose.cell_residuals)
+            for family in families:
+                worst[family] = max(worst[family], max(rep[k] for k in FAMILIES[family]))
     ok = max(worst.values()) < 1e-9 and count == 250
     _report(5, "spatial compound / common perpendicular", ok, f"{count} poses, worst {worst}")
 

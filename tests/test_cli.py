@@ -170,7 +170,7 @@ def test_verify_spatial(tmp_path, capsys):
     path = write_spec(tmp_path, SPA)
     assert main(["verify", path, "--phi-grid", "5"]) == 0
     out = capsys.readouterr().out
-    assert "helical" in out and "FAIL" not in out
+    assert "mapping" in out and "FAIL" not in out
 
 
 @pytest.mark.parametrize("grid", ["2", "3"])
@@ -205,22 +205,24 @@ def test_verify_assembles_each_grid_angle_once(demo, assembler, capsys, monkeypa
 
 
 def test_pose_next_to_the_aligned_pose(capsys):
+    # the line n turns parallel to the bars next to the aligned pose, and
+    # the report still holds there
     spec = os.path.join(SPECS, "spatial8_demo.json")
-    assert main(["pose", spec, "--phi=1e-7"]) == 0
-    capsys.readouterr()
-    # the pose assembles, but the report's line n is parallel to the bars
-    assert main(["pose", spec, "--phi=1e-11"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "CollapsedPose"
+    for phi in ("1e-7", "1e-11", "-1e-11"):
+        assert main(["pose", spec, f"--phi={phi}"]) == 0
+        residuals = json.loads(capsys.readouterr().out)["residuals"]
+        assert "tau321_halfturn" in residuals and max(residuals.values()) < 1e-9
 
 
-def test_sweep_records_collapsed_reports_per_sample(capsys):
+def test_sweep_records_no_error_next_to_the_aligned_pose(capsys):
     spec = os.path.join(SPECS, "spatial8_demo.json")
     assert main(["sweep", spec, "--from=-1e-11", "--to=1e-11", "--samples=3"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
-    errors = [row[-1] for row in rows[1:]]
-    assert errors[0].startswith("CollapsedPose:")
-    assert errors[1] == ""  # the aligned pose has no report
-    assert errors[2].startswith("CollapsedPose:")
+    assert [row[-1] for row in rows[1:]] == ["", "", ""]
+    # the aligned pose in the middle has no report, so no symmetry family
+    columns = dict(zip(rows[0], zip(*rows[1:])))
+    assert columns["res_bisector"][1] == "" and all(columns["res_bisector"][::2])
+    assert all(columns["res_cells"])
 
 
 def test_verify_gates_the_tau_halfturns(capsys, monkeypatch):

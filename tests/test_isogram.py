@@ -10,11 +10,13 @@ the backward-folded aligned pose,
 The magnitudes match the classic half-angle law; the plus-branch numerator
 sign is what actually closes the loop (the arms counter-rotate).
 """
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bennett8.cli import main
 from bennett8.errors import ClosureFailure, CollapsedPose, DegenerateBranch
 from bennett8.isogram import (
     BennettIsogramSpec,
@@ -379,6 +381,26 @@ def test_bennett_solve_aligned_pose_collinear():
     # vertices sit on the base line
     for v in pose.vertices:
         assert np.linalg.norm(v[:2]) < 1e-12
+
+
+def test_bennett_solve_next_to_the_aligned_pose_with_weak_coupling(tmp_path, capsys):
+    # |c| is about 0.048 here, so next to phi1 = 0 arm B stays within 1e-10
+    # of the base while arm A has left it: the cell still solves, with its
+    # vertices next to the aligned ones, and `pose` writes its scene
+    alpha, beta, a = 1.747, 1.652, 1.921
+    spec = BennettIsogramSpec(alpha, beta, a, a * np.sin(beta) / np.sin(alpha))
+    assert abs(bennett_dual_coefficient(alpha, beta, spec.a_len, spec.b_len, "plus")[0]) < 0.05
+    aligned = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), 0.0)
+    for phi in (-2e-9, -1e-9, 1e-10, 1e-9, 2e-9, 5e-9):
+        pose = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), phi)
+        for got, want in zip(pose.vertices, aligned.vertices):
+            assert np.linalg.norm(got - want) <= 1e-8, phi
+    doc = {"schema_version": 1, "kind": "bennett-isogram", "alpha_twist": alpha, "beta_twist": beta,
+           "a_len": spec.a_len, "b_len": spec.b_len}
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pose", str(path), "--phi=2e-9"]) == 0
+    assert json.loads(capsys.readouterr().out)["residuals"]["closure"] < 1e-9
 
 
 def test_bennett_symmetry_axis_swaps_hinges():

@@ -5,13 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bennett8._dual import _dual_angle, _dual_cross, _dual_halfturn, _dual_unit
+from bennett8._dual import _dual_angle, _dual_cross, _dual_halfturn, _dual_unit, _screw
 from bennett8.errors import ClosureFailure, CollapsedPose, InvalidSpec, ParallelLines
 from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from bennett8.linkage import (
     CELLS,
-    FAMILIES_SPATIAL,
-    FAMILIES_SPHERICAL,
+    FAMILIES,
     JOINT_KEYS,
     EightBarSpec,
     SpatialEightBarPose,
@@ -27,10 +26,10 @@ from bennett8.linkage import (
     sweep,
     symmetry_report_spatial,
     validate_spec,
-    _cell_design_residual,
+    _cell_design_residuals,
+    _cell_residuals,
     _PLACEMENT,
     _mobility_jacobian,
-    _spatial_cell_residuals,
 )
 from bennett8.oracle import (
     jacobian_nullity,
@@ -47,7 +46,7 @@ from bennett8.screws import (
     line_distance,
     midline_symmetry_axis,
 )
-from bennett8.sphere import OrientedGreatCircle, reflect_in_circle
+from bennett8.sphere import OrientedGreatCircle, SpherePoint, reflect_in_circle
 from bennett8.sphere import apply as rotate
 from bennett8.sphere import arc_point, halfturn_about, lies_on, spherical_distance
 from conftest import (
@@ -359,14 +358,18 @@ def test_band_keeps_the_on_bar_invariants(band_poses):
             assert np.max(np.abs(_on_bar_invariants(pose) - expect)) <= 1e-11, pose.phi[0]
 
 
-def test_near_aligned_spherical_families_pass():
+@pytest.mark.parametrize("kind", ["spherical", "spatial"])
+def test_near_aligned_families_pass(kind):
     # next to the aligned pose of the first seed-5 design, n tilts from e_z
-    # by about 5e-13: n and the bisector circles t1, t2 must still be exact
-    # enough for every family, the bisector family included
-    specs = [load_spec(os.path.join(SPECS, "spherical8_demo.json"))]
-    specs.append(random_eightbar_spec(np.random.default_rng(5)))
+    # by about 5e-13: n and the bisectors t1, t2 must still be exact enough
+    # for every family, the bisector family included. In space the bars turn
+    # parallel to n there, and the report still holds
+    spatial = kind == "spatial"
+    specs = [load_spec(os.path.join(SPECS, f"{kind}8_demo.json"))]
+    specs.append((random_spatial_spec if spatial else random_eightbar_spec)(np.random.default_rng(5)))
     for spec in specs:
         for sample in sweep(spec, BAND):
+            assert sample.error is None, (sample.phi1, sample.error)
             assert max(sample.families.values()) < 1e-8, (sample.phi1, sample.families)
 
 
@@ -440,14 +443,25 @@ def test_spatial_spherical_image():
                 assert np.linalg.norm(pose.hinges[f"I{key[1:]}"].d - joint.v) < 1e-12, (key, phi)
 
 
-def _moved(x: np.ndarray, motion: str, eps: float = 1e-6) -> np.ndarray:
-    """The dual vector x rotated by eps about the x axis, or translated by eps
-    along z."""
+def _moved(x: np.ndarray, motion: str, eps: float = 1e-6, w=(0.3, -0.5, 0.8)) -> np.ndarray:
+    """The dual vector x rotated by eps about the x axis, or translated by
+    eps at a right angle to itself, along x × w."""
     if motion == "translate":
-        return np.r_[x[:3], x[3:] + np.cross([0.0, 0.0, eps], x[:3])]
+        shift = np.cross(x[:3], w)
+        shift *= eps / np.linalg.norm(shift)
+        return np.r_[x[:3], x[3:] + np.cross(shift, x[:3])]
     c, s = np.cos(eps), np.sin(eps)
     rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     return np.r_[rot @ x[:3], rot @ x[3:]]
+
+
+def _scaled(kind: str, scale: float):
+    """The validated demo of a kind, its lengths times scale (the sphere has
+    none)."""
+    spec = load_spec(os.path.join(SPECS, f"{kind}8_demo.json"))
+    if kind == "spatial":
+        spec = replace(spec, a1=scale * spec.a1, a2=scale * spec.a2)
+    return validate_spec(spec)
 
 
 @pytest.mark.parametrize("phi", [0.8, -2.2])
@@ -457,77 +471,118 @@ def _moved(x: np.ndarray, motion: str, eps: float = 1e-6) -> np.ndarray:
     [("spherical", "rotate"), ("spatial", "rotate"), ("spatial", "translate")],
 )
 def test_misplaced_joint_fails_closure(monkeypatch, kind, motion, joint, phi):
-    # move the joint by 1e-6 where the placement table places it: the
-    # pose must fail closure
+    # move the joint by 1e-6 where the placement table places it, relative
+    # to the unit of length a1 + a2 in space: the pose must fail closure
+    # whatever that unit is. The placement runs the table's rows in order,
+    # in batches of half-turns
     target = next(i for i, (key, _, _) in enumerate(_PLACEMENT) if key == joint)
-    calls = []
+    for scale in (1e-8, 1.0, 1e8) if kind == "spatial" else (1.0,):
+        v = _scaled(kind, scale)
+        length = sum(v.a) if kind == "spatial" else 1.0
+        done = []
 
-    def misplaced(s, x):
-        calls.append(None)
-        image = _dual_halfturn(s, x)
-        return _moved(image, motion) if len(calls) - 1 == target else image
+        def misplaced(s, x):
+            image = _dual_halfturn(s, x)
+            row = target - sum(done)
+            done.append(len(image))
+            if 0 <= row < len(image):
+                image[row] = _moved(image[row], motion, 1e-6 * (length if motion == "translate" else 1.0))
+            return image
 
-    monkeypatch.setattr("bennett8.linkage._dual_halfturn", misplaced)
-    assemble = assemble_spatial if kind == "spatial" else assemble_spherical
-    with pytest.raises(ClosureFailure):
-        assemble(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")), phi)
+        monkeypatch.setattr("bennett8.linkage._dual_halfturn", misplaced)
+        with pytest.raises(ClosureFailure):
+            (assemble_spatial if kind == "spatial" else assemble_spherical)(v, phi)
 
 
-# g0 is the z axis, so a translation along z does not move it
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e6, 1e8])
+def test_scaled_spatial_designs_close(scale):
+    # the spatial demo and two conftest designs with their lengths scaled
+    # close at every angle; their vertices are the unscaled ones times the
+    # scale, and their reports are the unscaled ones
+    rng = np.random.default_rng(11)
+    specs = [load_spec(os.path.join(SPECS, "spatial8_demo.json"))]
+    specs += [random_spatial_spec(rng) for _ in range(2)]
+    for spec in specs:
+        v = validate_spec(spec)
+        scaled = validate_spec(replace(spec, a1=scale * spec.a1, a2=scale * spec.a2))
+        for phi in np.linspace(-3, 3, 13):
+            want, got = assemble_spatial(v, phi), assemble_spatial(scaled, phi)
+            size = max(np.max(np.abs(p)) for p in want.vertices.values())
+            for key, vertex in got.vertices.items():
+                assert np.max(np.abs(vertex / scale - want.vertices[key])) <= 1e-12 * size, (phi, key)
+            if not want.aligned:
+                rep_want, rep_got = symmetry_report_spatial(want), symmetry_report_spatial(got)
+                assert max(abs(rep_got[k] - rep_want[k]) for k in rep_want) <= 1e-12, phi
+
+
+_MOTIONS = [("spherical", "rotate"), ("spatial", "rotate"), ("spatial", "translate")]
 _BAR_MOVES = [
     (kind, motion, bar)
-    for kind, motion in (("spherical", "rotate"), ("spatial", "rotate"), ("spatial", "translate"))
+    for kind, motion in _MOTIONS
     for bar in ("g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3")
-    if (motion, bar) != ("translate", "g0")
 ]
+
+
+def _moved_families(kind: str, field: str, index: int, motion: str) -> list[dict[str, float]]:
+    """The centers, products, mapping and bisector families of the demo at
+    phi1 = 0.8 and -2.2 with element `index` of the pose's tuple `field`
+    moved by 1e-6. A translation is made in two directions, and each family
+    reads the larger residual: each family is blind to some slides, the
+    centers to an axis sliding along n, the bisector to a bar sliding along
+    its common perpendicular with n."""
+    spatial = kind == "spatial"
+    v = validate_spec(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")))
+    report = symmetry_report_spatial if spatial else halfturn_products_report
+    out = []
+    for phi in (0.8, -2.2):
+        pose = (assemble_spatial if spatial else assemble_spherical)(v, phi)
+        families = dict.fromkeys(("centers", "products", "mapping", "bisector"), 0.0)
+        for w in ((0.3, -0.5, 0.8), (0.8, 0.3, -0.5))[: 2 if motion == "translate" else 1]:
+            elements = list(getattr(pose, field))
+            old = elements[index]
+            if spatial:
+                moved = _moved(np.r_[old.d, old.m], motion, w=w)
+                elements[index] = OrientedLine(moved[:3], moved[3:])
+            else:
+                vector = old.n if isinstance(old, OrientedGreatCircle) else old.v
+                elements[index] = type(old)(_moved(np.r_[vector, np.zeros(3)], motion, w=w)[:3])
+            rep = report(replace(pose, **{field: tuple(elements)}))
+            for name in families:
+                families[name] = max(families[name], *(rep[k] for k in FAMILIES[name]))
+        out.append(families)
+    return out
 
 
 @pytest.mark.parametrize("kind, motion, bar", _BAR_MOVES)
 def test_moved_bar_fails_the_rotations_about_n(kind, motion, bar):
-    # the rotations about N (helices about n in space) carry g0 onto g_i and
-    # h_i onto h0: a bar moved by 1e-6 must fail the family that checks them
-    spatial = kind == "spatial"
-    v = validate_spec(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")))
-    for phi in (0.8, -2.2):
-        pose = (assemble_spatial if spatial else assemble_spherical)(v, phi)
-        bars = list(pose.g if bar[0] == "g" else pose.h)
-        i = int(bar[1])
-        if spatial:
-            moved = _moved(np.r_[bars[i].d, bars[i].m], motion)
-            bars[i] = OrientedLine(moved[:3], moved[3:])
-            report, family = symmetry_report_spatial, FAMILIES_SPATIAL["helical"]
-        else:
-            bars[i] = OrientedGreatCircle(_moved(np.r_[bars[i].n, np.zeros(3)], motion)[:3])
-            report, family = halfturn_products_report, FAMILIES_SPHERICAL["mapping"]
-        rep = report(replace(pose, **{bar[0]: tuple(bars)}))
-        assert max(rep[k] for k in family) >= 1e-7, phi
-        if spatial:
-            # the bar's distance and angle to n, or its common perpendicular
-            # with n that t mirrors, give it away too
-            mirrored = (*FAMILIES_SPATIAL["cohorts"], *FAMILIES_SPATIAL["axis_t"])
-            assert max(rep[k] for k in mirrored) >= 1e-7, phi
+    # the rotations about N (screws about n in space) carry g0 onto g_i and
+    # h_i onto h0, and t1, t2 exchange the feet (common perpendiculars) of n
+    # on g_i and h_i: a bar moved by 1e-6 must fail both families, and the
+    # half-turn swaps of the products family, which leave out h0
+    failing = ("mapping", "bisector") if bar == "h0" else ("products", "mapping", "bisector")
+    for families in _moved_families(kind, bar[0], int(bar[1]), motion):
+        assert min(families[name] for name in failing) >= 1e-7, families
 
 
-@pytest.mark.parametrize("scale", [1e6, 1e8])
-def test_large_lengths_raise_only_typed_errors(scale):
-    # whether these poses close depends on the length unit (an absolute
-    # tolerance), but a failure must be a ClosureFailure, never a ValueError
-    spec = load_spec(os.path.join(SPECS, "spatial8_demo.json"))
-    v = validate_spec(replace(spec, a1=scale * spec.a1, a2=scale * spec.a2))
-    for phi in np.linspace(-3, 3, 13):
-        try:
-            assemble_spatial(v, phi)
-        except ClosureFailure:
-            pass
+@pytest.mark.parametrize("axis", range(6))
+@pytest.mark.parametrize("kind, motion", _MOTIONS)
+def test_moved_axis_fails_every_symmetry_family(kind, motion, axis):
+    # each axis s_k lies on n, takes part in the half-turn products and in
+    # a rotation about N, and t1, t2 swap it with its partner: moved by
+    # 1e-6, it fails all four families
+    field = "axes" if kind == "spatial" else "centers"
+    for families in _moved_families(kind, field, axis, motion):
+        assert min(families.values()) >= 1e-7, families
 
 
 @pytest.mark.parametrize("moments", [True, False], ids=["lines", "moment-free"])
 def test_dual_halfturn_is_the_line_reflection(moments):
     # 2<s, x> s - x over the dual numbers: the line reflection in s, and the
-    # spherical half-turn where the moments vanish or are left out (3-vectors),
-    # which is minus the reflection in the polar circle of s. The references
-    # reflect points of the line, and rotate the sphere
+    # spherical half-turn where the moments vanish, which is minus the
+    # reflection in the polar circle of s. The references reflect points of
+    # the line, and rotate the sphere
     rng = np.random.default_rng(37)
+    zero = np.zeros(3)
     for _ in range(50):
         if moments:
             a, b, x = random_line(rng), random_line(rng), random_line(rng)
@@ -537,17 +592,17 @@ def test_dual_halfturn_is_the_line_reflection(moments):
             a, b, x = (np.r_[line.d, line.m] for line in (a, b, x))
         else:
             a, b, x = random_point(rng), random_point(rng), random_point(rng)
-            want = rotate(halfturn_about(a), x).v
-            twice = rotate(halfturn_about(b), rotate(halfturn_about(a), x)).v
-            mirror = reflect_in_circle(OrientedGreatCircle(a.v), x).v
-            assert np.max(np.abs(_dual_halfturn(a.v, x.v) + mirror)) <= 1e-14
-            a, b, x = a.v, b.v, x.v
-            zero = np.zeros(3)
-            padded = _dual_halfturn(np.r_[a, zero], np.r_[x, zero])
-            assert np.max(np.abs(padded - np.r_[want, zero])) <= 1e-14
+            want = np.r_[rotate(halfturn_about(a), x).v, zero]
+            twice = np.r_[rotate(halfturn_about(b), rotate(halfturn_about(a), x)).v, zero]
+            mirror = np.r_[reflect_in_circle(OrientedGreatCircle(a.v), x).v, zero]
+            a, b, x = (np.r_[p.v, zero] for p in (a, b, x))
+            assert np.max(np.abs(_dual_halfturn(a, x) + mirror)) <= 1e-14
         assert np.max(np.abs(_dual_halfturn(a, x) - want)) <= 1e-14
         assert np.max(np.abs(_dual_halfturn(-a, x) - want)) <= 1e-14
         assert np.max(np.abs(_dual_halfturn(b, _dual_halfturn(a, x)) - twice)) <= 1e-13
+        # row by row: a stack of rows is the rows one by one
+        stacked = _dual_halfturn(np.array([a, b]), np.array([x, x]))
+        assert np.array_equal(stacked, [_dual_halfturn(a, x), _dual_halfturn(b, x)])
 
 
 def test_dual_helpers_match_their_references():
@@ -578,12 +633,11 @@ def test_dual_helpers_match_their_references():
 
 def _design_residual(v, pose) -> float:
     """The design terms of all six cells, from the pose's hinge lines."""
-    worst = 0.0
-    for index, (quad, _sides) in enumerate(CELLS):
+    sides = []
+    for quad, _sides in CELLS:
         hinges = [pose.hinges[f"I{k[1:]}"] for k in quad]
-        sides = [dual_angle(hinges[k], hinges[(k + 1) % 4]) for k in range(4)]
-        worst = max(worst, _cell_design_residual(v, index, sides))
-    return worst
+        sides.append([dual_angle(hinges[k], hinges[(k + 1) % 4]) for k in range(4)])
+    return float(np.max(_cell_design_residuals(v, np.array(sides))))
 
 
 def test_cells_match_their_design_through_the_band():
@@ -602,8 +656,29 @@ def test_cells_fail_against_a_changed_design(field):
     pose = assemble_spatial(spec, 0.8)
     changed = validate_spec(replace(spec, **{field: getattr(spec, field) * (1 + 1e-6)}))
     hinges = np.array([np.r_[line.d, line.m] for line in pose.hinges.values()])
-    worst = max(_spatial_cell_residuals(changed, hinges))
+    worst = max(_cell_residuals(changed, hinges))
     assert worst >= 1e-7
+
+
+@pytest.mark.parametrize("kind", ["spherical", "spatial"])
+def test_cells_catch_unequal_opposite_sides(kind):
+    # joint R20 turned by 1e-6 about joint R23 (a screw about the hinge line
+    # in space) keeps side R23-R20 of cell 4, so no side proportion and no
+    # cell of the design term sees it; only the opposite sides of cells 4
+    # and 5 differ
+    v = validate_spec(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")))
+    pose = (assemble_spatial if kind == "spatial" else assemble_spherical)(v, 0.8)
+    if kind == "spatial":
+        joints = np.array([np.r_[pose.hinges[f"I{k[1:]}"].d, pose.hinges[f"I{k[1:]}"].m] for k in JOINT_KEYS])
+    else:
+        joints = np.array([np.r_[pose.joints[k].v, np.zeros(3)] for k in JOINT_KEYS])
+    r20, r23 = JOINT_KEYS.index("R20"), JOINT_KEYS.index("R23")
+    joints[r20] = _screw(joints[r23], 1e-6, 0.0, joints[r20])
+    quads = joints[[[JOINT_KEYS.index(k) for k in quad] for quad, _ in CELLS]]
+    sides = np.stack(_dual_angle(quads, np.roll(quads, -1, axis=1)), axis=-1)
+    assert np.max(_cell_design_residuals(v, sides)) <= 1e-12
+    residuals = _cell_residuals(v, joints)
+    assert min(residuals[3:5]) >= 1e-7 and max(residuals[:3] + residuals[5:]) <= 1e-12
 
 
 def test_cell_design_check_ignores_length_unit():
@@ -784,11 +859,15 @@ def test_sweep_spatial():
         assert worst < 1e-8
 
 
+# one table for both linkages, and the same pose-level residuals
+_POSE_LEVEL = {"closure", "incidence", "cells"}
+
+
 @pytest.mark.parametrize(
     "demo, pose_level, table",
     [
-        ("spherical8_demo.json", {"closure", "incidence"}, FAMILIES_SPHERICAL),
-        ("spatial8_demo.json", {"closure"}, FAMILIES_SPATIAL),
+        ("spherical8_demo.json", _POSE_LEVEL, FAMILIES),
+        ("spatial8_demo.json", _POSE_LEVEL, FAMILIES),
     ],
 )
 def test_family_table_covers_every_invariant_once(demo, pose_level, table):
