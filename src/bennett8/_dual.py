@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClosureFailure, ParallelLines
 from .screws import PARALLEL_EPS, OrientedLine
 
 _TINY = 1e-14
+# why a row of _dual_unit and of _dual_over_square is too short: the
+# messages of the ClosureFailure its caller raises or records
+SHORT_UNIT = "symmetry axis undefined: the two lines it is built from coincide"
+SHORT_SQUARE = "symmetry axis undefined: the two bars it bisects coincide"
 
 
 def _dual_vector(line: OrientedLine) -> np.ndarray:
@@ -26,10 +29,13 @@ def _line(x: np.ndarray) -> OrientedLine:
     return OrientedLine(x[:3], x[3:])
 
 
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a × b row by row of (..., 3) stacks, in np.cross's bits without its
     axis handling, which costs more than the arithmetic on a few rows."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
 
 
 def _dual_dot(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,22 +52,26 @@ def _dual_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, (a * b).sum(axis=-1) / np.where(r > 0, r, 1.0)
 
 
-def _dual_unit(x: np.ndarray) -> np.ndarray:
-    """x / |x| over the dual numbers, row by row: (a/|a|, b/|a| - a (a.b)/|a|^3)."""
+def _dual_unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x / |x| over the dual numbers, row by row: (a/|a|, b/|a| - a (a.b)/|a|^3),
+    and the rows too short to have one, |a| < _TINY, whose quotient means
+    nothing (SHORT_UNIT says why)."""
     a, b = x[..., :3], x[..., 3:]
-    na, na_dual = (part[..., None] for part in _dual_norm(x))
-    if np.min(na) < _TINY:
-        raise ClosureFailure("symmetry axis undefined: the two lines it is built from coincide")
-    return np.concatenate([a / na, b / na - a * (na_dual / na**2)], axis=-1)
+    na, na_dual = _dual_norm(x)
+    short = na < _TINY
+    na, na_dual = np.where(short, 1.0, na)[..., None], na_dual[..., None]
+    return np.concatenate([a / na, b / na - a * (na_dual / na**2)], axis=-1), short
 
 
-def _dual_over_square(x: np.ndarray) -> np.ndarray:
-    """x / |x|^2 over the dual numbers: (a/|a|^2, b/|a|^2 - 2a (a.b)/|a|^4)."""
-    a, b = x[:3], x[3:]
-    aa = float(np.dot(a, a))
-    if aa < _TINY**2:
-        raise ClosureFailure("symmetry axis undefined: the two bars it bisects coincide")
-    return np.concatenate([a / aa, b / aa - a * (2 * np.dot(a, b) / aa**2)])
+def _dual_over_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x / |x|^2 over the dual numbers, row by row: (a/|a|^2, b/|a|^2 -
+    2a (a.b)/|a|^4), and the rows too short to have one, |a| < _TINY, whose
+    quotient means nothing (SHORT_SQUARE says why)."""
+    a, b = x[..., :3], x[..., 3:]
+    aa = (a * a).sum(axis=-1)
+    short = aa < _TINY**2
+    aa = np.where(short, 1.0, aa)[..., None]
+    return np.concatenate([a / aa, b / aa - a * (2 * (a * b).sum(axis=-1, keepdims=True) / aa**2)], axis=-1), short
 
 
 def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -90,15 +100,14 @@ def _dual_atan2(r: tuple[np.ndarray, np.ndarray], p: tuple[np.ndarray, np.ndarra
     return np.arctan2(r, p), np.abs(p * r_dual - r * q) / (r * r + p * p)
 
 
-def _dual_angle(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dual_angle(x: np.ndarray, y: np.ndarray):
     """screws.dual_angle of the oriented lines x and y, row by row of (..., 6)
     stacks: theta + eps l = atan2(|x × y|, <x, y>) over the dual numbers, in
     which a dual factor of x or y cancels, so rows need be unit lines only to
-    rounding. Raises ParallelLines where a pair is parallel."""
+    rounding; and the rows where x and y are parallel (|x × y| <
+    PARALLEL_EPS), whose angle means nothing."""
     r = _dual_norm(_dual_cross(x, y))
-    if np.min(r[0]) < PARALLEL_EPS:
-        raise ParallelLines("lines are parallel (or identical)")
-    return _dual_atan2(r, _dual_dot(x, y))
+    return _dual_atan2(r, _dual_dot(x, y)), r[0] < PARALLEL_EPS
 
 
 def _screw(a: np.ndarray, theta: float, slide: float, x: np.ndarray) -> np.ndarray:

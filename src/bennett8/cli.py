@@ -101,9 +101,8 @@ def cmd_pose(args) -> int:
 
 def _sweep_rows(v, grid):
     samples = linkage.sweep(v, grid)
-    spatial = isinstance(v, linkage.ValidatedSpatial)
-    point_keys = list(linkage.HINGE_KEYS if spatial else linkage.JOINT_KEYS)
-    point_keys.sort()
+    # the keys in JOINT_KEYS order, which is sorted
+    point_keys = linkage.HINGE_KEYS if isinstance(v, linkage.ValidatedSpatial) else linkage.JOINT_KEYS
     header = ["phi1"]
     for key in point_keys:
         header += [f"{key}_x", f"{key}_y", f"{key}_z"]
@@ -112,12 +111,11 @@ def _sweep_rows(v, grid):
     rows = [header]
     for s in samples:
         row = [format_float(s.phi1)]
-        if s.pose is None:
+        points = s.points
+        if points is None:
             row += [""] * (3 * len(point_keys))
         else:
-            points = s.pose.vertices if spatial else {k: p.v for k, p in s.pose.joints.items()}
-            for key in point_keys:
-                row += [format_float(float(c)) for c in points[key]]
+            row += [format_float(c) for c in points.ravel().tolist()]
         for key in linkage.FAMILIES:
             row.append(format_float(s.families[key]) if s.families and key in s.families else "")
         row.append(s.error or "")
@@ -162,7 +160,7 @@ def cmd_verify(args) -> int:
             families[key] = max(families.get(key, 0.0), val)
     # one degree of freedom is gated at regular poses; at the aligned poses
     # the spherical linkage has nullity 3 (the spatial one keeps 1)
-    regular = [s for s in samples if s.pose is None or not s.pose.aligned]
+    regular = [s for s in samples if s.error or not linkage._is_aligned_angle(s.phi1)]
     mob = linkage.mobility_check(regular[:: max(1, len(regular) // 5)])
     lines = [
         f"{'PASS' if families[key] < args.tol else 'FAIL'} {key:<22} worst {format_float(families[key])}"

@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from . import screws
-from ._dual import _dual_halfturn, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
+from ._dual import SHORT_UNIT, _dual_halfturn, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle
 from .screws import OrientedLine
 from .sphere import (
@@ -439,7 +439,9 @@ def bennett_symmetry_axis(pose: BennettIsogramPose) -> OrientedLine:
     if np.linalg.norm(np.cross(pose.arm_a_line.d, pose.base_line.d)) < 1e-9:
         raise CollapsedPose("symmetry axis undefined at the aligned pose")
     a, b, c, d = map(_dual_vector, pose.hinges)
-    s = _dual_unit(a - c)
+    s, short = _dual_unit(a - c)
+    if short:
+        raise ClosureFailure(SHORT_UNIT)
     weight = np.r_[np.ones(3), np.full(3, 1.0 / max(1.0, pose.spec.a_len + pose.spec.b_len))]
     resid = _unsigned_gap(weight * _dual_halfturn(s, b), weight * d)
     if resid > _CLOSURE_TOL:

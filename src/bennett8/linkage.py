@@ -14,13 +14,17 @@ i != j; each bar carries three joints; the linkgraph is the cube's
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from . import sphere
 from ._dual import (
+    _LAST,
+    _NEXT,
+    SHORT_SQUARE,
+    SHORT_UNIT,
     _cross,
     _dual_angle,
     _dual_atan2,
@@ -35,7 +39,7 @@ from ._dual import (
     _line,
     _unsigned_gap,
 )
-from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec
+from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
 from .isogram import (
     Branch,
     SphericalIsogramSpec,
@@ -44,8 +48,8 @@ from .isogram import (
     transmission_coefficient,
 )
 from .oracle import matrix_nullity
-from .screws import OrientedLine
-from .sphere import OrientedGreatCircle, SpherePoint
+from .screws import PLUCKER_TOL, OrientedLine
+from .sphere import OrientedGreatCircle, SpherePoint, tie_break_sign
 
 _ALIGNED_EPS = 1e-12
 _CLOSURE_TOL = 1e-9
@@ -275,7 +279,8 @@ def _design(v):
     the moments of 6-vectors, and every dual part built from them, in units
     of L = a1 + a2; on the sphere every length is 0 and L = 1."""
     if isinstance(v, ValidatedSpatial):
-        return v.angular, (*v.a, sum(v.a)), v.b, np.repeat([1.0, 1.0 / sum(v.a)], 3)
+        w = 1.0 / sum(v.a)
+        return v.angular, (*v.a, sum(v.a)), v.b, np.array([1.0, 1.0, 1.0, w, w, w])
     return v, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), np.ones(6)
 
 
@@ -301,12 +306,16 @@ def derive_spec(spec):
 # Dual vectors (direction; moment) are 6-arrays; the spherical linkage uses
 # their direction halves. g0 is the z axis, so its dual vector is e_z.
 _EZ = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+# S1, S2, S3 bisect the arm pairs (h1, h2), (h2, h3), (h3, h1): arm j and
+# arm _NEXT[j]
 
 
-def _half_angle_construction(v: ValidatedSpherical, heights, phi1: float):
+def _half_angle_construction(v: ValidatedSpherical, heights, phi1: np.ndarray):
     """Arms h1..h3, bars g1..g3 and the directions of the symmetry axes
-    S1..S6 at phi1, as dual vectors. Base hinge j sits at height x_j on g0
-    (all 0 for the spherical linkage).
+    S1..S6 at each angle of the (N,) array phi1, as (N, 3, 6), (N, 3, 6) and
+    (N, 6, 6) stacks of dual vectors, and the angles at which two bars the
+    axes bisect coincide (see _dual_over_square). Base hinge j sits at
+    height x_j on g0 (all 0 for the spherical linkage).
 
     Let W = cos(phi1/2), S = sin(phi1/2), D_j = W^2 + c_j^2 S^2 and
     f_j = e_j x e_z + eps x_j e_j. Since tan(phi_j/2) = c_j tan(phi1/2),
@@ -316,38 +325,50 @@ def _half_angle_construction(v: ValidatedSpherical, heights, phi1: float):
     where WS = 0. The bar that the half-turn about S_i makes of g0 is
     e_z - 2WS kappa_i S_i, with kappa_i = (S_i . e_z) / (WS) in closed form.
     The directions are the arm (bar) differences divided by 2WS, so they
-    flip with the sign of WS.
+    flip with the sign of WS. Every f_j is at a right angle to e_z, so the
+    e_z terms are added to the z column.
     """
-    w, s = np.cos(phi1 / 2), np.sin(phi1 / 2)
+    half = phi1[:, None] / 2
+    w, s = np.cos(half), np.sin(half)
     ws = w * s
-    c = (1.0, v.c21, v.c31)
-    den = [w * w + cj * cj * s * s for cj in c]
-    f = [
-        np.array([np.sin(u), -np.cos(u), 0.0, x * np.cos(u), x * np.sin(u), 0.0])
-        for u, x in zip(v.u, heights)
-    ]
-    arms = [((w * w - cj * cj * s * s) * _EZ + 2 * cj * ws * fj) / dj for cj, fj, dj in zip(c, f, den)]
-    # S1, S2, S3 bisect the arm pairs (h1, h2), (h2, h3), (h3, h1)
-    axes, kappa_s = [], []
-    for j, k in ((0, 1), (1, 2), (2, 0)):
-        a = (c[k] ** 2 - c[j] ** 2) / (den[j] * den[k])
-        d = ws * a * _EZ + (c[j] / den[j]) * f[j] - (c[k] / den[k]) * f[k]
-        axes.append(d)
-        kappa_s.append(a * _dual_over_square(d))
+    c = np.array([1.0, v.c21, v.c31])
+    cc = c * c
+    ww, ccss = w * w, cc * s * s
+    den = ww + ccss
+    f = np.array([
+        [math.sin(u), -math.cos(u), 0.0, x * math.cos(u), x * math.sin(u), 0.0] for u, x in zip(v.u, heights)
+    ])
+    arms = (2 * c * ws)[..., None] * f
+    arms[..., 2] += ww - ccss
+    arms /= den[..., None]
+    # a_j = (c_k^2 - c_j^2) / (D_j D_k) for the arm pair (j, k = _NEXT[j])
+    a = (cc[_NEXT] - cc) / (den * den[:, _NEXT])
+    cd = c / den
+    d = cd[..., None] * f - cd[:, _NEXT, None] * f[_NEXT]
+    d[..., 2] += ws * a
+    over, coincide = _dual_over_square(d)
+    kappa_s = a[..., None] * over
     # the half-turns about S2, S3, S1 carry g0 onto g1, g2, g3
-    bars = [_EZ - 2 * ws * kappa_s[i] for i in (1, 2, 0)]
+    kappa_next = kappa_s[:, _NEXT]
+    bars = -(2 * ws)[..., None] * kappa_next
+    bars[..., 2] += 1.0
     # S4, S5, S6 bisect the bar pairs (g1, g2), (g2, g3), (g3, g1)
-    axes += [kappa_s[2] - kappa_s[1], kappa_s[0] - kappa_s[2], kappa_s[1] - kappa_s[0]]
-    return arms, bars, axes
+    axes = np.concatenate([d, kappa_s[:, _LAST] - kappa_next], axis=1)
+    return arms, bars, axes, coincide.any(axis=1)
 
 
-def _n_and_t(s: np.ndarray) -> np.ndarray:
-    """For the unit symmetry axes s (rows S1..S6): the line n they meet at right
-    angles, the dual unit of S1 × S2, and the line t that bisects S1 and S4
-    oriented towards S1, the dual unit of S1 ± S4 (at least sqrt 2 long). On
-    the sphere they are the poles of n and of t1 or t2."""
-    t = s[0] + (1.0 if np.dot(s[0, :3], s[3, :3]) >= 0 else -1.0) * s[3]
-    return _dual_unit(np.array([_dual_cross(s[0], s[1]), t]))
+def _n_and_t(s: np.ndarray):
+    """For the unit symmetry axes s ((N, 6, 6), rows S1..S6): the line n they
+    meet at right angles, the dual unit of S1 × S2, and the line t that
+    bisects S1 and S4 oriented towards S1, the dual unit of S1 ± S4 (at least
+    sqrt 2 long), as an (N, 2, 6) stack; the rows where one of them is
+    undefined (see _dual_unit); and the rows with S1 . S4 >= 0, where t is
+    the dual unit of S1 + S4. On the sphere n and t are the poles of n and
+    of t1 or t2."""
+    same_side = (s[:, 0, :3] * s[:, 3, :3]).sum(axis=-1) >= 0
+    t = s[:, 0] + np.where(same_side, 1.0, -1.0)[:, None] * s[:, 3]
+    nt, short = _dual_unit(np.concatenate([_dual_cross(s[:, :1], s[:, 1:2]), t[:, None]], axis=1))
+    return nt, short.any(axis=1), same_side
 
 
 # (element, symmetry axis S_k as k - 1, source): the half-turn about S_k
@@ -364,43 +385,79 @@ _PLACEMENT = (
 )
 
 
-def _placement(v, phi1: float):
-    """Bars g0..g3 and h0..h3, unit symmetry axes S1..S6 and the joints (rows
-    in JOINT_KEYS order) at phi1, all as dual vectors, plus the largest
+def _placement_batches():
+    """The placement table as rows of one (N, 16, 6) stack of elements per
+    angle: h1..h3 and R01..R03, then the elements in the order the table
+    places them. Per batch of half-turns: its mirrors (S_k as k - 1), its
+    sources, the images that place an element and where, and the images
+    that check one and against which."""
+    elements = ["h1", "h2", "h3", "R01", "R02", "R03"]
+    batches = []
+    for rows in (_PLACEMENT[:9], _PLACEMENT[9:]):
+        sources = [elements.index(src) for _, _, src in rows]
+        placed, checked = [], []
+        for r, (key, _, _) in enumerate(rows):
+            if key in elements:
+                checked.append((r, elements.index(key)))
+            else:
+                placed.append((r, len(elements)))
+                elements.append(key)
+        batches.append([np.array(column) for column in ([k for _, k, _ in rows], sources, *zip(*placed), *zip(*checked))])
+    return elements, batches
+
+
+_ELEMENTS, _PLACEMENT_BATCHES = _placement_batches()
+_JOINT_ELEMENTS = np.array([_ELEMENTS.index(key) for key in JOINT_KEYS])
+_JOINT_ELEMENTS_TWICE = np.concatenate([_JOINT_ELEMENTS, _JOINT_ELEMENTS])
+# the bars g_i, and h_j (as 4 + j), that joint R_ij (in JOINT_KEYS order)
+# joins, as rows of g0..g3, h0..h3
+_JOINT_G = np.array([int(key[1]) for key in JOINT_KEYS])
+_JOINT_H = np.array([4 + int(key[2]) for key in JOINT_KEYS])
+_JOINT_BARS = np.concatenate([_JOINT_G, _JOINT_H])
+
+
+def _placement(v, phi1: np.ndarray, errors: list):
+    """Bars g0..g3, h0..h3 ((N, 8, 6) stacks), unit symmetry axes S1..S6 and
+    the joints ((N, 6, 6) and (N, 12, 6), joints in JOINT_KEYS order) at
+    each angle of phi1, all as dual vectors, plus per angle the largest
     coupler and joint closure residual and the incidence, lengths in units of
-    L (see _design). Base joint R0j is the hinge along
-    e_j = (cos u_j, sin u_j, 0) at height x_j = 0, a1, a1 + a2 on g0, with
-    moment x_j e_z x e_j (zero for the spherical linkage). The incidence is
-    the largest part of <R_ij, g_i> and <R_ij, h_j> over the dual numbers:
-    the real part is 0 when the joint is at a right angle to the bar, the
-    dual part when the two lines meet. Without moments it is |R_ij . n|."""
+    L (see _design). An angle at which an axis is undefined (two bars it
+    bisects, or two lines it is built from, coincide) fails in errors
+    (see _flag). Base joint R0j is the hinge along e_j = (cos u_j, sin u_j, 0)
+    at height x_j = 0, a1, a1 + a2 on g0, with moment x_j e_z x e_j (zero for
+    the spherical linkage). The incidence is the largest part of <R_ij, g_i>
+    and <R_ij, h_j> over the dual numbers: the real part is 0 when the joint
+    is at a right angle to the bar, the dual part when the two lines meet.
+    Without moments it is |R_ij . n|."""
     ang, lengths, _, weights = _design(v)
     heights = (0.0, lengths[0], lengths[2])
-    arms, bars, axes = _half_angle_construction(ang, heights, phi1)
-    units = _dual_unit(np.array(axes))
-    x = {"h1": arms[0], "h2": arms[1], "h3": arms[2]}
-    for j, (u, xj) in enumerate(zip(ang.u, heights), start=1):
-        x[f"R0{j}"] = np.array([np.cos(u), np.sin(u), 0.0, -xj * np.sin(u), xj * np.cos(u), 0.0])
+    arms, bars, axes, coincide = _half_angle_construction(ang, heights, phi1)
+    _flag(errors, coincide, ClosureFailure(SHORT_SQUARE))
+    units, short = _dual_unit(axes)
+    _flag(errors, short.any(axis=1), ClosureFailure(SHORT_UNIT))
+    n = len(phi1)
+    x = np.empty((n, len(_ELEMENTS), 6))
+    x[:, :3] = arms
+    x[:, 3:6] = [
+        [math.cos(u), math.sin(u), 0.0, -xj * math.sin(u), xj * math.cos(u), 0.0] for u, xj in zip(ang.u, heights)
+    ]
     gaps = []
-    # one batch of half-turns moves base joints and arms, the next the joints it placed
-    for rows in (_PLACEMENT[:9], _PLACEMENT[9:]):
-        images = _dual_halfturn(units[[k for _, k, _ in rows]], np.array([x[src] for _, _, src in rows]))
-        for (key, _, _), image in zip(rows, images):
-            if key in x:
-                gaps.append(image - x[key])
-            else:
-                x[key] = image
-    resid = float(np.max(_length(weights * np.array(gaps))))
-    g, h = [_EZ, *bars], [-x["-h0"], *arms]
-    joints = np.array([x[k] for k in JOINT_KEYS])
-    on = np.array([g[int(k[1])] for k in JOINT_KEYS] + [h[int(k[2])] for k in JOINT_KEYS])
-    real, dual = _dual_dot(np.concatenate([joints, joints]), on)
-    incidence = float(max(np.max(np.abs(real)), np.max(np.abs(dual)) * weights[3]))
-    return g, h, units, joints, resid, incidence
+    # one batch of half-turns moves base joints and arms, the next the joints
+    # it placed; each batch is one stack of rows, angle by angle
+    for mirrors, sources, images_placing, placed, images_checking, checked in _PLACEMENT_BATCHES:
+        images = _dual_halfturn(units[:, mirrors].reshape(-1, 6), x[:, sources].reshape(-1, 6)).reshape(n, -1, 6)
+        x[:, placed] = images[:, images_placing]
+        gaps.append(images[:, images_checking] - x[:, checked])
+    resid = _length(weights * np.concatenate(gaps, axis=1)).max(axis=1)
+    g_h = np.empty((n, 8, 6))
+    g_h[:, 0], g_h[:, 1:4], g_h[:, 4], g_h[:, 5:] = _EZ, bars, -x[:, _ELEMENTS.index("-h0")], arms
+    real, dual = _dual_dot(x[:, _JOINT_ELEMENTS_TWICE], g_h[:, _JOINT_BARS])
+    incidence = np.maximum(np.abs(real).max(axis=1), np.abs(dual).max(axis=1) * weights[3])
+    return g_h, units, x[:, _JOINT_ELEMENTS], resid, incidence
 
 
 # ---------------------------------------------------------------------------
-# Spherical assembly
+# Assembly of both linkages, over a grid of angles
 # ---------------------------------------------------------------------------
 
 
@@ -422,60 +479,6 @@ class EightBarPose:
     cell_residuals: tuple[float, ...]
 
 
-def _phis(v: ValidatedSpherical, phi1: float) -> tuple[float, float, float]:
-    return (phi1, coupled_angle(v.c21, phi1), coupled_angle(v.c31, phi1))
-
-
-def _is_aligned_angle(phi1: float) -> bool:
-    return abs(phi1) < _ALIGNED_EPS or abs(abs(phi1) - np.pi) < _ALIGNED_EPS
-
-
-def assemble_spherical(spec, phi1: float) -> EightBarPose:
-    """Pose of the spherical 8-bar at arm angle phi1.
-
-    One construction serves every phi1. phi1 = 0 (and the flip pose
-    phi1 = pi) are not errors: its limit there is the aligned pose, all bars
-    on g0, with the symmetry elements marked absent.
-    """
-    v = spec if isinstance(spec, ValidatedSpherical) else validate_spec(spec)
-    g, h, units, joints, placement_resid, incidence = _placement(v, phi1)
-    s = np.array([sphere.tie_break_sign(u[:3]) * u for u in units])
-    n, t = _n_and_t(s)[:, :3]
-    n_circle = OrientedGreatCircle(sphere.tie_break_sign(n) * n)
-    centers_resid = float(np.max(np.abs(s[:, :3] @ n_circle.n)))
-
-    closure = max(placement_resid, incidence, centers_resid)
-    if not closure <= _CLOSURE_TOL:
-        raise ClosureFailure(f"spherical 8-bar failed to close (residual {closure:.3e})")
-
-    aligned = _is_aligned_angle(phi1)
-    # t1 mirrors S1 onto S4 and t2 onto -S4, so t is the pole of t2 where
-    # S1 . S4 >= 0 and of t1 otherwise; n x t is the pole of the other
-    poles = [np.cross(n, t), t] if np.dot(s[0, :3], s[3, :3]) >= 0 else [t, np.cross(n, t)]
-    t1, t2 = (OrientedGreatCircle(sphere.tie_break_sign(p) * p) for p in poles)
-    return EightBarPose(
-        spec=v,
-        phi=_phis(v, phi1),
-        g=tuple(OrientedGreatCircle(b[:3]) for b in g),
-        h=tuple(OrientedGreatCircle(b[:3]) for b in h),
-        joints={k: SpherePoint(p[:3]) for k, p in zip(JOINT_KEYS, joints)},
-        centers=None if aligned else tuple(SpherePoint(c[:3]) for c in s),
-        n_circle=None if aligned else n_circle,
-        n_pole=None if aligned else n_circle.pole(),
-        t1=None if aligned else t1,
-        t2=None if aligned else t2,
-        aligned=aligned,
-        closure_residual=closure,
-        incidence_residual=incidence,
-        cell_residuals=_cell_residuals(v, joints),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Spatial assembly
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, eq=False)
 class SpatialEightBarPose:
     spec: ValidatedSpatial
@@ -493,52 +496,210 @@ class SpatialEightBarPose:
     cell_residuals: tuple[float, ...]
 
 
+def _phis(v: ValidatedSpherical, phi1: float) -> tuple[float, float, float]:
+    return (phi1, coupled_angle(v.c21, phi1), coupled_angle(v.c31, phi1))
+
+
+def _is_aligned_angle(phi1):
+    return (np.abs(phi1) < _ALIGNED_EPS) | (np.abs(np.abs(phi1) - np.pi) < _ALIGNED_EPS)
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The construction of one design at N angles, row by row.
+
+    `lines` holds, per angle, the dual vectors that the pose's value objects
+    are made of, in the order g0..g3, h0..h3, the joints (hinges) in
+    JOINT_KEYS order, S1..S6, n, t1 (t in space) and on the sphere t2, and
+    `values` the same rows as those objects hold them (see _values). `points`
+    are the joints on the sphere and the vertices in space, (N, 12, 3).
+    `errors` holds each angle's first failure, in the order the stages of
+    one pose raise them, or None."""
+
+    spec: ValidatedSpherical | ValidatedSpatial
+    phi1: np.ndarray
+    lines: np.ndarray
+    values: np.ndarray
+    points: np.ndarray
+    aligned: np.ndarray
+    closure: np.ndarray
+    incidence: np.ndarray
+    cells: np.ndarray
+    errors: list
+
+
+def _flag(errors: list, rows: np.ndarray, error) -> None:
+    """Record the error, an exception or a function of the row that makes
+    one, as the failure of each row of the mask that has none yet."""
+    if not rows.any():
+        return
+    for i in np.flatnonzero(rows):
+        if errors[i] is None:
+            errors[i] = error(i) if callable(error) else error
+
+
+def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of _Grid.lines normalized as the pose's value objects
+    normalize them (OrientedLine in space; SpherePoint, OrientedGreatCircle
+    on the sphere), and the rows that fail their checks (zero direction, and
+    the Pluecker condition of a line). Aligned poses build no symmetry
+    element, so nothing checks theirs."""
+    d, m = lines[..., :3], lines[..., 3:]
+    norm = np.sqrt((d * d).sum(axis=-1))
+    bad = norm < 1e-14
+    norm = np.where(bad, 1.0, norm)[..., None]
+    if spatial:
+        d, m = d / norm, m / norm
+        dm = (d * m).sum(axis=-1)
+        bad |= np.abs(dm) > PLUCKER_TOL * np.maximum(1.0, np.sqrt((m * m).sum(axis=-1)))
+        values = np.concatenate([d, m - dm[..., None] * d], axis=-1)
+    else:
+        values = np.concatenate([d / norm, m], axis=-1)
+    bad[aligned, 20:] = False
+    return values, bad
+
+
+def _value_error(lines: np.ndarray, bad: np.ndarray, spatial: bool, i: int) -> ValueError | None:
+    """The ValueError that the first value object of row i to fail _values's
+    checks raises, in the order the pose builds them."""
+    k = int(np.argmax(bad[i]))
+    x = lines[i, k]
+    try:
+        if spatial:
+            OrientedLine(x[:3], x[3:])
+        else:
+            (SpherePoint if 8 <= k < 26 else OrientedGreatCircle)(x[:3])
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def _assemble(v, phis) -> _Grid:
+    """Both linkages at every angle of phis, in one pass over (N, ...) stacks.
+    The aligned poses (phi1 = 0 or pi) are the construction's limit there,
+    the collapsed layout on g0. Whether a pose closes does not depend on the
+    unit of length: every length residual is taken in units of
+    L = a1 + a2."""
+    spatial = isinstance(v, ValidatedSpatial)
+    phi1 = np.asarray(phis, dtype=float).reshape(-1)
+    errors: list = [None] * len(phi1)
+    bars, units, joints, placement, incidence = _placement(v, phi1, errors)
+    aligned = _is_aligned_angle(phi1)
+    if spatial:
+        # sign(WS) = sign(sin phi1) orients each axis along the difference
+        # of the two bars it bisects
+        s = np.where(np.sin(phi1) < 0, -1.0, 1.0)[:, None, None] * units
+        # vertex V_ij: the point of bar g_i nearest hinge I_ij, which is where
+        # the two meet at a right angle once the incidence holds; bar h_j
+        # must pass through it too (g_i and h_j are parallel at the aligned
+        # poses)
+        gi, hj = bars[:, _JOINT_G], bars[:, _JOINT_H]
+        feet = _cross(np.array([gi[..., :3], joints[..., :3]]), np.array([gi[..., 3:], joints[..., 3:]]))
+        points = feet[0] + (feet[1] * gi[..., :3]).sum(axis=-1, keepdims=True) * gi[..., :3]
+        meet = _length(_cross(points, hj[..., :3]) - hj[..., 3:]).max(axis=1) * _design(v)[3][3]
+        cells, parallel = _cell_residuals(v, joints)
+        _flag(errors, parallel, ParallelLines("lines are parallel (or identical)"))
+        closure = np.maximum.reduce([placement, incidence, meet, cells.max(axis=1)])
+        _flag(errors, ~(closure <= _CLOSURE_TOL), lambda i: ClosureFailure(
+            f"spatial 8-bar failed to close (residual {closure[i]:.3e})"
+        ))
+        nt, short, _ = _n_and_t(s)
+        _flag(errors, short, ClosureFailure(SHORT_UNIT))
+        lines = np.concatenate([bars, joints, s, nt], axis=1)
+        values, bad = _values(lines, aligned, True)
+        _flag(errors, bad.any(axis=1), lambda i: _value_error(lines, bad, spatial, i))
+    else:
+        s = tie_break_sign(units[..., :3])[..., None] * units
+        nt, short, same_side = _n_and_t(s)
+        _flag(errors, short, ClosureFailure(SHORT_UNIT))
+        n, t = nt[:, :1], nt[:, 1:]
+        # t1 mirrors S1 onto S4 and t2 onto -S4, so t is the pole of t2 where
+        # S1 . S4 >= 0 and of t1 otherwise; n x t is the pole of the other
+        n_t = np.zeros_like(t)
+        n_t[..., :3] = _cross(n[..., :3], t[..., :3])
+        side = same_side[:, None, None]
+        n_poles = np.concatenate([n, np.where(side, n_t, t), np.where(side, t, n_t)], axis=1)
+        n_poles *= tie_break_sign(n_poles[..., :3])[..., None]
+        lines = np.concatenate([bars, joints, s, n_poles], axis=1)
+        values, bad = _values(lines, aligned, False)
+        centers = np.abs((s[..., :3] * values[:, 26:27, :3]).sum(axis=-1)).max(axis=1)
+        closure = np.maximum.reduce([placement, incidence, centers])
+        _flag(errors, ~(closure <= _CLOSURE_TOL), lambda i: ClosureFailure(
+            f"spherical 8-bar failed to close (residual {closure[i]:.3e})"
+        ))
+        _flag(errors, bad.any(axis=1), lambda i: _value_error(lines, bad, spatial, i))
+        cells, parallel = _cell_residuals(v, joints)
+        _flag(errors, parallel, ParallelLines("lines are parallel (or identical)"))
+        points = values[:, 8:20, :3]
+    return _Grid(v, phi1, lines, values, points, aligned, closure, incidence, cells, errors)
+
+
+def _pose(grid: _Grid, i: int) -> EightBarPose | SpatialEightBarPose:
+    """The pose at row i of the grid, its value objects built from the row."""
+    v, lines, aligned, phi1 = grid.spec, grid.lines[i], bool(grid.aligned[i]), float(grid.phi1[i])
+    common = dict(
+        spec=v,
+        aligned=aligned,
+        closure_residual=float(grid.closure[i]),
+        incidence_residual=float(grid.incidence[i]),
+        cell_residuals=tuple(grid.cells[i].tolist()),
+    )
+    if isinstance(v, ValidatedSpatial):
+        return SpatialEightBarPose(
+            phi=_phis(v.angular, phi1),
+            g=tuple(map(_line, lines[:4])),
+            h=tuple(map(_line, lines[4:8])),
+            hinges=dict(zip(HINGE_KEYS, map(_line, lines[8:20]))),
+            vertices=dict(zip(HINGE_KEYS, grid.points[i])),
+            axes=None if aligned else tuple(map(_line, lines[20:26])),
+            n_line=None if aligned else _line(lines[26]),
+            t_line=None if aligned else _line(lines[27]),
+            **common,
+        )
+    n_circle = None if aligned else OrientedGreatCircle(lines[26, :3])
+    return EightBarPose(
+        phi=_phis(v, phi1),
+        g=tuple(OrientedGreatCircle(b[:3]) for b in lines[:4]),
+        h=tuple(OrientedGreatCircle(b[:3]) for b in lines[4:8]),
+        joints={k: SpherePoint(p[:3]) for k, p in zip(JOINT_KEYS, lines[8:20])},
+        centers=None if aligned else tuple(SpherePoint(c[:3]) for c in lines[20:26]),
+        n_circle=n_circle,
+        n_pole=None if aligned else n_circle.pole(),
+        t1=None if aligned else OrientedGreatCircle(lines[27, :3]),
+        t2=None if aligned else OrientedGreatCircle(lines[28, :3]),
+        **common,
+    )
+
+
+def _assemble_one(v, phi1: float):
+    """The pose at phi1: the grid of that one angle, or the error it fails with."""
+    grid = _assemble(v, [phi1])
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return _pose(grid, 0)
+
+
+def assemble_spherical(spec, phi1: float) -> EightBarPose:
+    """Pose of the spherical 8-bar at arm angle phi1: the grid construction
+    (see _assemble) at one angle.
+
+    One construction serves every phi1. phi1 = 0 (and the flip pose
+    phi1 = pi) are not errors: its limit there is the aligned pose, all bars
+    on g0, with the symmetry elements marked absent.
+    """
+    v = spec if isinstance(spec, ValidatedSpherical) else validate_spec(spec)
+    return _assemble_one(v, phi1)
+
+
 def assemble_spatial(spec, phi1: float) -> SpatialEightBarPose:
     """Pose of the spatial 8-bar at hinge angle phi1, by the construction of
-    the spherical one over dual vectors; the aligned poses (phi1 = 0 or pi)
-    return its limit, the collapsed layout on the base line. Whether it
-    closes does not depend on the unit of length: every length residual is
-    taken in units of L = a1 + a2."""
+    the spherical one over dual vectors, at one angle (see _assemble); the
+    aligned poses (phi1 = 0 or pi) return its limit, the collapsed layout on
+    the base line."""
     v = spec if isinstance(spec, ValidatedSpatial) else validate_spec(spec)
     if not isinstance(v, ValidatedSpatial):
         raise TypeError("assemble_spatial needs a spatial spec")
-    g, h, units, hinges, placement_resid, incidence = _placement(v, phi1)
-    # sign(WS) = sign(sin phi1) orients each axis along the difference of
-    # the two bars it bisects
-    s = (-1.0 if np.sin(phi1) < 0 else 1.0) * units
-
-    # vertex V_ij: the point of bar g_i nearest hinge I_ij, which is where
-    # the two meet at a right angle once the incidence holds; bar h_j must
-    # pass through it too (g_i and h_j are parallel at the aligned poses)
-    gi = np.array([g[int(k[1])] for k in JOINT_KEYS])
-    hj = np.array([h[int(k[2])] for k in JOINT_KEYS])
-    feet = _cross(np.array([gi[:, :3], hinges[:, :3]]), np.array([gi[:, 3:], hinges[:, 3:]]))
-    vertices = feet[0] + np.sum(feet[1] * gi[:, :3], axis=1, keepdims=True) * gi[:, :3]
-    meet = np.max(_length(_cross(vertices, hj[:, :3]) - hj[:, 3:])) * _design(v)[3][3]
-
-    cell_residuals = _cell_residuals(v, hinges)
-    closure = max(placement_resid, incidence, float(meet), max(cell_residuals))
-    if not closure <= _CLOSURE_TOL:
-        raise ClosureFailure(f"spatial 8-bar failed to close (residual {closure:.3e})")
-
-    aligned = _is_aligned_angle(phi1)
-    n, t = _n_and_t(s)
-
-    return SpatialEightBarPose(
-        spec=v,
-        phi=_phis(v.angular, phi1),
-        g=tuple(map(_line, g)),
-        h=tuple(map(_line, h)),
-        hinges=dict(zip(HINGE_KEYS, map(_line, hinges))),
-        vertices=dict(sorted(zip(HINGE_KEYS, vertices))),
-        axes=None if aligned else tuple(map(_line, s)),
-        n_line=None if aligned else _line(n),
-        t_line=None if aligned else _line(t),
-        aligned=aligned,
-        closure_residual=closure,
-        incidence_residual=incidence,
-        cell_residuals=cell_residuals,
-    )
+    return _assemble_one(v, phi1)
 
 
 # ---------------------------------------------------------------------------
@@ -551,32 +712,37 @@ _CELL_ROWS = np.array([[JOINT_KEYS.index(k) for k in quad] for quad, _ in CELLS]
 _CELL_NEXT_ROWS = np.roll(_CELL_ROWS, -1, axis=1)
 
 
-def _cell_residuals(v, joints: np.ndarray) -> tuple[float, ...]:
-    """Closure of each cell from the joints (rows in JOINT_KEYS order),
-    lengths in units of L (see _design): opposite sides have equal dual
-    angles, and the cell is the designed one (see _cell_design_residuals)."""
+def _cell_residuals(v, joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closure of each cell from the joints ((..., 12, 6) stacks, rows in
+    JOINT_KEYS order), lengths in units of L (see _design): opposite sides
+    have equal dual angles, and the cell is the designed one (see
+    _cell_design_residuals). Returns the (..., 6) residuals and the poses
+    with two parallel joints on one side, whose dual angle means nothing."""
     # the dual angles (theta, l) of the sides AB, BC, CD, DA of every cell
-    sides = np.stack(_dual_angle(joints[_CELL_ROWS], joints[_CELL_NEXT_ROWS]), axis=-1)
+    angle, parallel = _dual_angle(joints[..., _CELL_ROWS, :], joints[..., _CELL_NEXT_ROWS, :])
+    sides = np.stack(angle, axis=-1)
     # the opposite sides AB, CD and BC, DA have equal dual angles
     scaled = sides * _design(v)[3][2:4]
-    opposite = np.max(np.abs(scaled[:, :2] - scaled[:, 2:]), axis=(1, 2))
-    return tuple(np.maximum(opposite, _cell_design_residuals(v, sides)).tolist())
+    opposite = np.abs(scaled[..., :2, :] - scaled[..., 2:, :]).max(axis=(-2, -1))
+    return np.maximum(opposite, _cell_design_residuals(v, sides)), parallel.any(axis=(-2, -1))
 
 
 def _cell_design_residuals(v, sides: np.ndarray) -> np.ndarray:
     """Distance of each cell from its design, lengths in units of L, given the
-    dual angles (theta, l) of the sides AB, BC, CD, DA of the six cells.
-    Every cell keeps the side proportion l_AB sin(theta_BC) = l_BC sin(theta_AB).
-    Cells 1-3 (base on g0) also have base and coupler (alpha_i, a_i), with
-    a_3 = a1 + a2, and arms (|arm_joint_offset|, |b_i|): beta_i on the minus
-    branch, pi - beta_i on the plus branch."""
+    dual angles (theta, l) of the sides AB, BC, CD, DA of the six cells, as
+    (..., 6, 4, 2) stacks. Every cell keeps the side proportion
+    l_AB sin(theta_BC) = l_BC sin(theta_AB). Cells 1-3 (base on g0) also
+    have base and coupler (alpha_i, a_i), with a_3 = a1 + a2, and arms
+    (|arm_joint_offset|, |b_i|): beta_i on the minus branch, pi - beta_i on
+    the plus branch."""
     ang, lengths, b, weights = _design(v)
     sides = sides * weights[2:4]
     theta, length = sides[..., 0], sides[..., 1]
-    resid = np.abs(length[:, 0] * np.sin(theta[:, 1]) - length[:, 1] * np.sin(theta[:, 0]))
+    resid = np.abs(length[..., 0] * np.sin(theta[..., 1]) - length[..., 1] * np.sin(theta[..., 0]))
     design = [[(alpha, a), (abs(arm_joint_offset(SphericalIsogramSpec(alpha, beta, branch))), abs(bi))] * 2
               for alpha, beta, branch, a, bi in zip(ang.alphas, ang.betas, ang.branches, lengths, b)]
-    resid[:3] = np.maximum(resid[:3], np.max(np.abs(sides[:3] - np.array(design) * weights[2:4]), axis=(1, 2)))
+    off = np.abs(sides[..., :3, :, :] - np.array(design) * weights[2:4]).max(axis=(-2, -1))
+    resid[..., :3] = np.maximum(resid[..., :3], off)
     return resid
 
 
@@ -662,92 +828,114 @@ _SECOND_HALFTURNS = _rows(*(b for _, _, b, _, _ in _MAPS))
 _PERPENDICULAR_ROWS = tuple(_rows(*column) for column in list(zip(*_PERPENDICULAR))[1:])
 
 
+# the report's values: the columns of _symmetry_report's blocks, in the
+# order of the report's keys
+_BLOCK_KEYS = (
+    *_KEYS["swaps"], *_KEYS["mirrors"], *_KEYS["maps"], *_KEYS["products"], *_AXES_ON_N,
+    "tau321_halfturn", "tau654_halfturn", *_KEYS["perpendicular"], "centers_on_n", "triple_centers_aligned",
+    *_KEYS["bands"], "cohort_angles_g", "cohort_angles_h",
+)
+_REPORT_COLUMNS = [_BLOCK_KEYS.index(key) for key in _REPORT_KEYS]
+
+
 def _report_inputs(pose) -> np.ndarray:
-    """Rows S1..S6, g0..g3, h0..h3, the joints in JOINT_KEYS order, n and t1
-    (the line t in space) as dual vectors, weighted by _design."""
+    """Rows g0..g3, h0..h3, the joints in JOINT_KEYS order, S1..S6, n and t1
+    (the line t in space) of a pose as dual vectors, weighted by _design."""
     if isinstance(pose, SpatialEightBarPose):
         hinges = (pose.hinges[f"I{k[1:]}"] for k in JOINT_KEYS)
-        lines = (*pose.axes, *pose.g, *pose.h, *hinges, pose.n_line, pose.t_line)
+        lines = (*pose.g, *pose.h, *hinges, *pose.axes, pose.n_line, pose.t_line)
         return np.array([(x.d, x.m) for x in lines]).reshape(-1, 6) * _design(pose.spec)[3]
-    vectors = [p.v for p in pose.centers] + [c.n for c in (*pose.g, *pose.h)]
-    vectors += [pose.joints[k].v for k in JOINT_KEYS] + [pose.n_circle.n, pose.t1.n]
+    vectors = [c.n for c in (*pose.g, *pose.h)] + [pose.joints[k].v for k in JOINT_KEYS]
+    vectors += [p.v for p in pose.centers] + [pose.n_circle.n, pose.t1.n]
     return np.array([(v, (0.0, 0.0, 0.0)) for v in vectors]).reshape(-1, 6)
 
 
-def _symmetry_report(pose) -> dict[str, float]:
+def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the half-turn product identities and the derived
-    symmetry statements at a non-aligned pose of either linkage, over dual
+    symmetry statements at non-aligned poses of either linkage, over dual
     vectors: by the transference principle each half-turn about a centre of
     the sphere is a line reflection in space, and the sphere is the
     moment-free case. Entries are distances, up to sign where orientation is
-    not part of the statement; a dual scalar reads its larger part."""
-    if pose.aligned:
-        raise CollapsedPose("symmetry elements are undefined at the aligned pose")
-    x = _report_inputs(pose)
-    s, bars, joints, n, t1 = x[:6], x[6:14], x[14:26], x[26], x[27]
+    not part of the statement; a dual scalar reads its larger part.
+
+    x is an (N, 28, 6) stack of poses' _report_inputs. Returns the (N, 55)
+    values in the order of _REPORT_KEYS, and the poses where a line the
+    report needs is undefined (see _dual_unit)."""
+    bars, joints, s, n, t1 = x[:, :8], x[:, 8:20], x[:, 20:26], x[:, 26], x[:, 27]
 
     # the half-turn about s_k is the dual quaternion (0, s_k), and rho_XY is
     # the product sigma_X sigma_Y, the half-turn about s_Y and then about s_X
-    sig = np.zeros((6, 8))
-    sig[:, 1:4], sig[:, 5:] = s[:, :3], s[:, 3:]
-    products = _dual_qmul(sig[:, None], sig)
-    quats = {f"rho{i + 1}{j + 1}": products[i, j] for i in range(6) for j in range(6)}
+    sig = np.zeros((len(x), 6, 8))
+    sig[..., 1:4], sig[..., 5:] = s[..., :3], s[..., 3:]
+    products = _dual_qmul(sig[:, :, None], sig[:, None])
+    quats = {f"rho{i + 1}{j + 1}": products[:, i, j] for i in range(6) for j in range(6)}
     # tau321 = sigma3 rho21, tau654 = sigma6 rho54; sigma3 rho21 sigma3 = rho32 rho13
     tau321, tau654, quats["rho32 rho13"] = _dual_qmul(
-        np.array([sig[2], sig[5], quats["rho32"]]), np.array([quats["rho21"], quats["rho54"], quats["rho13"]])
+        np.array([sig[:, 2], sig[:, 5], quats["rho32"]]), np.array([quats["rho21"], quats["rho54"], quats["rho13"]])
     )
     quats["tau321"], quats["tau321 conjugate"] = tau321, tau321 * _CONJUGATE
-    movers = np.array([quats["rho61"], quats["rho42"], quats["rho53"], tau321, tau654])
+    movers = np.stack([quats["rho61"], quats["rho42"], quats["rho53"], tau321, tau654], axis=1)
 
     # n x g_i, n x h_i, n x t1 and S1 x S2 in one batch; the dual units of
     # the first nine and of the movers' vector parts are the lines n^g_i,
     # n^h_i, t2 and the movers' axes
-    cross = _dual_cross(np.array([*[n] * 9, s[0]]), np.array([*bars, t1, s[1]]))
-    lines = _dual_unit(np.concatenate([cross[:9], movers[:, [1, 2, 3, 5, 6, 7]]]))
-    stack = np.concatenate([s, bars, lines[:8], [n, t1], lines[8:]])
+    cross = _dual_cross(
+        np.concatenate([np.broadcast_to(n[:, None], (len(x), 9, 6)), s[:, :1]], axis=1),
+        np.concatenate([bars, t1[:, None], s[:, 1:2]], axis=1),
+    )
+    lines, short = _dual_unit(np.concatenate([cross[:, :9], movers[..., [1, 2, 3, 5, 6, 7]]], axis=1))
+    stack = np.concatenate([s, bars, lines[:, :8], n[:, None], t1[:, None], lines[:, 8:]], axis=1)
     # the dual angle of each bar with n, its angle folded into [0, pi/2]
-    angles, offsets = _dual_atan2(_dual_norm(cross[:8]), _dual_dot(n, bars))
+    angles, offsets = _dual_atan2(_dual_norm(cross[:, :8]), _dual_dot(n[:, None], bars))
     angles = np.minimum(angles, np.pi - angles)
 
-    images = _dual_halfturn(stack[_HALFTURN_ROWS[0]], stack[_HALFTURN_ROWS[1]])
+    images = _dual_halfturn(stack[:, _HALFTURN_ROWS[0]], stack[:, _HALFTURN_ROWS[1]])
     maps = slice(len(_SWAPS) + len(_MIRRORS), None)
-    images[maps] = _dual_halfturn(stack[_SECOND_HALFTURNS], images[maps])
-    targets = stack[_HALFTURN_ROWS[2]]
+    images[:, maps] = _dual_halfturn(stack[:, _SECOND_HALFTURNS], images[:, maps])
+    targets = stack[:, _HALFTURN_ROWS[2]]
     minus, plus = _length(images - targets), _length(images + targets)
-    gaps = np.concatenate([plus[: len(_SWAPS)], np.minimum(minus, plus)[len(_SWAPS) : maps.start], minus[maps]])
-    rep = dict(zip(_KEYS["swaps"] + _KEYS["mirrors"] + _KEYS["maps"], gaps.tolist()))
-    pairs = (np.array([quats[key] for key in column]) for column in list(zip(*_PRODUCTS))[1:])
-    rep.update(zip(_KEYS["products"], _unsigned_gap(*pairs).tolist()))
-    rep.update(zip(_AXES_ON_N, _unsigned_gap(stack[_rows("rho61", "rho42", "rho53")], n).tolist()))
-    rep["tau321_halfturn"] = float(max(abs(tau321[0]), abs(tau321[4])))
-    rep["tau654_halfturn"] = float(max(abs(tau654[0]), abs(tau654[4])))
+    pairs = (np.stack([quats[key] for key in column], axis=1) for column in list(zip(*_PRODUCTS))[1:])
 
     # dual inner products: S1..S6 and the joints with n, the table of
     # perpendicular lines, and S1 x S2 with S3, whose vanishing puts the
     # first three centres in a plane through O
     dots = np.abs(_dual_dot(
-        np.concatenate([s, joints, stack[_PERPENDICULAR_ROWS[0]], cross[9:]]),
-        np.concatenate([np.broadcast_to(n, (18, 6)), stack[_PERPENDICULAR_ROWS[1]], s[2:3]]),
+        np.concatenate([s, joints, stack[:, _PERPENDICULAR_ROWS[0]], cross[:, 9:]], axis=1),
+        np.concatenate([np.broadcast_to(n[:, None], (len(x), 18, 6)), stack[:, _PERPENDICULAR_ROWS[1]], s[:, 2:3]], axis=1),
     ))
     sizes = np.max(dots, axis=0)
-    rep.update(zip(_KEYS["perpendicular"], sizes[18:-1].tolist()))
-    rep["centers_on_n"] = float(np.max(sizes[:6]))
-    rep["triple_centers_aligned"] = float(sizes[-1])
-    for key, rows in _BANDS:
-        rep[key] = float(np.max(np.ptp(dots[:, 6:18][:, rows], axis=1)))
-    for key, rows in (("cohort_angles_g", slice(0, 4)), ("cohort_angles_h", slice(4, 8))):
-        rep[key] = float(max(np.ptp(angles[rows]), np.ptp(offsets[rows])))
-    return {key: rep[key] for key in _REPORT_KEYS}
+    blocks = [
+        plus[:, : len(_SWAPS)], np.minimum(minus, plus)[:, len(_SWAPS) : maps.start], minus[:, maps],
+        _unsigned_gap(*pairs),
+        _unsigned_gap(stack[:, _rows("rho61", "rho42", "rho53")], n[:, None]),
+        np.max(np.abs(tau321[:, [0, 4]]), axis=1, keepdims=True),
+        np.max(np.abs(tau654[:, [0, 4]]), axis=1, keepdims=True),
+        sizes[:, 18:-1], np.max(sizes[:, :6], axis=1, keepdims=True), sizes[:, -1:],
+        *(np.max(np.ptp(dots[:, :, 6:18][:, :, rows], axis=2), axis=0)[:, None] for _, rows in _BANDS),
+        *(np.maximum(np.ptp(angles[:, rows], axis=1), np.ptp(offsets[:, rows], axis=1))[:, None]
+          for rows in (slice(0, 4), slice(4, 8))),
+    ]
+    return np.concatenate(blocks, axis=1)[:, _REPORT_COLUMNS], short.any(axis=1)
+
+
+def _pose_report(pose) -> dict[str, float]:
+    """The symmetry report of one non-aligned pose (see _symmetry_report)."""
+    if pose.aligned:
+        raise CollapsedPose("symmetry elements are undefined at the aligned pose")
+    values, short = _symmetry_report(_report_inputs(pose)[None])
+    if short[0]:
+        raise ClosureFailure(SHORT_UNIT)
+    return dict(zip(_REPORT_KEYS, values[0].tolist()))
 
 
 def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
     """The symmetry report (see _symmetry_report) of a spherical pose."""
-    return _symmetry_report(pose)
+    return _pose_report(pose)
 
 
 def symmetry_report_spatial(pose: SpatialEightBarPose) -> dict[str, float]:
     """The symmetry report (see _symmetry_report) of a spatial pose."""
-    return _symmetry_report(pose)
+    return _pose_report(pose)
 
 
 # ---------------------------------------------------------------------------
@@ -822,12 +1010,49 @@ FAMILIES: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+# the families of a pose as columns of its pose-level residuals (closure,
+# incidence, largest cell residual) followed by its report's values
+_FAMILY_COLUMNS = [
+    [("closure", "incidence", "cells", *_REPORT_KEYS).index(key) for key in keys] for keys in FAMILIES.values()
+]
+# an aligned pose has no report, so only its pose-level families
+_POSE_FAMILIES = ("closure", "incidence", "cells")
+
+
 class SweepSample:
-    phi1: float
-    pose: EightBarPose | SpatialEightBarPose | None
-    families: dict[str, float] | None
-    error: str | None
+    """One angle of a sweep: the pose (None where it failed), its family
+    maxima, and the error that failed it. A sample that `sweep` made reads
+    the sweep's grid: its pose is built from its row the first time it is
+    read, and `points` reads the grid's arrays without building it."""
+
+    def __init__(
+        self,
+        phi1: float,
+        pose: EightBarPose | SpatialEightBarPose | None,
+        families: dict[str, float] | None,
+        error: str | None,
+    ):
+        self.phi1, self.families, self.error = phi1, families, error
+        self._pose, self._grid, self._row = pose, None, 0
+
+    @classmethod
+    def _of_grid(cls, phi1: float, grid: _Grid, row: int, families: dict[str, float]) -> "SweepSample":
+        sample = cls(phi1, None, families, None)
+        sample._grid, sample._row = grid, row
+        return sample
+
+    @property
+    def pose(self) -> EightBarPose | SpatialEightBarPose | None:
+        if self._pose is None and self._grid is not None:
+            self._pose = _pose(self._grid, self._row)
+        return self._pose
+
+    @property
+    def points(self) -> np.ndarray | None:
+        """The joints (spherical) or the vertices (spatial) of the pose in
+        JOINT_KEYS order, as a (12, 3) array, read off the sweep's grid;
+        None where the sample failed, or was not made by `sweep`."""
+        return None if self._grid is None else self._grid.points[self._row]
 
 
 def phi_grid(phi_from: float, phi_to: float, n: int, uniform_angle: bool = False) -> list[float]:
@@ -846,31 +1071,35 @@ def phi_grid(phi_from: float, phi_to: float, n: int, uniform_angle: bool = False
     return [float(2 * np.arctan(t)) for t in ts]
 
 
-def _families(pose, report: dict[str, float] | None) -> dict[str, float]:
-    """Family maxima of one pose. An aligned pose has no report, so only its
-    pose-level families are present."""
-    values = {"closure": pose.closure_residual, "incidence": pose.incidence_residual}
-    values["cells"] = max(pose.cell_residuals)
-    names = tuple(values) if report is None else tuple(FAMILIES)
-    values.update(report or {})
-    return {name: max(values[k] for k in FAMILIES[name]) for name in names}
-
-
 def sweep(spec, phis) -> list[SweepSample]:
-    """Poses plus per-family residual maxima at each angle of phis.
+    """Poses plus per-family residual maxima at each angle of phis, from one
+    construction (_assemble) and one report (_symmetry_report) over the
+    whole grid.
 
-    Per-sample failures are recorded in the output and do not abort the sweep.
+    Per-sample failures are recorded in the output and do not abort the
+    sweep; a sample fails as assemble_* and the report would fail at its
+    angle alone. An error they would not record, such as ParallelLines or
+    ValueError, is raised, at the first sample it would reach.
     """
     v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
-    spatial = isinstance(v, ValidatedSpatial)
-    assemble = assemble_spatial if spatial else assemble_spherical
-    report_of = symmetry_report_spatial if spatial else halfturn_products_report
+    phis = list(phis)
+    grid = _assemble(v, phis)
+    errors = grid.errors
+    ok = np.array([e is None for e in errors], dtype=bool) & ~grid.aligned
+    values = np.full((len(errors), 3 + len(_REPORT_KEYS)), np.nan)
+    values[:, 0], values[:, 1], values[:, 2] = grid.closure, grid.incidence, grid.cells.max(axis=1)
+    if ok.any():
+        failed = np.zeros_like(ok)
+        values[ok, 3:], failed[ok] = _symmetry_report(grid.values[ok, :28] * _design(v)[3])
+        _flag(errors, failed, ClosureFailure(SHORT_UNIT))
+    families = np.stack([values[:, cols].max(axis=1) for cols in _FAMILY_COLUMNS], axis=1).tolist()
     samples: list[SweepSample] = []
-    for phi1 in phis:
-        try:
-            pose = assemble(v, phi1)
-            report = None if pose.aligned else report_of(pose)
-            samples.append(SweepSample(phi1, pose, _families(pose, report), None))
-        except (ClosureFailure, CollapsedPose) as exc:
-            samples.append(SweepSample(phi1, None, None, f"{type(exc).__name__}: {exc}"))
+    for i, (phi1, error) in enumerate(zip(phis, errors)):
+        if error is None:
+            names = _POSE_FAMILIES if grid.aligned[i] else FAMILIES
+            samples.append(SweepSample._of_grid(phi1, grid, i, dict(zip(names, families[i]))))
+        elif isinstance(error, (ClosureFailure, CollapsedPose)):
+            samples.append(SweepSample(phi1, None, None, f"{type(error).__name__}: {error}"))
+        else:
+            raise error
     return samples

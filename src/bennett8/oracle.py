@@ -23,6 +23,11 @@ import numpy as np
 # singular value below SV_RATIO times the largest counts as zero.
 FD_STEP = 1e-6
 SV_RATIO = 1e-7
+# Trust region of solve_loop: the largest change of any joint angle in one
+# Newton step, in radians. A full step from a seed near a fold of the loop
+# can land where the residual is small but the angles are on no path back to
+# the pose the seed was drawn around.
+MAX_STEP = 0.2
 
 
 def _quat_mul(a, b):
@@ -136,7 +141,8 @@ def _fd_jacobian(fn, x: np.ndarray) -> np.ndarray:
 def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) -> LoopSolution:
     """Damped Newton on the loop-closure map with the driving joint fixed.
 
-    Steps are halved (up to 30 times) until the residual norm decreases.
+    Steps are first shortened to at most MAX_STEP in every joint, then
+    halved (up to 30 times) until the residual norm decreases.
     Non-convergence is reported, not raised: the solution carries the last
     iterate and a converged flag.
     """
@@ -165,7 +171,7 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
             step = None
         if step is None:
             step = np.linalg.lstsq(jac, r, rcond=None)[0]
-        lam = 1.0
+        lam = MAX_STEP / max(float(np.max(np.abs(step))), MAX_STEP)
         for _ in range(30):
             if float(np.linalg.norm(fn(x - lam * step))) < rn:
                 break

@@ -8,6 +8,7 @@ the dual-vector kernel in _dual.py.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +27,18 @@ class OrientedLine:
     m: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float).reshape(3).copy()
-        m = np.asarray(self.m, dtype=float).reshape(3).copy()
-        # np.sqrt(x.dot(x)) has np.linalg.norm's bits, at less overhead
-        nd = np.sqrt(d.dot(d))
+        # float arithmetic on the six coordinates costs less than numpy calls
+        # on 3-vectors, and sums them in the order a row-wise (..., 3) sum does
+        d0, d1, d2 = np.asarray(self.d, dtype=float).reshape(3).tolist()
+        m0, m1, m2 = np.asarray(self.m, dtype=float).reshape(3).tolist()
+        nd = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         if nd < 1e-14:
             raise ValueError("OrientedLine: zero direction")
-        d /= nd
-        m /= nd
-        err = abs(d.dot(m))
-        if err > PLUCKER_TOL * max(1.0, np.sqrt(m.dot(m))):
-            raise ValueError(f"OrientedLine: Pluecker condition violated (d.m = {err:.3e})")
-        m -= d.dot(m) * d
+        d0, d1, d2, m0, m1, m2 = d0 / nd, d1 / nd, d2 / nd, m0 / nd, m1 / nd, m2 / nd
+        dm = d0 * m0 + d1 * m1 + d2 * m2
+        if abs(dm) > PLUCKER_TOL * max(1.0, math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)):
+            raise ValueError(f"OrientedLine: Pluecker condition violated (d.m = {abs(dm):.3e})")
+        d, m = np.array([d0, d1, d2]), np.array([m0 - dm * d0, m1 - dm * d1, m2 - dm * d2])
         d.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "d", d)

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +24,23 @@ _TIE_EPS = 1e-9
 
 
 def _as_unit(v, what: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(3).copy()
-    n = np.sqrt(a.dot(a))  # np.linalg.norm's bits, at less overhead
+    # float arithmetic on the three coordinates costs less than numpy calls
+    # on a 3-vector, and sums them in the order a row-wise (..., 3) sum does
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    n = math.sqrt(x * x + y * y + z * z)
     if n < 1e-14:
         raise ValueError(f"{what}: zero vector")
-    a /= n
+    a = np.array([x / n, y / n, z / n])
     a.setflags(write=False)
     return a
 
 
-def tie_break_sign(v: np.ndarray) -> float:
-    """+1 if the first coordinate exceeding _TIE_EPS in magnitude is positive."""
-    for x in v:
-        if abs(x) > _TIE_EPS:
-            return 1.0 if x > 0 else -1.0
-    return 1.0
+def tie_break_sign(v: np.ndarray) -> np.ndarray:
+    """+1 if the first coordinate exceeding _TIE_EPS in magnitude is positive,
+    else -1, and +1 where none does; row by row of (..., 3) stacks."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    first = np.where(np.abs(x) > _TIE_EPS, x, np.where(np.abs(y) > _TIE_EPS, y, z))
+    return np.where(first < -_TIE_EPS, -1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

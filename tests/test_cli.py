@@ -188,16 +188,20 @@ def test_verify_exit_code_follows_the_printed_lines(demo, grid, capsys):
     [("spherical8_demo.json", "assemble_spherical"), ("spatial8_demo.json", "assemble_spatial")],
 )
 def test_verify_assembles_each_grid_angle_once(demo, assembler, capsys, monkeypatch):
-    # the grid is the whole circle, and mobility reuses its poses instead of
-    # assembling them again
-    original = getattr(linkage, assembler)
+    # the grid is the whole circle, built in one construction, and mobility
+    # reuses its poses instead of assembling them again
+    original = linkage._assemble
     angles = []
 
-    def counting(spec, phi1):
-        angles.append(phi1)
-        return original(spec, phi1)
+    def counting(spec, phis):
+        angles.extend(phis)
+        return original(spec, phis)
 
-    monkeypatch.setattr(linkage, assembler, counting)
+    def unexpected(spec, phi1):
+        raise AssertionError(f"{assembler} called at {phi1}")
+
+    monkeypatch.setattr(linkage, "_assemble", counting)
+    monkeypatch.setattr(linkage, assembler, unexpected)
     assert main(["verify", os.path.join(SPECS, demo)]) == 0
     assert len(angles) == 25
     assert len(set(angles)) == 25
@@ -226,10 +230,17 @@ def test_sweep_records_no_error_next_to_the_aligned_pose(capsys):
 
 
 def test_verify_gates_the_tau_halfturns(capsys, monkeypatch):
-    original = linkage.halfturn_products_report
-    monkeypatch.setattr(
-        linkage, "halfturn_products_report", lambda pose: {**original(pose), "tau321_halfturn": 1.0}
-    )
+    # the grid's report, one row per non-aligned pose, with tau321_halfturn
+    # broken at every pose
+    original = linkage._symmetry_report
+    column = linkage._REPORT_KEYS.index("tau321_halfturn")
+
+    def broken(x):
+        values, short = original(x)
+        values[:, column] = 1.0
+        return values, short
+
+    monkeypatch.setattr(linkage, "_symmetry_report", broken)
     assert main(["verify", os.path.join(SPECS, "spherical8_demo.json")]) == 2
     assert "FAIL products" in capsys.readouterr().out
 

@@ -262,3 +262,20 @@ def test_spatial_cell_oracle_solve_back():
         sol = solve_loop(LoopProblem(problem.arcs, 0, tuple(truth + noise), problem.offsets))
         assert sol.converged
         assert max(abs(a - b) for a, b in zip(sol.angles, truth)) < 1e-8
+
+
+def test_solve_loop_keeps_to_the_seeded_branch_next_to_a_fold():
+    # cell (R13, R23, R20, R10) of a spatial 8-bar at phi1 = -2.9787: a full
+    # Newton step from this seed (0.05 rad from the pose) cuts the residual
+    # from 0.10 to 1.1e-3 at angles 0.25 rad away, where the solve then
+    # stalled. Capped steps return to the pose
+    arcs = (-0.0033709424617957063, 3.0891988749681256, -0.0033709424617957345, 3.089198874968126)
+    offsets = (0.15357711524643108, 2.3859261301940884, 0.15357711524643078, 2.385926130194089)
+    start = (-2.998345835848411, -0.2085918316572926, -3.0353087370254244, -0.2101899359823727)
+    truth = (-2.998345835848411, -0.16286036923260516, -2.9983458358484105, -0.16286036923260544)
+    assert np.linalg.norm(LoopProblem(arcs, 0, truth, offsets).residual(np.array(truth))) < 1e-11
+    problem = LoopProblem(arcs, 0, start, offsets)
+    sol = solve_loop(problem)
+    assert sol.converged and sol.iterations <= 10
+    assert max(abs(a - b) for a, b in zip(sol.angles, truth)) <= 1e-8
+    assert jacobian_nullity(problem, sol) == 1
