@@ -40,10 +40,7 @@ from .screws import OrientedLine
 from .sphere import (
     OrientedGreatCircle,
     SpherePoint,
-    apply,
-    arc_point,
     great_circle_through,
-    rotation_about,
     spherical_distance,
     tie_break_sign,
 )
@@ -145,6 +142,17 @@ def arm_joint_offset(spec: SphericalIsogramSpec) -> float:
     return -spec.beta if spec.branch == "minus" else np.pi - spec.beta
 
 
+def _cell_chain(base, a, side, phis, arm_offset):
+    """Hinge B, the arms at A and B, and hinges C and D of a cell as dual
+    vectors, from its base and hinge A (on the sphere: the basis pole and A,
+    moments 0). B is A screwed along the base by side = (alpha, a); each arm
+    is the base turned about its hinge by phis = (phi1, phi2); D and C are A
+    and B screwed along their arms by arm_offset = (angle, slide)."""
+    b = _screw(base, *side, a)
+    arm_a, arm_b = (_screw(hinge, phi, 0.0, base) for hinge, phi in zip((a, b), phis))
+    return b, arm_a, arm_b, _screw(arm_b, *arm_offset, b), _screw(arm_a, *arm_offset, a)
+
+
 def solve_spherical_isogram(
     spec: SphericalIsogramSpec,
     g0: OrientedGreatCircle,
@@ -156,31 +164,22 @@ def solve_spherical_isogram(
     The basis runs from a = p to b at arc alpha along g0; the arm circles are
     g0 rotated about a and b by phi1 and phi2, with angles measured from the
     aligned pose on g0. Coupler joints sit at the branch's constant arm
-    offset (see arm_joint_offset). Side lengths and closure are verified
-    before the pose is returned; the aligned poses are regular here.
+    offset (see arm_joint_offset): the moment-free case of the cells' screw
+    chain (_cell_chain). Side lengths and closure are verified before the
+    pose is returned; the aligned poses are regular here.
     """
     if abs(np.dot(p.v, g0.n)) > 1e-10:
         raise ValueError("base point does not lie on the basis circle")
-    c21 = transmission_coefficient(spec)
-    phi2 = coupled_angle(c21, phi1)
-
-    a = p
-    b = arc_point(g0, a, spec.alpha)
-    arm_a = apply(rotation_about(a, phi1), g0)
-    arm_b = apply(rotation_about(b, phi2), g0)
+    phi2 = coupled_angle(transmission_coefficient(spec), phi1)
     offset = arm_joint_offset(spec)
-    d = arc_point(arm_a, a, offset)
-    c = arc_point(arm_b, b, offset)
-
-    arm_arc = abs(offset)
-    sides = (
-        spherical_distance(a, b),
-        spherical_distance(b, c),
-        spherical_distance(c, d),
-        spherical_distance(d, a),
+    x_b, x_arm_a, x_arm_b, x_c, x_d = _cell_chain(
+        np.r_[g0.n, 0.0, 0.0, 0.0], np.r_[p.v, 0.0, 0.0, 0.0], (spec.alpha, 0.0), (phi1, phi2), (offset, 0.0)
     )
-    expect = (spec.alpha, arm_arc, spec.alpha, arm_arc)
-    worst = max(abs(s - e) for s, e in zip(sides, expect))
+    a, b, c, d = p, *(SpherePoint(x[:3]) for x in (x_b, x_c, x_d))
+    arm_a, arm_b = OrientedGreatCircle(x_arm_a[:3]), OrientedGreatCircle(x_arm_b[:3])
+
+    expect = (spec.alpha, abs(offset), spec.alpha, abs(offset))
+    worst = max(abs(spherical_distance(x, y) - e) for x, y, e in zip((a, b, c, d), (b, c, d, a), expect))
     if worst > _CLOSURE_TOL:
         raise ClosureFailure(
             f"isogram cell failed to close (side error {worst:.3e}); "
@@ -371,9 +370,10 @@ def solve_bennett_isogram(
     The hinge at vertex A is placed orthogonal to the base through the given
     foot (its direction is a fixed gauge); hinge B sits at dual distance
     (alpha, a) along the base. Each further arm and hinge is the screw image
-    (_dual._screw) of a line already placed. At the aligned reference the arms
-    fold backward, matching the spherical convention. Loop closure is verified to
-    1e-9, lengths in units of max(1, a + b), before the pose is returned.
+    of a line already placed (_cell_chain), the arm offset (-beta, -b). At
+    the aligned reference the arms fold backward, matching the spherical
+    convention. Loop closure is verified to 1e-9, lengths in units of
+    max(1, a + b), before the pose is returned.
     """
     foot = np.asarray(base_hinge_foot, dtype=float)
     if np.linalg.norm(np.cross(base.d, foot - base.foot())) > 1e-9 * max(
@@ -382,19 +382,14 @@ def solve_bennett_isogram(
         raise ValueError("base hinge foot does not lie on the base line")
 
     hinge_a = OrientedLine.from_point_direction(foot, _reference_perpendicular(base.d))
-    x_base, x_a = _dual_vector(base), _dual_vector(hinge_a)
-    x_b = _screw(x_base, spec.alpha_twist, spec.a_len, x_a)
-
     c_real, _ = bennett_dual_coefficient(
         spec.alpha_twist, spec.beta_twist, spec.a_len, spec.b_len, "plus"
     )
     phi2 = coupled_angle(c_real, phi1)
-
-    x_arm_a = _screw(x_a, phi1, 0.0, x_base)
-    x_arm_b = _screw(x_b, phi2, 0.0, x_base)
-    x_d = _screw(x_arm_a, -spec.beta_twist, -spec.b_len, x_a)
-    x_c = _screw(x_arm_b, -spec.beta_twist, -spec.b_len, x_b)
-    hinge_b, hinge_c, hinge_d, arm_a, arm_b = map(_line, (x_b, x_c, x_d, x_arm_a, x_arm_b))
+    hinge_b, arm_a, arm_b, hinge_c, hinge_d = map(_line, _cell_chain(
+        _dual_vector(base), _dual_vector(hinge_a), (spec.alpha_twist, spec.a_len), (phi1, phi2),
+        (-spec.beta_twist, -spec.b_len),
+    ))
 
     # the coupler is the common perpendicular of hinges C and D, with its feet
     # C and D on them, where the arms must meet it. Feet of perpendicular

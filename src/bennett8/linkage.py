@@ -798,6 +798,11 @@ _PERPENDICULAR = (
 _BANDS = tuple((f"joint_band_{quad[0][1:]}", [JOINT_KEYS.index(k) for k in quad]) for quad in (
     ("R10", "R01", "R23", "R32"), ("R20", "R02", "R31", "R13"), ("R30", "R03", "R12", "R21"),
 ))
+# the products rho_XY = sigma_X sigma_Y the report reads: the factors of
+# tau321 = sigma3 rho21 and tau654 = sigma6 rho54, the movers' rows, and _PRODUCTS
+_RHOS = sorted({name for names in ("rho21", "rho54", *_ROW, *(f"{p} {q}" for _, p, q in _PRODUCTS))
+                for name in names.split() if name.startswith("rho")})
+_RHO_AXES = np.array([[int(name[3]) - 1, int(name[4]) - 1] for name in _RHOS]).T
 # the conjugate of a dual quaternion negates its two vector parts
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 _AXES_ON_N = tuple(f"rho{rho}_axis_on_N" for rho in ("61", "42", "53"))
@@ -867,8 +872,7 @@ def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the product sigma_X sigma_Y, the half-turn about s_Y and then about s_X
     sig = np.zeros((len(x), 6, 8))
     sig[..., 1:4], sig[..., 5:] = s[..., :3], s[..., 3:]
-    products = _dual_qmul(sig[:, :, None], sig[:, None])
-    quats = {f"rho{i + 1}{j + 1}": products[:, i, j] for i in range(6) for j in range(6)}
+    quats = dict(zip(_RHOS, np.moveaxis(_dual_qmul(sig[:, _RHO_AXES[0]], sig[:, _RHO_AXES[1]]), 1, 0)))
     # tau321 = sigma3 rho21, tau654 = sigma6 rho54; sigma3 rho21 sigma3 = rho32 rho13
     tau321, tau654, quats["rho32 rho13"] = _dual_qmul(
         np.array([sig[:, 2], sig[:, 5], quats["rho32"]]), np.array([quats["rho21"], quats["rho54"], quats["rho13"]])
@@ -949,42 +953,43 @@ class MobilitySample:
     nullity: int | None
 
 
-def _mobility_jacobian(pose: EightBarPose | SpatialEightBarPose) -> np.ndarray:
-    """Exact closure Jacobian of the assembled pose in its 12 joint rates.
+# the sign of each joint (column, JOINT_KEYS order) in each face loop (row, CELLS
+# order): + where the loop crosses R_ij from g_i into h_j, - the other way, 0 off it
+_FACE_SIGNS = np.array([
+    [0.0 if key not in quad else 1.0 if sides[quad.index(key) - 1][0] == "g" else -1.0 for key in JOINT_KEYS]
+    for quad, sides in CELLS
+])
+
+
+def _mobility_jacobian(screws: np.ndarray) -> np.ndarray:
+    """Exact closure Jacobian of a pose in its 12 joint rates, from the joint
+    screws, a (12, 6) stack in JOINT_KEYS order.
 
     Davies' method: the joint twists around every face loop of the cube
-    graph sum to zero, so each face in CELLS contributes one block with
-    column +-s for each of its joints R_ij. The screw s is the unit joint
-    vector (spherical) or the hinge's Pluecker vector (d, m / L) with
-    m = V x d and L = a1 + a2, so the spectrum does not depend on the unit
-    of length (spatial). The sign is + where the loop crosses R_ij from g_i
-    into h_j. Any five faces form a cycle basis; the sixth adds no rank.
+    graph sum to zero, so each face in CELLS contributes six rows, with
+    column +-s for each of its joints (see _FACE_SIGNS). A hinge's screw s
+    is (d, m / L) with m = V x d and L = a1 + a2, so the spectrum does not
+    depend on the unit of length; on the sphere s is the unit joint vector
+    with zero moment. Any five faces form a cycle basis.
     """
-    if isinstance(pose, SpatialEightBarPose):
-        lines, weights = (pose.hinges[f"I{key[1:]}"] for key in JOINT_KEYS), _design(pose.spec)[3]
-        screw = dict(zip(JOINT_KEYS, (np.concatenate([x.d, x.m]) * weights for x in lines)))
-    else:
-        screw = {key: pose.joints[key].v for key in JOINT_KEYS}
-    rows = len(screw[JOINT_KEYS[0]])
-    jac = np.zeros((rows * len(CELLS), len(JOINT_KEYS)))
-    for face, (quad, sides) in enumerate(CELLS):
-        for k, key in enumerate(quad):
-            # joint k of the face joins side k-1 to side k
-            sign = 1.0 if sides[k - 1][0] == "g" else -1.0
-            jac[rows * face : rows * (face + 1), JOINT_KEYS.index(key)] = sign * screw[key]
-    return jac
+    return (_FACE_SIGNS[:, None, :] * screws.T).reshape(-1, len(JOINT_KEYS))
 
 
 def mobility_check(samples) -> list[MobilitySample]:
     """Nullity of the exact loop-closure Jacobian (all 12 joint rates, base
     fixed) at the pose of each sweep sample: 1 at regular poses; at the
-    aligned poses 3 for the spherical linkage and 1 for the spatial one."""
+    aligned poses 3 for the spherical linkage and 1 for the spatial one.
+
+    The joint screws are read off the sample's row of its sweep's grid, so
+    no pose is built. A sample with no grid row, one that failed or that
+    `sweep` did not make, reads "assembly-failed", as its `points` read None."""
     out: list[MobilitySample] = []
     for s in samples:
-        if s.pose is None:
+        if s._grid is None:
             out.append(MobilitySample(s.phi1, "assembly-failed", None))
         else:
-            out.append(MobilitySample(s.phi1, "ok", matrix_nullity(_mobility_jacobian(s.pose))))
+            screws = s._grid.values[s._row, 8:20] * _design(s._grid.spec)[3]
+            out.append(MobilitySample(s.phi1, "ok", matrix_nullity(_mobility_jacobian(screws))))
     return out
 
 

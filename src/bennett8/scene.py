@@ -122,7 +122,7 @@ def _circle_polyline(circle: OrientedGreatCircle, segments: int) -> list[list[fl
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     ts = np.linspace(0.0, 2 * np.pi, segments + 1)
-    return [_vec(np.cos(t) * e1 + np.sin(t) * e2) for t in ts]
+    return (np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2).tolist()
 
 
 def _line_polyline(line: OrientedLine, anchors, segments: int) -> list[list[float]]:
@@ -133,7 +133,7 @@ def _line_polyline(line: OrientedLine, anchors, segments: int) -> list[list[floa
     lo -= 0.25 * span
     hi += 0.25 * span
     ts = np.linspace(lo, hi, max(segments, 2))
-    return [_vec(foot + t * line.d) for t in ts]
+    return (foot + ts[:, None] * line.d).tolist()
 
 
 def _circle_entry(label: str, circle: OrientedGreatCircle, segments: int) -> dict[str, Any]:

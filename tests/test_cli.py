@@ -208,6 +208,18 @@ def test_verify_assembles_each_grid_angle_once(demo, assembler, capsys, monkeypa
     assert (min(angles), max(angles)) == (-np.pi, np.pi)
 
 
+@pytest.mark.parametrize("demo", ["spherical8_demo.json", "spatial8_demo.json"])
+def test_verify_builds_no_pose(demo, capsys, monkeypatch):
+    # the families and mobility read the sweep's grid, so no pose object of
+    # any sample is built
+    def unexpected(grid, i):
+        raise AssertionError(f"pose built at phi1 = {grid.phi1[i]}")
+
+    monkeypatch.setattr(linkage, "_pose", unexpected)
+    assert main(["verify", os.path.join(SPECS, demo)]) == 0
+    assert "PASS mobility               nullities [1]" in capsys.readouterr().out
+
+
 def test_pose_next_to_the_aligned_pose(capsys):
     # the line n turns parallel to the bars next to the aligned pose, and
     # the report still holds there

@@ -148,6 +148,26 @@ def test_solve_sides_and_closure():
         assert lies_on(c, pose.arm_b_circle) < 1e-12
 
 
+def test_solve_matches_the_sphere_rotations():
+    # the cell's screw chain, without moments, places B, C, D and the arm
+    # circles where the rotations of the sphere put them, aligned poses too
+    from bennett8.sphere import arc_point, rotation_about
+
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        spec = random_isogram_spec(rng)
+        g0 = OrientedGreatCircle(rng.normal(size=3))
+        p = SpherePoint(np.cross(g0.n, rng.normal(size=3)))
+        for phi1 in (random_driving_angle(rng), 0.0, np.pi):
+            pose = solve_spherical_isogram(spec, g0, p, phi1)
+            offset = arm_joint_offset(spec)
+            b = arc_point(g0, p, spec.alpha)
+            arm_a, arm_b = (rotate(rotation_about(q, phi), g0) for q, phi in ((p, phi1), (b, pose.phi2)))
+            want = (b.v, arc_point(arm_b, b, offset).v, arc_point(arm_a, p, offset).v, arm_a.n, arm_b.n)
+            got = (pose.b.v, pose.c.v, pose.d.v, pose.arm_a_circle.n, pose.arm_b_circle.n)
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-14, (spec, phi1)
+
+
 def test_transmission_ratio_constant_along_branch():
     rng = np.random.default_rng(62)
     for _ in range(10):

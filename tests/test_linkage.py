@@ -30,7 +30,9 @@ from bennett8.linkage import (
     _cell_design_residuals,
     _cell_residuals,
     _PLACEMENT,
+    _design,
     _mobility_jacobian,
+    _report_inputs,
 )
 from bennett8.oracle import (
     jacobian_nullity,
@@ -726,9 +728,12 @@ def test_mobility_at_the_aligned_poses():
 
 
 def test_mobility_reports_unassembled_samples():
+    # mobility reads a sample's row of its sweep's grid: a sample without
+    # one, failed or not made by sweep, certifies nothing
     failed = SweepSample(0.5, None, None, "ClosureFailure: synthetic")
-    (sample,) = mobility_check([failed])
-    assert (sample.phi1, sample.status, sample.nullity) == (0.5, "assembly-failed", None)
+    by_hand = SweepSample(0.5, assemble_spherical(SAMPLE, 0.5), None, None)
+    for sample in mobility_check([failed, by_hand]):
+        assert (sample.phi1, sample.status, sample.nullity) == (0.5, "assembly-failed", None)
 
 
 # the regular poses of acceptance criterion 6
@@ -765,7 +770,7 @@ def test_mobility_jacobian_faces_match_oracle(jacobian_poses):
     # each face block, on its own four joints, is the four-bar's closure
     # Jacobian: nullity 1, as the oracle's finite differences find
     for pose in jacobian_poses:
-        jac = _mobility_jacobian(pose)
+        jac = _mobility_jacobian(_report_inputs(pose)[8:20])
         rows = jac.shape[0] // len(CELLS)
         for face, (quad, _sides) in enumerate(CELLS):
             block = jac[rows * face : rows * (face + 1), [JOINT_KEYS.index(k) for k in quad]]
@@ -776,7 +781,7 @@ def test_mobility_jacobian_faces_match_oracle(jacobian_poses):
 def test_mobility_jacobian_spectrum_gap(jacobian_poses):
     # one zero singular value, well separated from the other eleven
     for pose in jacobian_poses:
-        sv = np.linalg.svd(_mobility_jacobian(pose), compute_uv=False)
+        sv = np.linalg.svd(_mobility_jacobian(_report_inputs(pose)[8:20]), compute_uv=False)
         assert sv.size == len(JOINT_KEYS)
         assert sv[11] / sv[0] < 1e-10
         assert sv[10] / sv[0] > 1e-4
@@ -785,7 +790,8 @@ def test_mobility_jacobian_spectrum_gap(jacobian_poses):
 def test_mobility_jacobian_spectrum_ignores_length_unit():
     def ratios(scale):
         spec = replace(SAMPLE_SPATIAL, a1=scale * SAMPLE_SPATIAL.a1, a2=scale * SAMPLE_SPATIAL.a2)
-        sv = np.linalg.svd(_mobility_jacobian(assemble_spatial(spec, 0.9)), compute_uv=False)
+        screws = _report_inputs(assemble_spatial(spec, 0.9))[8:20]
+        sv = np.linalg.svd(_mobility_jacobian(screws), compute_uv=False)
         return sv[:11] / sv[0]
 
     for scale in (1e-3, 1e3):
@@ -796,7 +802,7 @@ def test_mobility_jacobian_needs_the_loop_signs(jacobian_poses):
     # without the crossing signs the joint screws are independent: the
     # nullity 1 comes from the sign convention, not from the screws alone
     for pose in jacobian_poses:
-        assert matrix_nullity(np.abs(_mobility_jacobian(pose))) == 0
+        assert matrix_nullity(np.abs(_mobility_jacobian(_report_inputs(pose)[8:20]))) == 0
 
 
 def test_incompatible_third_cell_cannot_close():
@@ -982,6 +988,11 @@ def test_sweep_matches_single_poses(kind):
                 continue
             assert sample.pose.aligned == pose.aligned, (spec, phi)
             assert np.max(np.abs(_elements(sample.pose) - _elements(pose))) <= 1e-13, (spec, phi)
+            if not pose.aligned:
+                # mobility reads the joint screws off the grid: the weighted
+                # rows equal those of the pose built from them, bit for bit
+                screws = sample._grid.values[sample._row, 8:20] * _design(v)[3]
+                assert np.array_equal(screws, _report_inputs(sample.pose)[8:20]), (spec, phi)
             values = {"closure": pose.closure_residual, "incidence": pose.incidence_residual}
             values.update(cells=max(pose.cell_residuals), **(report or {}))
             want = {name: max(values[k] for k in keys) for name, keys in FAMILIES.items() if keys[0] in values}
