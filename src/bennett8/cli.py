@@ -7,6 +7,7 @@ to standard error as one-line JSON diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -99,7 +100,9 @@ def cmd_pose(args) -> int:
     return 0
 
 
-def _sweep_rows(v, grid):
+def _sweep_rows(v, grid) -> tuple[list[str], list[list]]:
+    """The CSV header and one row per sample: phi1, the points, the family
+    residuals (None for an empty cell), then the error text."""
     samples = linkage.sweep(v, grid)
     # the keys in JOINT_KEYS order, which is sorted
     point_keys = linkage.HINGE_KEYS if isinstance(v, linkage.ValidatedSpatial) else linkage.JOINT_KEYS
@@ -108,19 +111,16 @@ def _sweep_rows(v, grid):
         header += [f"{key}_x", f"{key}_y", f"{key}_z"]
     header += [f"res_{k}" for k in linkage.FAMILIES]
     header.append("error")
-    rows = [header]
+    rows = []
     for s in samples:
-        row = [format_float(s.phi1)]
         points = s.points
-        if points is None:
-            row += [""] * (3 * len(point_keys))
-        else:
-            row += [format_float(c) for c in points.ravel().tolist()]
-        for key in linkage.FAMILIES:
-            row.append(format_float(s.families[key]) if s.families and key in s.families else "")
+        row = [s.phi1]
+        row += [None] * (3 * len(point_keys)) if points is None else points.ravel().tolist()
+        families = s.families or {}
+        row += [families.get(key) for key in linkage.FAMILIES]
         row.append(s.error or "")
         rows.append(row)
-    return rows
+    return header, rows
 
 
 def cmd_sweep(args) -> int:
@@ -132,12 +132,12 @@ def cmd_sweep(args) -> int:
         grid = linkage.phi_grid(args.phi_from, args.phi_to, args.samples, args.uniform_angle)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
-    rows = _sweep_rows(v, grid)
-    text = "\n".join(",".join(row) for row in rows) + "\n"
+    header, rows = _sweep_rows(v, grid)
+    text = scene.dumps_csv(header, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"{len(rows) - 1} samples written to {args.out}")
+        print(f"{len(rows)} samples written to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a spec file and print its normalized form")
     p.add_argument("spec")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pose", help="assemble one pose and emit a scene file")
     p.add_argument("spec")
@@ -205,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=128, help="polyline samples per circle")
     p.add_argument("--out", help="write the scene JSON here instead of stdout")
     p.add_argument("--obj", help="also write an OBJ polyline export")
-    p.set_defaults(func=cmd_pose)
 
     p = sub.add_parser("sweep", help="sample poses over an angle range into CSV")
     p.add_argument("spec")
@@ -218,23 +216,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="space samples uniformly in phi instead of tan(phi/2)",
     )
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the invariant families over an angle grid")
     p.add_argument("spec")
     p.add_argument("--phi-grid", type=int, default=25)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="fill in derived spec fields (beta3, branch, offsets)")
     p.add_argument("spec")
-    p.set_defaults(func=cmd_derive)
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the parser is built once per process; the command is looked up by name
+    # at each call, so a rebinding of cmd_* (or of what they call) is seen
+    args = _parser().parse_args(argv)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

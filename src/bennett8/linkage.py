@@ -36,7 +36,6 @@ from ._dual import (
     _dual_qmul,
     _dual_unit,
     _length,
-    _line,
     _unsigned_gap,
 )
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
@@ -508,17 +507,16 @@ def _is_aligned_angle(phi1):
 class _Grid:
     """The construction of one design at N angles, row by row.
 
-    `lines` holds, per angle, the dual vectors that the pose's value objects
-    are made of, in the order g0..g3, h0..h3, the joints (hinges) in
-    JOINT_KEYS order, S1..S6, n, t1 (t in space) and on the sphere t2, and
-    `values` the same rows as those objects hold them (see _values). `points`
-    are the joints on the sphere and the vertices in space, (N, 12, 3).
+    `values` holds, per angle, the dual vectors that the pose's value
+    objects hold, normalized and checked (see _values), in the order g0..g3,
+    h0..h3, the joints (hinges) in JOINT_KEYS order, S1..S6, n, t1 (t in
+    space) and on the sphere t2. `points` are the joints on the sphere and
+    the vertices in space, (N, 12, 3).
     `errors` holds each angle's first failure, in the order the stages of
     one pose raise them, or None."""
 
     spec: ValidatedSpherical | ValidatedSpatial
     phi1: np.ndarray
-    lines: np.ndarray
     values: np.ndarray
     points: np.ndarray
     aligned: np.ndarray
@@ -538,20 +536,26 @@ def _flag(errors: list, rows: np.ndarray, error) -> None:
             errors[i] = error(i) if callable(error) else error
 
 
-def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of _Grid.lines normalized as the pose's value objects
-    normalize them (OrientedLine in space; SpherePoint, OrientedGreatCircle
-    on the sphere), and the rows that fail their checks (zero direction, and
-    the Pluecker condition of a line). Aligned poses build no symmetry
-    element, so nothing checks theirs."""
+_DEGENERATE = "a line or point of the pose has no direction or fails the Pluecker condition"
+
+
+def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """The construction's rows of dual vectors (see _Grid) normalized as the
+    pose's value objects normalize them (OrientedLine in space; SpherePoint,
+    OrientedGreatCircle on the sphere), bit for bit, and the rows that fail
+    their checks: a zero direction, and the Pluecker condition of a line,
+    taken in units of the design's length L (see _design). Aligned poses
+    build no symmetry element, so nothing checks theirs."""
     d, m = lines[..., :3], lines[..., 3:]
     norm = np.sqrt((d * d).sum(axis=-1))
     bad = norm < 1e-14
     norm = np.where(bad, 1.0, norm)[..., None]
     if spatial:
         d, m = d / norm, m / norm
-        dm = (d * m).sum(axis=-1)
-        bad |= np.abs(dm) > PLUCKER_TOL * np.maximum(1.0, np.sqrt((m * m).sum(axis=-1)))
+        # summed left to right, as OrientedLine sums it, zeros' signs included
+        prod = d * m
+        dm = prod[..., 0] + prod[..., 1] + prod[..., 2]
+        bad |= np.abs(dm) > PLUCKER_TOL * np.maximum(length, np.sqrt((m * m).sum(axis=-1)))
         values = np.concatenate([d, m - dm[..., None] * d], axis=-1)
     else:
         values = np.concatenate([d / norm, m], axis=-1)
@@ -559,19 +563,17 @@ def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool) -> tuple[np.n
     return values, bad
 
 
-def _value_error(lines: np.ndarray, bad: np.ndarray, spatial: bool, i: int) -> ValueError | None:
-    """The ValueError that the first value object of row i to fail _values's
-    checks raises, in the order the pose builds them."""
-    k = int(np.argmax(bad[i]))
-    x = lines[i, k]
-    try:
-        if spatial:
-            OrientedLine(x[:3], x[3:])
-        else:
-            (SpherePoint if 8 <= k < 26 else OrientedGreatCircle)(x[:3])
-    except ValueError as exc:
-        return exc
-    return None
+def _held(cls, **fields):
+    """A value object holding rows of _Grid.values as they are: _values
+    normalized and checked them as the object's constructor would."""
+    obj = object.__new__(cls)
+    for name, x in fields.items():
+        object.__setattr__(obj, name, x)
+    return obj
+
+
+def _held_line(x: np.ndarray) -> OrientedLine:
+    return _held(OrientedLine, d=x[:3], m=x[3:])
 
 
 def _assemble(v, phis) -> _Grid:
@@ -606,8 +608,8 @@ def _assemble(v, phis) -> _Grid:
         nt, short, _ = _n_and_t(s)
         _flag(errors, short, ClosureFailure(SHORT_UNIT))
         lines = np.concatenate([bars, joints, s, nt], axis=1)
-        values, bad = _values(lines, aligned, True)
-        _flag(errors, bad.any(axis=1), lambda i: _value_error(lines, bad, spatial, i))
+        values, bad = _values(lines, aligned, True, _design(v)[1][2])
+        _flag(errors, bad.any(axis=1), ClosureFailure(_DEGENERATE))
     else:
         s = tie_break_sign(units[..., :3])[..., None] * units
         nt, short, same_side = _n_and_t(s)
@@ -621,22 +623,25 @@ def _assemble(v, phis) -> _Grid:
         n_poles = np.concatenate([n, np.where(side, n_t, t), np.where(side, t, n_t)], axis=1)
         n_poles *= tie_break_sign(n_poles[..., :3])[..., None]
         lines = np.concatenate([bars, joints, s, n_poles], axis=1)
-        values, bad = _values(lines, aligned, False)
+        values, bad = _values(lines, aligned, False, 1.0)
         centers = np.abs((s[..., :3] * values[:, 26:27, :3]).sum(axis=-1)).max(axis=1)
         closure = np.maximum.reduce([placement, incidence, centers])
         _flag(errors, ~(closure <= _CLOSURE_TOL), lambda i: ClosureFailure(
             f"spherical 8-bar failed to close (residual {closure[i]:.3e})"
         ))
-        _flag(errors, bad.any(axis=1), lambda i: _value_error(lines, bad, spatial, i))
+        _flag(errors, bad.any(axis=1), ClosureFailure(_DEGENERATE))
         cells, parallel = _cell_residuals(v, joints)
         _flag(errors, parallel, ParallelLines("lines are parallel (or identical)"))
         points = values[:, 8:20, :3]
-    return _Grid(v, phi1, lines, values, points, aligned, closure, incidence, cells, errors)
+    return _Grid(v, phi1, values, points, aligned, closure, incidence, cells, errors)
 
 
 def _pose(grid: _Grid, i: int) -> EightBarPose | SpatialEightBarPose:
-    """The pose at row i of the grid, its value objects built from the row."""
-    v, lines, aligned, phi1 = grid.spec, grid.lines[i], bool(grid.aligned[i]), float(grid.phi1[i])
+    """The pose at row i of the grid, its value objects holding the row's
+    checked values (see _values)."""
+    v, aligned, phi1 = grid.spec, bool(grid.aligned[i]), float(grid.phi1[i])
+    row = grid.values[i].copy()
+    row.setflags(write=False)
     common = dict(
         spec=v,
         aligned=aligned,
@@ -647,26 +652,33 @@ def _pose(grid: _Grid, i: int) -> EightBarPose | SpatialEightBarPose:
     if isinstance(v, ValidatedSpatial):
         return SpatialEightBarPose(
             phi=_phis(v.angular, phi1),
-            g=tuple(map(_line, lines[:4])),
-            h=tuple(map(_line, lines[4:8])),
-            hinges=dict(zip(HINGE_KEYS, map(_line, lines[8:20]))),
+            g=tuple(map(_held_line, row[:4])),
+            h=tuple(map(_held_line, row[4:8])),
+            hinges=dict(zip(HINGE_KEYS, map(_held_line, row[8:20]))),
             vertices=dict(zip(HINGE_KEYS, grid.points[i])),
-            axes=None if aligned else tuple(map(_line, lines[20:26])),
-            n_line=None if aligned else _line(lines[26]),
-            t_line=None if aligned else _line(lines[27]),
+            axes=None if aligned else tuple(map(_held_line, row[20:26])),
+            n_line=None if aligned else _held_line(row[26]),
+            t_line=None if aligned else _held_line(row[27]),
             **common,
         )
-    n_circle = None if aligned else OrientedGreatCircle(lines[26, :3])
+
+    def circle(x):
+        return _held(OrientedGreatCircle, n=x[:3])
+
+    def point(x):
+        return _held(SpherePoint, v=x[:3])
+
+    n_circle = None if aligned else circle(row[26])
     return EightBarPose(
         phi=_phis(v, phi1),
-        g=tuple(OrientedGreatCircle(b[:3]) for b in lines[:4]),
-        h=tuple(OrientedGreatCircle(b[:3]) for b in lines[4:8]),
-        joints={k: SpherePoint(p[:3]) for k, p in zip(JOINT_KEYS, lines[8:20])},
-        centers=None if aligned else tuple(SpherePoint(c[:3]) for c in lines[20:26]),
+        g=tuple(map(circle, row[:4])),
+        h=tuple(map(circle, row[4:8])),
+        joints=dict(zip(JOINT_KEYS, map(point, row[8:20]))),
+        centers=None if aligned else tuple(map(point, row[20:26])),
         n_circle=n_circle,
         n_pole=None if aligned else n_circle.pole(),
-        t1=None if aligned else OrientedGreatCircle(lines[27, :3]),
-        t2=None if aligned else OrientedGreatCircle(lines[28, :3]),
+        t1=None if aligned else circle(row[27]),
+        t2=None if aligned else circle(row[28]),
         **common,
     )
 
@@ -1083,8 +1095,8 @@ def sweep(spec, phis) -> list[SweepSample]:
 
     Per-sample failures are recorded in the output and do not abort the
     sweep; a sample fails as assemble_* and the report would fail at its
-    angle alone. An error they would not record, such as ParallelLines or
-    ValueError, is raised, at the first sample it would reach.
+    angle alone. An error they would not record, such as ParallelLines, is
+    raised, at the first sample it would reach.
     """
     v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
     phis = list(phis)

@@ -1,4 +1,5 @@
-"""Spec-file and scene-file serialization (used by the CLI).
+"""Spec-file and scene-file serialization, and the text of every file the
+CLI writes: scene JSON, OBJ and sweep CSV (used by the CLI).
 
 Spec files are JSON with a schema_version field; all angles are radians and
 unknown fields are rejected. Scene files list every bar with a sampled
@@ -8,7 +9,10 @@ linkage; s1..s6, n, t for the spatial one).
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -276,19 +280,17 @@ def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, An
 
 
 def scene_to_obj(scene: dict[str, Any]) -> str:
-    """Wavefront OBJ text with one polyline object per bar/symmetry element."""
-    lines: list[str] = ["# bennett8 scene export"]
+    """Wavefront OBJ text with one polyline object per bar/symmetry element.
+    Coordinates are written with %.17g, each polyline's with one format."""
+    chunks: list[str] = ["# bennett8 scene export\n"]
     index = 1
 
     def emit(label: str, polyline) -> None:
         nonlocal index
-        lines.append(f"o {label}")
-        start = index
-        for p in polyline:
-            lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-            index += 1
-        chain = " ".join(str(k) for k in range(start, index))
-        lines.append(f"l {chain}")
+        n = len(polyline)
+        vertices = ("v %.17g %.17g %.17g\n" * n) % tuple(chain.from_iterable(polyline))
+        chunks.append(f"o {label}\n{vertices}l {' '.join(map(str, range(index, index + n)))}\n")
+        index += n
 
     for bar in scene["bars"]:
         emit(bar["id"], bar["polyline"])
@@ -301,18 +303,77 @@ def scene_to_obj(scene: dict[str, Any]) -> str:
                 for sub in entry.values():
                     if isinstance(sub, dict) and "polyline" in sub:
                         emit(sub["id"], sub["polyline"])
-    return "\n".join(lines) + "\n"
+    return "".join(chunks)
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def dumps_csv(header: list[str], rows) -> str:
+    """CSV text of a header and rows. A row is numbers, or None for an empty
+    cell, then one text cell. Numbers are written with %.17g, as
+    format_float writes them; a row with no empty cell goes through one
+    format."""
+    lines = [",".join(header)]
+    for *values, text in rows:
+        if None in values:
+            lines.append(",".join(["" if x is None else format_float(x) for x in values] + [text]))
+        else:
+            lines.append(("%.17g," * len(values) + "%s") % (*values, text))
+    return "\n".join(lines) + "\n"
+
+
 def dumps_json(doc: Any) -> str:
-    """Deterministic JSON text: sorted keys, and floats in their shortest
-    round-trip form, which json.dumps writes already."""
+    """Deterministic JSON text, the text of json.dumps(doc, sort_keys=True,
+    indent=1): sorted keys, which must be strings, and floats in their
+    shortest round-trip form. A list of finite floats, or of 3-float points,
+    is written with one format; every other value goes through json.dumps."""
+    return _json(doc, 0)
 
-    def default(obj):
-        raise TypeError(f"not serializable: {type(obj).__name__}")
 
-    return json.dumps(doc, sort_keys=True, indent=1, default=default)
+def _block(items: list[str], level: int, brackets: str = "[]") -> str:
+    """A JSON object or array of already written items, at an indent level."""
+    inner = "\n" + " " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
+
+
+def _json(obj: Any, level: int) -> str:
+    if type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(type(key) is str for key in obj):
+            raise TypeError("keys must be str")
+        items = sorted(obj.items())
+        return _block([f"{json.dumps(key)}: {_json(value, level + 1)}" for key, value in items], level, "{}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        text = _json_floats(obj, level)
+        return _block([_json(value, level + 1) for value in obj], level) if text is None else text
+    return json.dumps(obj)
+
+
+def _json_floats(items, level: int) -> str | None:
+    """The JSON text of a list of finite floats, or of 3-float points, with
+    one format of %r fields; None for any other list."""
+    types = set(map(type, items))
+    if types == {float}:
+        flat, width = items, 1
+    elif types <= {list, tuple} and set(map(len, items)) == {3}:
+        flat, width = tuple(chain.from_iterable(items)), 3
+        if set(map(type, flat)) != {float}:
+            return None
+    else:
+        return None
+    text = _floats_format(len(items), level, width) % tuple(flat)
+    # float.__repr__ spells only nan and inf with an n; JSON spells them NaN and Infinity
+    return None if "n" in text else text
+
+
+@functools.lru_cache(maxsize=None)
+def _floats_format(n: int, level: int, width: int) -> str:
+    field = "%r" if width == 1 else _block(["%r"] * width, level + 1)
+    return _block([field] * n, level)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bennett8 import linkage
+from bennett8 import cli, linkage, scene
 from bennett8.cli import main
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
@@ -280,3 +280,43 @@ def test_derive_round_trip(tmp_path, capsys):
     assert {"beta3", "branch3", "b1", "b2", "b3"} <= set(completed)
     path2 = write_spec(tmp_path, completed, "completed.json")
     assert main(["validate", path2]) == 0
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_scaled_demo_next_to_the_aligned_pose(tmp_path, capsys, scale):
+    # whether a line of the pose passes the Pluecker check does not depend on
+    # the unit of length either
+    with open(os.path.join(SPECS, "spatial8_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(a1=doc["a1"] * scale, a2=doc["a2"] * scale)
+    path = write_spec(tmp_path, doc)
+    for phi in ("1e-6", "1e-9"):
+        assert main(["pose", path, f"--phi={phi}"]) == 0
+        residuals = json.loads(capsys.readouterr().out)["residuals"]
+        assert max(residuals.values()) < 1e-9
+    v = linkage.validate_spec(scene.load_spec(path))
+    for s in linkage.sweep(v, linkage.phi_grid(-1e-6, 1e-6, 41)):
+        if s.error is None:
+            assert max(s.families.values()) < 1e-9, (s.phi1, s.families)
+        else:
+            assert s.error.startswith(("ClosureFailure:", "CollapsedPose:")), (s.phi1, s.error)
+
+
+def test_a_line_that_fails_its_check_is_a_closure_failure(capsys, monkeypatch):
+    # no line passes a negative tolerance: every pose fails, with a typed error
+    monkeypatch.setattr(linkage, "PLUCKER_TOL", -1.0)
+    spec = os.path.join(SPECS, "spatial8_demo.json")
+    assert main(["pose", spec, "--phi=0.7"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ClosureFailure"
+    assert main(["sweep", spec, "--from=-1", "--to=1", "--samples=3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[-1].split(":")[0] for row in rows] == ["ClosureFailure"] * 3
+
+
+def test_commands_are_looked_up_when_called(tmp_path, capsys, monkeypatch):
+    # the parser is built once, but a command rebound since is the one that runs
+    path = write_spec(tmp_path, SPH)
+    assert main(["validate", path]) == 0
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+    assert main(["validate", path]) == 7
+    assert main(["derive", path]) == 0

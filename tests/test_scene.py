@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bennett8 import scene
+from bennett8 import linkage, scene
 from bennett8.cli import main
 from bennett8.isogram import (
     BennettIsogramSpec,
@@ -16,6 +16,13 @@ from bennett8.isogram import (
 from bennett8.linkage import EightBarSpec, assemble_spatial, assemble_spherical
 from bennett8.screws import OrientedLine
 from bennett8.sphere import OrientedGreatCircle, SpherePoint
+
+from conftest import (
+    random_driving_angle,
+    random_eightbar_spec,
+    random_isogram_spec,
+    random_spatial_spec,
+)
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
 DEMOS = [
@@ -70,3 +77,152 @@ def test_pose_reruns_are_byte_identical(demo, capsys):
         outs.append(capsys.readouterr().out.encode())
     assert outs[0] == outs[1]
     assert len(outs[0]) > 10_000
+
+
+# ---------------------------------------------------------------------------
+# The writers against the per-value references they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def _reference_obj(doc) -> str:
+    """One f-string per vertex, as the OBJ writer formatted them before."""
+    lines = ["# bennett8 scene export"]
+    index = 1
+
+    def emit(label, polyline):
+        nonlocal index
+        lines.append(f"o {label}")
+        start = index
+        for p in polyline:
+            lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
+            index += 1
+        lines.append("l " + " ".join(str(k) for k in range(start, index)))
+
+    for bar in doc["bars"]:
+        emit(bar["id"], bar["polyline"])
+    for entry in (doc.get("symmetry") or {}).values():
+        if isinstance(entry, dict) and "polyline" in entry:
+            emit(entry["id"], entry["polyline"])
+        elif isinstance(entry, dict):
+            for sub in entry.values():
+                if isinstance(sub, dict) and "polyline" in sub:
+                    emit(sub["id"], sub["polyline"])
+    return "\n".join(lines) + "\n"
+
+
+def _reference_csv(v, phis) -> str:
+    """One format_float call per value, as the sweep CSV was written before."""
+    samples = linkage.sweep(v, phis)
+    point_keys = linkage.HINGE_KEYS if isinstance(v, linkage.ValidatedSpatial) else linkage.JOINT_KEYS
+    header = ["phi1"] + [f"{k}_{c}" for k in point_keys for c in "xyz"]
+    header += [f"res_{k}" for k in linkage.FAMILIES] + ["error"]
+    rows = [header]
+    for s in samples:
+        row = [scene.format_float(s.phi1)]
+        if s.points is None:
+            row += [""] * (3 * len(point_keys))
+        else:
+            row += [scene.format_float(c) for c in s.points.ravel().tolist()]
+        for key in linkage.FAMILIES:
+            row.append(scene.format_float(s.families[key]) if s.families and key in s.families else "")
+        row.append(s.error or "")
+        rows.append(row)
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _assert_same_text(text, reference):
+    """Byte for byte; names the first differing line, where pytest's diff
+    of two whole scenes would take minutes."""
+    if text != reference:
+        for n, (a, b) in enumerate(zip(text.splitlines(), reference.splitlines())):
+            if a != b:
+                pytest.fail(f"line {n}: {a!r} != {b!r}")
+        pytest.fail(f"lengths differ: {len(text)} != {len(reference)}")
+
+
+def _assert_writers_match(doc):
+    _assert_same_text(scene.dumps_json(doc), _reference_json(doc))
+    _assert_same_text(scene.scene_to_obj(doc), _reference_obj(doc))
+
+
+@pytest.mark.parametrize("segments", [128, 16, 7, 1])
+@pytest.mark.parametrize("phi", [0.0, np.pi, -np.pi, 1e-9, 0.7])
+@pytest.mark.parametrize("demo", DEMOS)
+def test_writers_match_the_references_on_the_demos(demo, phi, segments):
+    doc = scene.scene_from_pose(_pose(scene.load_spec(os.path.join(SPECS, demo)), phi), segments)
+    _assert_writers_match(doc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_writers_match_the_references_on_random_designs(seed):
+    rng = np.random.default_rng(seed)
+    for spec in (random_eightbar_spec(rng), random_spatial_spec(rng), random_isogram_spec(rng)):
+        for phi in (random_driving_angle(rng), 0.0):
+            _assert_writers_match(scene.scene_from_pose(_pose(spec, phi), 16))
+
+
+class _Float(float):
+    def __repr__(self):
+        return "F"
+
+
+def test_writers_match_the_references_on_odd_values():
+    # an int phi1 (a cell solved at the integer 0), signed zeros, the
+    # non-finite floats, and float subclasses such as numpy's, whose %r is
+    # not JSON
+    spec = scene.load_spec(os.path.join(SPECS, "spherical_isogram_demo.json"))
+    doc = scene.scene_from_pose(_pose(spec, 0), 7)
+    assert type(doc["phi1"]) is int
+    doc["residuals"].update(zero=-0.0, nan=float("nan"), inf=float("inf"), minus_inf=-float("inf"))
+    doc["residuals"]["numpy"] = np.float64(0.1)
+    doc["residuals"]["subclass"] = _Float(0.2)
+    doc["bars"][0]["normal"] = [np.float64(1.0), -0.0, 0.0]
+    doc["bars"][1]["polyline"][2] = [float("nan"), 1.0, -float("inf")]
+    doc["bars"][2]["polyline"][0] = (np.float64(0.5), 0.25, 0.125)
+    doc["bars"][2]["normal"] = [_Float(1.0), 0.0, 0.0]
+    doc["bars"][3]["polyline"] = [[1, 2, 3], [True, None, "x"]]
+    doc["joints"][0]["position"] = [1, 2.5, False]
+    doc["extra"] = {"empty_list": [], "empty_dict": {}, "text": "café", "nested": [[[0.5]]]}
+    _assert_same_text(scene.dumps_json(doc), _reference_json(doc))
+    obj = dict(doc, bars=doc["bars"][:3])
+    _assert_same_text(scene.scene_to_obj(obj), _reference_obj(obj))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [(-3.1, 3.1, 101, False), (-np.pi, np.pi, 41, False), (-3.1, 3.1, 26, True)],
+)
+@pytest.mark.parametrize("demo", ["spherical8_demo.json", "spatial8_demo.json"])
+def test_sweep_csv_matches_the_reference(demo, grid, capsys):
+    path = os.path.join(SPECS, demo)
+    lo, hi, n, uniform = grid
+    argv = ["sweep", path, f"--from={lo!r}", f"--to={hi!r}", f"--samples={n}"] + ["--uniform-angle"] * uniform
+    assert main(argv) == 0
+    v = linkage.validate_spec(scene.load_spec(path))
+    _assert_same_text(capsys.readouterr().out, _reference_csv(v, linkage.phi_grid(lo, hi, n, uniform)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_csv_matches_the_reference_on_random_designs(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    for k, spec in enumerate((random_eightbar_spec(rng), random_spatial_spec(rng))):
+        path = tmp_path / f"spec{k}.json"
+        path.write_text(json.dumps(scene.dump_spec(spec)))
+        out = tmp_path / f"sweep{k}.csv"
+        assert main(["sweep", str(path), "--from=-3.1", "--to=3.1", "--samples=21", "--out", str(out)]) == 0
+        reference = _reference_csv(linkage.validate_spec(spec), linkage.phi_grid(-3.1, 3.1, 21))
+        _assert_same_text(out.read_text(), reference)
+
+
+def test_csv_rows_with_empty_cells():
+    rows = [
+        [0.5, None, 1.0, "ClosureFailure: x"],
+        [-0.0, float("nan"), float("inf"), ""],
+        [np.float64(0.1), 2, True, "e,f"],
+    ]
+    expect = ["a,b,c,error", "0.5,,1,ClosureFailure: x", "-0,nan,inf,", "0.10000000000000001,2,1,e,f"]
+    assert scene.dumps_csv(["a", "b", "c", "error"], rows) == "\n".join(expect) + "\n"
