@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import linkage, scene
-from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec
+from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
 from .isogram import (
     SphericalIsogramSpec,
     solve_bennett_isogram,
@@ -82,10 +82,11 @@ def cmd_pose(args) -> int:
             base = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0.0, 1.0]))
             pose = solve_bennett_isogram(spec, base, np.zeros(3), args.phi)
         doc = scene.scene_from_pose(pose, args.segments)
+    # ParallelLines is a ValueError, but at a pose it fails verification
+    except (ClosureFailure, CollapsedPose, ParallelLines) as exc:
+        return _fail(exc, 2)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
-    except (ClosureFailure, CollapsedPose) as exc:
-        return _fail(exc, 2)
     text = scene.dumps_json(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

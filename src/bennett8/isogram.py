@@ -76,17 +76,10 @@ class SphericalIsogramSpec:
 
 
 def transmission_coefficient(spec: SphericalIsogramSpec) -> float:
-    """Constant ratio c21 of the halved-angle tangents along the branch."""
-    sa, sb = np.sin(spec.alpha), np.sin(spec.beta)
-    if spec.branch == "plus":
-        den = sa + sb
-        if abs(den) < _DENOM_EPS:
-            raise DegenerateBranch("plus-branch denominator vanishes")
-        return float(np.sin(spec.beta - spec.alpha) / den)
-    den = sa - sb
-    if abs(den) < _DENOM_EPS:
-        raise DegenerateBranch("minus-branch denominator vanishes")
-    return float(np.sin(spec.alpha - spec.beta) / den)
+    """Constant ratio c21 of the halved-angle tangents along the branch: the
+    dual law (see bennett_dual_coefficient) at zero lengths."""
+    num, den = _dual_law(spec.alpha, spec.beta, 0.0, 0.0, spec.branch)
+    return float(num[0] / den[0])
 
 
 def coupled_angle(c21: float, phi1: float) -> float:
@@ -153,6 +146,14 @@ def _cell_chain(base, a, side, phis, arm_offset):
     return b, arm_a, arm_b, _screw(arm_b, *arm_offset, b), _screw(arm_a, *arm_offset, a)
 
 
+def _side_residual(spec: SphericalIsogramSpec, vertices) -> float:
+    """Largest error of the side arcs ab, bc, cd, da of a cell against its
+    design: alpha on base and coupler, |arm_joint_offset| on the arms."""
+    arm = abs(arm_joint_offset(spec))
+    expect = (spec.alpha, arm, spec.alpha, arm)
+    return max(abs(spherical_distance(x, y) - e) for x, y, e in zip(vertices, (*vertices[1:], vertices[0]), expect))
+
+
 def solve_spherical_isogram(
     spec: SphericalIsogramSpec,
     g0: OrientedGreatCircle,
@@ -177,9 +178,7 @@ def solve_spherical_isogram(
     )
     a, b, c, d = p, *(SpherePoint(x[:3]) for x in (x_b, x_c, x_d))
     arm_a, arm_b = OrientedGreatCircle(x_arm_a[:3]), OrientedGreatCircle(x_arm_b[:3])
-
-    expect = (spec.alpha, abs(offset), spec.alpha, abs(offset))
-    worst = max(abs(spherical_distance(x, y) - e) for x, y, e in zip((a, b, c, d), (b, c, d, a), expect))
+    worst = _side_residual(spec, (a, b, c, d))
     if worst > _CLOSURE_TOL:
         raise ClosureFailure(
             f"isogram cell failed to close (side error {worst:.3e}); "
@@ -252,8 +251,18 @@ def _dual_sin(a: float, da: float) -> tuple[float, float]:
     return np.sin(a), da * np.cos(a)
 
 
-def _dual_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    return x[0] / y[0], (x[1] * y[0] - x[0] * y[1]) / (y[0] * y[0])
+def _dual_law(alpha: float, beta: float, a: float, b: float, branch: Branch):
+    """Numerator and denominator of the transmission law at the dual angles
+    alpha + eps*a and beta + eps*b, as (real, dual) pairs."""
+    # the minus branch is the plus one with beta and b negated, bit for bit
+    sign = 1.0 if branch == "plus" else -1.0
+    sa, sa_d = _dual_sin(alpha, a)
+    sb, sb_d = _dual_sin(beta, b)
+    num = _dual_sin(sign * beta - sign * alpha, sign * b - sign * a)
+    den = (sa + sign * sb, sa_d + sign * sb_d)
+    if abs(den[0]) < _DENOM_EPS:
+        raise DegenerateBranch(f"{branch}-branch denominator vanishes")
+    return num, den
 
 
 def bennett_dual_coefficient(
@@ -272,17 +281,8 @@ def bennett_dual_coefficient(
     sign), which is why pure revolute hinge angles stay real.
     """
     _check_branch(branch)
-    sa, sa_d = _dual_sin(alpha_twist, a_len)
-    sb, sb_d = _dual_sin(beta_twist, b_len)
-    if branch == "plus":
-        num = _dual_sin(beta_twist - alpha_twist, b_len - a_len)
-        den = (sa + sb, sa_d + sb_d)
-    else:
-        num = _dual_sin(alpha_twist - beta_twist, a_len - b_len)
-        den = (sa - sb, sa_d - sb_d)
-    if abs(den[0]) < _DENOM_EPS:
-        raise DegenerateBranch(f"{branch}-branch denominator vanishes")
-    return _dual_div(num, den)
+    (x, dx), (y, dy) = _dual_law(alpha_twist, beta_twist, a_len, b_len, branch)
+    return x / y, (dx * y - x * dy) / (y * y)
 
 
 @dataclass(frozen=True)
@@ -348,6 +348,11 @@ class BennettIsogramPose:
         return (self.vertex_a, self.vertex_b, self.vertex_c, self.vertex_d)
 
 
+def _length_unit(spec: BennettIsogramSpec) -> float:
+    """The unit of length of a cell's checks: a + b, or 1 on zero-offset cells."""
+    return (spec.a_len + spec.b_len) or 1.0
+
+
 def _reference_perpendicular(d: np.ndarray) -> np.ndarray:
     """Deterministic unit vector orthogonal to d (gauge for the base hinge)."""
     e = np.array([0.0, 0.0, 1.0]) if abs(d[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
@@ -372,8 +377,8 @@ def solve_bennett_isogram(
     (alpha, a) along the base. Each further arm and hinge is the screw image
     of a line already placed (_cell_chain), the arm offset (-beta, -b). At
     the aligned reference the arms fold backward, matching the spherical
-    convention. Loop closure is verified to 1e-9, lengths in units of
-    max(1, a + b), before the pose is returned.
+    convention. Loop closure is verified to 1e-9, lengths in units of a + b
+    (of 1 on zero-offset cells), before the pose is returned.
     """
     foot = np.asarray(base_hinge_foot, dtype=float)
     if np.linalg.norm(np.cross(base.d, foot - base.foot())) > 1e-9 * max(
@@ -394,7 +399,7 @@ def solve_bennett_isogram(
     # the coupler is the common perpendicular of hinges C and D, with its feet
     # C and D on them, where the arms must meet it. Feet of perpendicular
     # lines stay well-conditioned where the sides turn collinear
-    scale = max(1.0, abs(spec.a_len) + abs(spec.b_len))
+    scale = _length_unit(spec)
     cp = screws.common_perpendicular(hinge_c, hinge_d)
     coupler, vertex_c, vertex_d = cp.axis, cp.foot1, cp.foot2
     miss = max(_point_line_distance(vertex_c, arm_b), _point_line_distance(vertex_d, arm_a))
@@ -428,8 +433,8 @@ def bennett_symmetry_axis(pose: BennettIsogramPose) -> OrientedLine:
     solve_bennett_isogram orients them, s is the dual unit of A - C, whose
     line reflection carries A onto -C; on zero-offset cells it passes through
     the common point of the hinges. The reflection of B is checked against
-    D, lengths in units of max(1, a + b). Undefined at the aligned poses,
-    where the arms lie on the base."""
+    D, lengths in units of a + b (see _length_unit). Undefined at the
+    aligned poses, where the arms lie on the base."""
     # the arms lie on the base at the aligned poses
     if np.linalg.norm(np.cross(pose.arm_a_line.d, pose.base_line.d)) < 1e-9:
         raise CollapsedPose("symmetry axis undefined at the aligned pose")
@@ -437,7 +442,7 @@ def bennett_symmetry_axis(pose: BennettIsogramPose) -> OrientedLine:
     s, short = _dual_unit(a - c)
     if short:
         raise ClosureFailure(SHORT_UNIT)
-    weight = np.r_[np.ones(3), np.full(3, 1.0 / max(1.0, pose.spec.a_len + pose.spec.b_len))]
+    weight = np.r_[np.ones(3), np.full(3, 1.0 / _length_unit(pose.spec))]
     resid = _unsigned_gap(weight * _dual_halfturn(s, b), weight * d)
     if resid > _CLOSURE_TOL:
         raise ClosureFailure(f"the symmetry axis does not swap hinges B and D (residual {resid:.3e})")

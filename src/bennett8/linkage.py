@@ -14,8 +14,9 @@ i != j; each bar carries three joints; the linkgraph is the cube's
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -40,6 +41,7 @@ from ._dual import (
 )
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
 from .isogram import (
+    _CLOSURE_TOL,
     Branch,
     SphericalIsogramSpec,
     arm_joint_offset,
@@ -51,7 +53,6 @@ from .screws import PLUCKER_TOL, OrientedLine
 from .sphere import OrientedGreatCircle, SpherePoint, tie_break_sign
 
 _ALIGNED_EPS = 1e-12
-_CLOSURE_TOL = 1e-9
 
 JOINT_KEYS = tuple(
     f"R{i}{j}" for i in range(4) for j in range(4) if i != j
@@ -822,13 +823,11 @@ _KEYS = {table: tuple(row[0] for row in rows) for table, rows in (
     ("swaps", _SWAPS), ("mirrors", _MIRRORS), ("maps", _MAPS), ("products", _PRODUCTS),
     ("perpendicular", _PERPENDICULAR), ("bands", _BANDS),
 )}
-# the order of the report's keys
+# the report's keys, in the order of _symmetry_report's blocks
 _REPORT_KEYS = (
-    *_KEYS["swaps"], *_KEYS["products"][:2], "tau321_halfturn", *_KEYS["perpendicular"][:2],
-    "tau654_halfturn", *_KEYS["perpendicular"][2:], *_KEYS["mirrors"][:2], *_KEYS["products"][2:5],
-    *(key for k in range(3) for key in (*_KEYS["maps"][2 * k : 2 * k + 2], _AXES_ON_N[k])),
-    *_KEYS["products"][5:], *_KEYS["mirrors"][2:],
-    "centers_on_n", "triple_centers_aligned", *_KEYS["bands"], "cohort_angles_g", "cohort_angles_h",
+    *_KEYS["swaps"], *_KEYS["mirrors"], *_KEYS["maps"], *_KEYS["products"], *_AXES_ON_N,
+    "tau321_halfturn", "tau654_halfturn", *_KEYS["perpendicular"], "centers_on_n", "triple_centers_aligned",
+    *_KEYS["bands"], "cohort_angles_g", "cohort_angles_h",
 )
 
 
@@ -843,16 +842,6 @@ _HALFTURNS = _SWAPS + _MIRRORS + tuple((key, a, e, image) for key, a, _, e, imag
 _HALFTURN_ROWS = tuple(_rows(*column) for column in list(zip(*_HALFTURNS))[1:])
 _SECOND_HALFTURNS = _rows(*(b for _, _, b, _, _ in _MAPS))
 _PERPENDICULAR_ROWS = tuple(_rows(*column) for column in list(zip(*_PERPENDICULAR))[1:])
-
-
-# the report's values: the columns of _symmetry_report's blocks, in the
-# order of the report's keys
-_BLOCK_KEYS = (
-    *_KEYS["swaps"], *_KEYS["mirrors"], *_KEYS["maps"], *_KEYS["products"], *_AXES_ON_N,
-    "tau321_halfturn", "tau654_halfturn", *_KEYS["perpendicular"], "centers_on_n", "triple_centers_aligned",
-    *_KEYS["bands"], "cohort_angles_g", "cohort_angles_h",
-)
-_REPORT_COLUMNS = [_BLOCK_KEYS.index(key) for key in _REPORT_KEYS]
 
 
 def _report_inputs(pose) -> np.ndarray:
@@ -931,7 +920,7 @@ def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         *(np.maximum(np.ptp(angles[:, rows], axis=1), np.ptp(offsets[:, rows], axis=1))[:, None]
           for rows in (slice(0, 4), slice(4, 8))),
     ]
-    return np.concatenate(blocks, axis=1)[:, _REPORT_COLUMNS], short.any(axis=1)
+    return np.concatenate(blocks, axis=1), short.any(axis=1)
 
 
 def _pose_report(pose) -> dict[str, float]:
@@ -993,8 +982,8 @@ def mobility_check(samples) -> list[MobilitySample]:
     aligned poses 3 for the spherical linkage and 1 for the spatial one.
 
     The joint screws are read off the sample's row of its sweep's grid, so
-    no pose is built. A sample with no grid row, one that failed or that
-    `sweep` did not make, reads "assembly-failed", as its `points` read None."""
+    no pose is built. A sample that failed has no row and reads
+    "assembly-failed", as its `points` read None."""
     out: list[MobilitySample] = []
     for s in samples:
         if s._grid is None:
@@ -1036,39 +1025,29 @@ _FAMILY_COLUMNS = [
 _POSE_FAMILIES = ("closure", "incidence", "cells")
 
 
+@dataclass(eq=False)
 class SweepSample:
-    """One angle of a sweep: the pose (None where it failed), its family
-    maxima, and the error that failed it. A sample that `sweep` made reads
-    the sweep's grid: its pose is built from its row the first time it is
-    read, and `points` reads the grid's arrays without building it."""
+    """One angle of a sweep: its family maxima and the error that failed it,
+    and its row of the sweep's grid (none where it failed). The pose is built
+    from the row the first time it is read; `points` reads the grid's arrays
+    without building it."""
 
-    def __init__(
-        self,
-        phi1: float,
-        pose: EightBarPose | SpatialEightBarPose | None,
-        families: dict[str, float] | None,
-        error: str | None,
-    ):
-        self.phi1, self.families, self.error = phi1, families, error
-        self._pose, self._grid, self._row = pose, None, 0
+    phi1: float
+    families: dict[str, float] | None
+    error: str | None
+    _grid: _Grid | None = field(default=None, repr=False)
+    _row: int = 0
 
-    @classmethod
-    def _of_grid(cls, phi1: float, grid: _Grid, row: int, families: dict[str, float]) -> "SweepSample":
-        sample = cls(phi1, None, families, None)
-        sample._grid, sample._row = grid, row
-        return sample
-
-    @property
+    @functools.cached_property
     def pose(self) -> EightBarPose | SpatialEightBarPose | None:
-        if self._pose is None and self._grid is not None:
-            self._pose = _pose(self._grid, self._row)
-        return self._pose
+        """The pose at the sample's angle; None where it failed."""
+        return None if self._grid is None else _pose(self._grid, self._row)
 
     @property
     def points(self) -> np.ndarray | None:
         """The joints (spherical) or the vertices (spatial) of the pose in
         JOINT_KEYS order, as a (12, 3) array, read off the sweep's grid;
-        None where the sample failed, or was not made by `sweep`."""
+        None where the sample failed."""
         return None if self._grid is None else self._grid.points[self._row]
 
 
@@ -1093,10 +1072,9 @@ def sweep(spec, phis) -> list[SweepSample]:
     construction (_assemble) and one report (_symmetry_report) over the
     whole grid.
 
-    Per-sample failures are recorded in the output and do not abort the
-    sweep; a sample fails as assemble_* and the report would fail at its
-    angle alone. An error they would not record, such as ParallelLines, is
-    raised, at the first sample it would reach.
+    Per-sample failures, each a typed error (see errors.py), are recorded in
+    the output and do not abort the sweep; a sample fails as assemble_* and
+    the report would fail at its angle alone.
     """
     v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
     phis = list(phis)
@@ -1114,9 +1092,7 @@ def sweep(spec, phis) -> list[SweepSample]:
     for i, (phi1, error) in enumerate(zip(phis, errors)):
         if error is None:
             names = _POSE_FAMILIES if grid.aligned[i] else FAMILIES
-            samples.append(SweepSample._of_grid(phi1, grid, i, dict(zip(names, families[i]))))
-        elif isinstance(error, (ClosureFailure, CollapsedPose)):
-            samples.append(SweepSample(phi1, None, None, f"{type(error).__name__}: {error}"))
+            samples.append(SweepSample(phi1, dict(zip(names, families[i])), None, grid, i))
         else:
-            raise error
+            samples.append(SweepSample(phi1, None, f"{type(error).__name__}: {error}"))
     return samples

@@ -23,7 +23,7 @@ from .isogram import (
     BennettIsogramSpec,
     SphericalIsogramPose,
     SphericalIsogramSpec,
-    arm_joint_offset,
+    _side_residual,
 )
 from .linkage import (
     EightBarPose,
@@ -34,22 +34,25 @@ from .linkage import (
     symmetry_report_spatial,
 )
 from .screws import OrientedLine, dual_angle
-from .sphere import OrientedGreatCircle, spherical_distance
+from .sphere import OrientedGreatCircle
 
 SCHEMA_VERSION = 1
 
-_SPEC_FIELDS: dict[str, tuple[set[str], set[str]]] = {
-    # kind -> (required numeric/branch fields, optional fields)
+# kind -> (spec class, fields a file must give, fields it may give); a
+# spherical-isogram file must give its branch, which the class defaults
+_KINDS: dict[str, tuple[type, set[str], set[str]]] = {
     "spherical8": (
+        EightBarSpec,
         {"u1", "u2", "u3", "beta1", "beta2", "branch1", "branch2"},
         {"beta3", "branch3"},
     ),
     "spatial8": (
+        SpatialEightBarSpec,
         {"u1", "u2", "u3", "beta1", "beta2", "branch1", "branch2", "a1", "a2"},
         {"beta3", "branch3", "b1", "b2", "b3"},
     ),
-    "spherical-isogram": ({"alpha", "beta", "branch"}, set()),
-    "bennett-isogram": ({"alpha_twist", "beta_twist", "a_len", "b_len"}, set()),
+    "spherical-isogram": (SphericalIsogramSpec, {"alpha", "beta", "branch"}, set()),
+    "bennett-isogram": (BennettIsogramSpec, {"alpha_twist", "beta_twist", "a_len", "b_len"}, set()),
 }
 
 _BRANCH_FIELDS = {"branch", "branch1", "branch2", "branch3"}
@@ -68,9 +71,9 @@ def load_spec(path: str):
     if version != SCHEMA_VERSION:
         raise InvalidSpec(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     kind = raw.get("kind")
-    if kind not in _SPEC_FIELDS:
-        raise InvalidSpec(f"unknown kind {kind!r}; expected one of {sorted(_SPEC_FIELDS)}")
-    required, optional = _SPEC_FIELDS[kind]
+    if kind not in _KINDS:
+        raise InvalidSpec(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
+    cls, required, optional = _KINDS[kind]
     fields = {k: v for k, v in raw.items() if k not in ("schema_version", "kind")}
     unknown = set(fields) - required - optional
     if unknown:
@@ -84,25 +87,13 @@ def load_spec(path: str):
                 raise InvalidSpec(f"{key} must be 'plus' or 'minus', got {value!r}")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InvalidSpec(f"{key} must be a number, got {value!r}")
-
-    if kind == "spherical8":
-        return EightBarSpec(**fields)
-    if kind == "spatial8":
-        return SpatialEightBarSpec(**fields)
-    if kind == "spherical-isogram":
-        return SphericalIsogramSpec(**fields)
-    return BennettIsogramSpec(**fields)
+    return cls(**fields)
 
 
 def spec_kind(spec) -> str:
-    if isinstance(spec, EightBarSpec):
-        return "spherical8"
-    if isinstance(spec, SpatialEightBarSpec):
-        return "spatial8"
-    if isinstance(spec, SphericalIsogramSpec):
-        return "spherical-isogram"
-    if isinstance(spec, BennettIsogramSpec):
-        return "bennett-isogram"
+    for kind, (cls, _, _) in _KINDS.items():
+        if isinstance(spec, cls):
+            return kind
     raise TypeError(f"not a spec: {type(spec).__name__}")
 
 
@@ -171,6 +162,13 @@ def scene_from_pose(pose, segments: int = 128) -> dict[str, Any]:
     return _scene_bennett_cell(pose, segments)
 
 
+def _document(kind: str, angles: dict[str, Any], bars, joints, symmetry, residuals) -> dict[str, Any]:
+    """Scene document of any pose: the pose's angles (phi1, and aligned or
+    phi2) sit next to the header every scene file shares."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **angles, "bars": bars, "joints": joints,
+            "symmetry": symmetry, "residuals": residuals}
+
+
 def _eightbar_document(pose, kind: str, bars, joints, symmetry, report) -> dict[str, Any]:
     """Scene document of an 8-bar pose. Its residuals are the symmetry report
     (none at the aligned poses), then the pose-level closure, incidence and
@@ -179,8 +177,7 @@ def _eightbar_document(pose, kind: str, bars, joints, symmetry, report) -> dict[
     residuals["closure"] = pose.closure_residual
     residuals["incidence"] = pose.incidence_residual
     residuals["cells"] = max(pose.cell_residuals)
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, "phi1": pose.phi[0], "aligned": pose.aligned,
-            "bars": bars, "joints": joints, "symmetry": symmetry, "residuals": residuals}
+    return _document(kind, {"phi1": pose.phi[0], "aligned": pose.aligned}, bars, joints, symmetry, residuals)
 
 
 def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
@@ -234,23 +231,8 @@ def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str
     joints = [
         {"id": label, "position": _vec(p.v)} for label, p in zip(("A", "B", "C", "D"), pose.vertices)
     ]
-    # side arcs against the design: alpha on base and coupler, the arm offset on the arms
-    arm = abs(arm_joint_offset(pose.spec))
-    expect = (pose.spec.alpha, arm, pose.spec.alpha, arm)
-    verts = pose.vertices
-    residual = max(
-        abs(spherical_distance(verts[k], verts[(k + 1) % 4]) - e) for k, e in enumerate(expect)
-    )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "spherical-isogram",
-        "phi1": pose.phi1,
-        "phi2": pose.phi2,
-        "bars": bars,
-        "joints": joints,
-        "symmetry": None,
-        "residuals": {"closure": residual},
-    }
+    residuals = {"closure": _side_residual(pose.spec, pose.vertices)}
+    return _document("spherical-isogram", {"phi1": pose.phi1, "phi2": pose.phi2}, bars, joints, None, residuals)
 
 
 def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, Any]:
@@ -266,17 +248,8 @@ def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, An
     # opposite hinges keep equal dual angles
     ang_ab, off_ab = dual_angle(pose.hinge_a, pose.hinge_b)
     ang_cd, off_cd = dual_angle(pose.hinge_c, pose.hinge_d)
-    residual = max(abs(ang_ab - ang_cd), abs(off_ab - off_cd))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bennett-isogram",
-        "phi1": pose.phi1,
-        "phi2": pose.phi2,
-        "bars": bars,
-        "joints": joints,
-        "symmetry": None,
-        "residuals": {"closure": residual},
-    }
+    residuals = {"closure": max(abs(ang_ab - ang_cd), abs(off_ab - off_cd))}
+    return _document("bennett-isogram", {"phi1": pose.phi1, "phi2": pose.phi2}, bars, joints, None, residuals)
 
 
 def scene_to_obj(scene: dict[str, Any]) -> str:

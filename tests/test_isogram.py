@@ -365,17 +365,18 @@ def test_bennett_large_lengths_raise_only_typed_errors(scale):
 
 @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8, 1e10])
 def test_bennett_closure_ignores_length_unit(scale):
-    # the demo cell with its side lengths scaled closes at every angle, and
-    # its pose and symmetry axis are the unscaled ones times the scale
+    # the demo cell with its side lengths scaled closes at 41 angles over
+    # [-pi, pi], and its pose and symmetry axis are the unscaled ones times
+    # the scale
     spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0)
     scaled = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
-    for phi in (0.0, 0.5, 2.0, -2.5):
+    for phi in np.linspace(-np.pi, np.pi, 41):
         want = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), phi)
         got = solve_bennett_isogram(scaled, Z_AXIS, np.zeros(3), phi)
         for a, b in zip(got.vertices, want.vertices):
             assert np.max(np.abs(a / scale - b)) <= 1e-12, phi
         pairs = list(zip(got.hinges, want.hinges))
-        if phi != 0.0:  # the axis is undefined at the aligned pose
+        if 1e-12 < abs(phi) < np.pi - 1e-12:  # the axis is undefined at the aligned poses
             pairs.append((bennett_symmetry_axis(got), bennett_symmetry_axis(want)))
         for a, b in pairs:
             assert np.max(np.abs(np.r_[a.d, a.m / scale] - np.r_[b.d, b.m])) <= 1e-12, phi
@@ -442,11 +443,12 @@ def test_bennett_symmetry_axis_swaps_hinges():
             assert unoriented_line_distance(hg, bk) < 1e-9
 
 
-@pytest.mark.parametrize("scale", [0.0, 1.0, 1e10])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e-4, 1e-8, 1e10])
 @pytest.mark.parametrize("motion", ["rotated", "translated"])
 def test_bennett_symmetry_axis_rejects_a_moved_hinge(scale, motion):
     # the axis is built from A and C alone; a hinge D moved by 1e-6 (in
-    # units of max(1, a + b)) must fail the check that the axis swaps B, D
+    # units of a + b, or of 1 when both are 0) must fail the check that the
+    # axis swaps B, D
     spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
     pose = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), 0.8)
     bennett_symmetry_axis(pose)
@@ -455,7 +457,7 @@ def test_bennett_symmetry_axis_rejects_a_moved_hinge(scale, motion):
         tilt = 1e-6 * np.cross(d.d, [0.3, -0.5, 0.8])
         moved = OrientedLine.from_point_direction(d.foot(), d.d + tilt)
     else:
-        shift = 1e-6 * max(1.0, 3.0 * scale) * np.cross(d.d, [0.3, -0.5, 0.8])
+        shift = 1e-6 * (3.0 * scale or 1.0) * np.cross(d.d, [0.3, -0.5, 0.8])
         moved = OrientedLine.from_point_direction(d.foot() + shift, d.d)
     with pytest.raises(ClosureFailure):
         bennett_symmetry_axis(replace(pose, hinge_d=moved))

@@ -727,13 +727,17 @@ def test_mobility_at_the_aligned_poses():
             assert [(m.status, m.nullity) for m in samples] == [("ok", nullity)] * 2
 
 
-def test_mobility_reports_unassembled_samples():
-    # mobility reads a sample's row of its sweep's grid: a sample without
-    # one, failed or not made by sweep, certifies nothing
-    failed = SweepSample(0.5, None, None, "ClosureFailure: synthetic")
-    by_hand = SweepSample(0.5, assemble_spherical(SAMPLE, 0.5), None, None)
-    for sample in mobility_check([failed, by_hand]):
-        assert (sample.phi1, sample.status, sample.nullity) == (0.5, "assembly-failed", None)
+def test_mobility_reports_unassembled_samples(monkeypatch):
+    # mobility reads a sample's row of its sweep's grid: a sample that
+    # failed has none, and certifies nothing
+    ok = sweep(SAMPLE, [0.5])[0]
+    assert ok.pose is ok.pose and ok.points is not None  # built from the row once
+    monkeypatch.setattr("bennett8.linkage._CLOSURE_TOL", -1.0)
+    failed = sweep(SAMPLE, [0.5, -0.5])
+    assert all(isinstance(s, SweepSample) and s.error.startswith("ClosureFailure:") for s in failed)
+    assert all(s.pose is None and s.points is None and s.families is None for s in failed)
+    for sample, phi1 in zip(mobility_check(failed), (0.5, -0.5), strict=True):
+        assert (sample.phi1, sample.status, sample.nullity) == (phi1, "assembly-failed", None)
 
 
 # the regular poses of acceptance criterion 6

@@ -7,6 +7,7 @@ import pytest
 
 from bennett8 import linkage, scene
 from bennett8.cli import main
+from bennett8.errors import InvalidSpec
 from bennett8.isogram import (
     BennettIsogramSpec,
     SphericalIsogramSpec,
@@ -55,6 +56,50 @@ def _floats(doc):
     elif isinstance(doc, (list, tuple)):
         for value in doc:
             yield from _floats(value)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_spec_kinds_round_trip(demo, tmp_path):
+    # load_spec, spec_kind and dump_spec read one table of kinds: a demo
+    # dumps back to its file, and the dump loads to an equal spec
+    path = os.path.join(SPECS, demo)
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    spec = scene.load_spec(path)
+    assert scene.spec_kind(spec) == raw["kind"] and scene.dump_spec(spec) == raw
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(scene.dump_spec(spec)))
+    reloaded = scene.load_spec(str(again))
+    assert type(reloaded) is type(spec) and reloaded == spec
+
+
+def test_spec_kind_rejects_what_is_not_a_spec():
+    with pytest.raises(TypeError, match="^not a spec: object$"):
+        scene.spec_kind(object())
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        ((), {"kind": "hexaflexagon"},
+         "unknown kind 'hexaflexagon'; expected one of "
+         "['bennett-isogram', 'spatial8', 'spherical-isogram', 'spherical8']"),
+        # the class defaults the branch, but a file must give it
+        (("branch",), {}, "missing required fields: ['branch']"),
+        ((), {"gamma": 1.0}, "unknown fields for kind spherical-isogram: ['gamma']"),
+        ((), {"branch": "both"}, "branch must be 'plus' or 'minus', got 'both'"),
+    ],
+)
+def test_spec_diagnostics(tmp_path, drop, add, message):
+    with open(os.path.join(SPECS, "spherical_isogram_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for key in drop:
+        del doc[key]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**doc, **add}))
+    with pytest.raises(InvalidSpec) as caught:
+        scene.load_spec(str(path))
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("phi", [0.7, 0.0])
