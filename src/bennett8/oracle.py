@@ -26,28 +26,12 @@ SV_RATIO = 1e-7
 # Trust region of solve_loop: the largest change of any joint angle in one
 # Newton step, in radians. A full step from a seed near a fold of the loop
 # can land where the residual is small but the angles are on no path back to
-# the pose the seed was drawn around.
+# the pose the seed was drawn around. The radius starts at _FIRST_STEP and
+# doubles after each accepted step, up to MAX_STEP: next to the flat pose of
+# a spherical isogram (opposite arcs equal) a first step of MAX_STEP carries
+# a seed 0.02-0.05 rad from its pose to the antiparallelogram root beside it.
 MAX_STEP = 0.2
-
-
-def _quat_mul(a, b):
-    """Hamilton product of (w, x, y, z) quaternions."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def _dq_mul(a, b):
-    """Dual-quaternion product of flat 8-tuples (real part first)."""
-    ar, ad, br, bd = a[:4], a[4:], b[:4], b[4:]
-    d1 = _quat_mul(ar, bd)
-    d2 = _quat_mul(ad, br)
-    return _quat_mul(ar, br) + (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], d1[3] + d2[3])
+_FIRST_STEP = 0.02
 
 
 def _loop_closure_quat(thetas, arcs):
@@ -68,15 +52,35 @@ def _loop_closure_dq(thetas, arcs, lens):
     """Spatial analogue of _loop_closure_quat: Rz(theta) followed by a screw
     about x with twist arc_k and translation len_k, multiplied around the loop.
     """
-    m = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # running product (w, x, y, z) + e (p, q, r, s)
+    w, x, y, z, p, q, r, s = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     for th, al, ln in zip(thetas, arcs, lens):
         ch, sh = cos(0.5 * th), sin(0.5 * th)
-        rz = (ch, 0.0, 0.0, sh, 0.0, 0.0, 0.0, 0.0)
         ca, sa = cos(0.5 * al), sin(0.5 * al)
         hl = 0.5 * ln
-        sx = (ca, sa, 0.0, 0.0, -hl * sa, hl * ca, 0.0, 0.0)
-        m = _dq_mul(m, _dq_mul(rz, sx))
-    return m
+        # the joint's factor Rz(th) * Sx(al, ln) = f + e g: each term is one
+        # product, the other terms of the full dual-quaternion product being
+        # exact zeros. Adding those zeros turns a -0.0 product into 0.0 (for
+        # ca > 0, i.e. |al| <= pi), and so does "+ 0.0", which keeps the
+        # full product's bits; ch * ca is never zero.
+        fw, fx, fy, fz = ch * ca, ch * sa + 0.0, sh * sa + 0.0, sh * ca + 0.0
+        gw = ch * (-hl * sa) + 0.0
+        gx = ch * (hl * ca) + 0.0
+        gy = sh * (hl * ca) + 0.0
+        gz = sh * (-hl * sa) + 0.0
+        # (w + e p) * (f + e g) = w f + e (w g + p f), each Hamilton product
+        # written out in one fixed order of operations
+        w, x, y, z, p, q, r, s = (
+            w * fw - x * fx - y * fy - z * fz,
+            w * fx + x * fw + y * fz - z * fy,
+            w * fy - x * fz + y * fw + z * fx,
+            w * fz + x * fy - y * fx + z * fw,
+            (w * gw - x * gx - y * gy - z * gz) + (p * fw - q * fx - r * fy - s * fz),
+            (w * gx + x * gw + y * gz - z * gy) + (p * fx + q * fw + r * fz - s * fy),
+            (w * gy - x * gz + y * gw + z * gx) + (p * fy - q * fz + r * fw + s * fx),
+            (w * gz + x * gy - y * gx + z * gw) + (p * fz + q * fy - r * fx + s * fw),
+        )
+    return (w, x, y, z, p, q, r, s)
 
 
 @dataclass(frozen=True)
@@ -107,11 +111,15 @@ class LoopProblem:
 
     def residual(self, angles) -> np.ndarray:
         """Closure residual at a full joint vector (identity product = 0)."""
+        # Python floats: the loop products run faster on them than on numpy
+        # scalars, with the same bits
+        angles = np.asarray(angles, dtype=float).tolist()
+        arcs = np.asarray(self.arcs, dtype=float).tolist()
         if self.offsets is None:
-            w, x, y, z = _loop_closure_quat(list(angles), list(self.arcs))
+            w, x, y, z = _loop_closure_quat(angles, arcs)
             s = 1.0 if w >= 0 else -1.0
             return np.array([s * x, s * y, s * z])
-        m = _loop_closure_dq(list(angles), list(self.arcs), list(self.offsets))
+        m = _loop_closure_dq(angles, arcs, np.asarray(self.offsets, dtype=float).tolist())
         s = 1.0 if m[0] >= 0 else -1.0
         return np.array([s * m[1], s * m[2], s * m[3], s * m[4], s * m[5], s * m[6], s * m[7]])
 
@@ -126,25 +134,28 @@ class LoopSolution:
 
 
 def _fd_jacobian(fn, x: np.ndarray) -> np.ndarray:
-    """Central finite differences, column per variable."""
-    r0 = fn(x)
-    jac = np.empty((r0.size, x.size))
+    """Central finite differences, column per variable; fn is evaluated at
+    x +- FD_STEP only, never at x itself."""
+    cols = []
     for k in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[k] += FD_STEP
         xm[k] -= FD_STEP
-        jac[:, k] = (fn(xp) - fn(xm)) / (2 * FD_STEP)
-    return jac
+        cols.append((fn(xp) - fn(xm)) / (2 * FD_STEP))
+    return np.column_stack(cols)
 
 
 def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) -> LoopSolution:
     """Damped Newton on the loop-closure map with the driving joint fixed.
 
-    Steps are first shortened to at most MAX_STEP in every joint, then
-    halved (up to 30 times) until the residual norm decreases.
+    Steps are first shortened to at most the trust radius in every joint,
+    then halved (up to 30 times) until the residual norm decreases. The
+    radius starts at _FIRST_STEP and doubles after each accepted step, up to
+    MAX_STEP.
     Non-convergence is reported, not raised: the solution carries the last
-    iterate and a converged flag.
+    iterate and a converged flag. Each residual is evaluated once: the
+    accepted trial of the line search is the next iterate's residual.
     """
     free = [k for k in range(len(problem.arcs)) if k != problem.driving_index]
     full = np.array(problem.angles, dtype=float)
@@ -155,10 +166,11 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
         return problem.residual(v)
 
     x = full[free].copy()
+    r = fn(x)
+    radius = _FIRST_STEP
     history: list[float] = []
     it = 0
     for it in range(1, max_iter + 1):
-        r = fn(x)
         rn = float(np.linalg.norm(r))
         history.append(rn)
         if rn < tol:
@@ -171,13 +183,18 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
             step = None
         if step is None:
             step = np.linalg.lstsq(jac, r, rcond=None)[0]
-        lam = MAX_STEP / max(float(np.max(np.abs(step))), MAX_STEP)
+        lam = radius / max(float(np.max(np.abs(step))), radius)
         for _ in range(30):
-            if float(np.linalg.norm(fn(x - lam * step))) < rn:
+            trial = x - lam * step
+            r = fn(trial)
+            if float(np.linalg.norm(r)) < rn:
+                x = trial
+                radius = min(2 * radius, MAX_STEP)
                 break
             lam /= 2
-        x = x - lam * step
-    r = fn(x)
+        else:
+            x = x - lam * step
+            r = fn(x)
     rn = float(np.linalg.norm(r))
     history.append(rn)
     full[free] = x
@@ -220,16 +237,20 @@ def dh_from_spherical_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
     x_k = unit(z_k x z_{k+1}); theta_k is the signed angle about z_k from
     x_{k-1} to x_k, arc_k the positive arc from vertex k to k+1.
     """
-    vs = [np.asarray(v, dtype=float) for v in vertices]
+    vs = np.array(vertices, dtype=float)
     n = len(vs)
-    xs = [_unit(np.cross(vs[k], vs[(k + 1) % n])) for k in range(n)]
+    nxt = np.roll(vs, -1, axis=0)
+    sides = np.cross(vs, nxt)  # row k: z_k x z_{k+1}
+    xs = np.array([_unit(c) for c in sides])
+    xin = np.roll(xs, 1, axis=0)
+    turns = np.cross(xin, xs)  # row k: x_{k-1} x x_k
+    # np.dot, np.linalg.norm and np.arctan2 stay per row: their bits differ
+    # from a batched or scalar form
     thetas = np.empty(n)
     arcs = np.empty(n)
     for k in range(n):
-        xin, xout = xs[k - 1], xs[k]
-        thetas[k] = np.arctan2(np.dot(np.cross(xin, xout), vs[k]), np.dot(xin, xout))
-        nxt = vs[(k + 1) % n]
-        arcs[k] = np.arctan2(np.dot(np.cross(vs[k], nxt), xs[k]), np.dot(vs[k], nxt))
+        thetas[k] = np.arctan2(np.dot(turns[k], vs[k]), np.dot(xin[k], xs[k]))
+        arcs[k] = np.arctan2(np.dot(sides[k], xs[k]), np.dot(vs[k], nxt[k]))
     return thetas, arcs
 
 
@@ -245,23 +266,27 @@ def dh_from_spatial_joints(axes, vertices) -> tuple[np.ndarray, np.ndarray, np.n
     ``axes`` are unit hinge directions z_k, ``vertices`` the loop points V_k
     where consecutive sides meet their shared hinge (zero joint offsets).
     """
-    zs = [_unit(np.asarray(a, dtype=float)) for a in axes]
-    vs = [np.asarray(v, dtype=float) for v in vertices]
+    zs = np.array([_unit(a) for a in np.array(axes, dtype=float)])
+    vs = np.array(vertices, dtype=float)
     n = len(zs)
-    xs = []
+    nz = np.roll(zs, -1, axis=0)
+    normals = np.cross(zs, nz)  # row k: z_k x z_{k+1}
+    dvs = np.roll(vs, -1, axis=0) - vs
     lens = np.empty(n)
+    xs = np.empty((n, 3))
     for k in range(n):
-        dv = vs[(k + 1) % n] - vs[k]
-        ln = np.linalg.norm(dv)
+        ln = np.linalg.norm(dvs[k])
         lens[k] = ln
-        xs.append(dv / ln if ln > 1e-12 else _unit(np.cross(zs[k], zs[(k + 1) % n])))
+        xs[k] = dvs[k] / ln if ln > 1e-12 else _unit(normals[k])
+    xin = np.roll(xs, 1, axis=0)
+    turns = np.cross(xin, xs)  # row k: x_{k-1} x x_k
+    # np.dot, np.linalg.norm and np.arctan2 stay per row: their bits differ
+    # from a batched or scalar form
     thetas = np.empty(n)
     twists = np.empty(n)
     for k in range(n):
-        xin, xout = xs[k - 1], xs[k]
-        thetas[k] = np.arctan2(np.dot(np.cross(xin, xout), zs[k]), np.dot(xin, xout))
-        nz = zs[(k + 1) % n]
-        twists[k] = np.arctan2(np.dot(np.cross(zs[k], nz), xs[k]), np.dot(zs[k], nz))
+        thetas[k] = np.arctan2(np.dot(turns[k], zs[k]), np.dot(xin[k], xs[k]))
+        twists[k] = np.arctan2(np.dot(normals[k], xs[k]), np.dot(zs[k], nz[k]))
     return thetas, twists, lens
 
 

@@ -1,4 +1,6 @@
 """Numeric closure oracle: solving, convergence, nullity."""
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,170 @@ def test_loop_closure_composition():
             dq = _dqmul(_dqmul(dq, (rz, (0.0, 0.0, 0.0, 0.0))), screw)
         assert np.allclose(_loop_closure_quat(list(th), list(ar)), m, atol=1e-13)
         assert np.allclose(_loop_closure_dq(list(th), list(ar), list(ln)), dq[0] + dq[1], atol=1e-13)
+
+
+def _flat_dq_mul(a, b):
+    """Dual-quaternion product of flat 8-tuples (real part first), composed
+    of two-factor Hamilton products: the reference of the inlined loop."""
+    ar, ad, br, bd = a[:4], a[4:], b[:4], b[4:]
+    d1 = _qmul(ar, bd)
+    d2 = _qmul(ad, br)
+    return _qmul(ar, br) + (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], d1[3] + d2[3])
+
+
+def _reference_loop_closure_dq(thetas, arcs, lens):
+    m = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for th, al, ln in zip(thetas, arcs, lens):
+        ch, sh = math.cos(0.5 * th), math.sin(0.5 * th)
+        rz = (ch, 0.0, 0.0, sh, 0.0, 0.0, 0.0, 0.0)
+        ca, sa = math.cos(0.5 * al), math.sin(0.5 * al)
+        hl = 0.5 * ln
+        sx = (ca, sa, 0.0, 0.0, -hl * sa, hl * ca, 0.0, 0.0)
+        m = _flat_dq_mul(m, _flat_dq_mul(rz, sx))
+    return m
+
+
+def _reference_residual(angles, arcs, lens):
+    # numpy scalars in: the reference for the residual's Python floats
+    if lens is None:
+        w, x, y, z = _loop_closure_quat(list(angles), list(arcs))
+        s = 1.0 if w >= 0 else -1.0
+        return np.array([s * x, s * y, s * z])
+    m = _reference_loop_closure_dq(list(angles), list(arcs), list(lens))
+    s = 1.0 if m[0] >= 0 else -1.0
+    return np.array([s * v for v in m[1:]])
+
+
+def _bits(values) -> tuple:
+    return tuple(float(v).hex() for v in values)
+
+
+def _random_loop(rng):
+    """Joint angles anywhere a Newton iterate may go, twists in [-pi, pi] as
+    the problem builders give them, lengths x 1e-8 to 1e8; exact zeros of
+    either sign in each."""
+    n = int(rng.integers(1, 9))
+
+    def pick(draw, special):
+        return [special[rng.integers(len(special))] if rng.uniform() < 0.2 else draw() for _ in range(n)]
+
+    thetas = pick(lambda: rng.uniform(-7, 7), [0.0, -0.0, np.pi, -np.pi, 5e-324])
+    arcs = pick(lambda: rng.uniform(-np.pi, np.pi), [0.0, -0.0, np.pi, -np.pi, -5e-324])
+    lens = pick(lambda: rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-8, 8), [0.0, -0.0])
+    return np.array(thetas), np.array(arcs), np.array(lens)
+
+
+def test_loop_products_are_bit_identical_to_the_composed_products():
+    # one sparse factor per joint, multiplied in inline, gives the bits of
+    # the two-factor products it replaced, signs of zero included; and the
+    # residual's Python floats give the bits of numpy scalars
+    rng = np.random.default_rng(2026)
+    for i in range(10_000):
+        thetas, arcs, lens = _random_loop(rng)
+        ref = _reference_loop_closure_dq(thetas.tolist(), arcs.tolist(), lens.tolist())
+        assert _bits(_loop_closure_dq(thetas.tolist(), arcs.tolist(), lens.tolist())) == _bits(ref)
+        if i % 10:
+            continue
+        for offsets in (None, tuple(lens)):
+            problem = LoopProblem(tuple(arcs), 0, tuple(thetas), offsets)
+            assert _bits(problem.residual(thetas)) == _bits(_reference_residual(thetas, arcs, offsets))
+
+
+def _unit_vector(v):
+    return v / np.linalg.norm(v)
+
+
+def _dh_spherical_per_vertex(vertices):
+    vs = [np.asarray(v, dtype=float) for v in vertices]
+    n = len(vs)
+    xs = [_unit_vector(np.cross(vs[k], vs[(k + 1) % n])) for k in range(n)]
+    thetas = np.empty(n)
+    arcs = np.empty(n)
+    for k in range(n):
+        xin, xout = xs[k - 1], xs[k]
+        thetas[k] = np.arctan2(np.dot(np.cross(xin, xout), vs[k]), np.dot(xin, xout))
+        nxt = vs[(k + 1) % n]
+        arcs[k] = np.arctan2(np.dot(np.cross(vs[k], nxt), xs[k]), np.dot(vs[k], nxt))
+    return thetas, arcs
+
+
+def _dh_spatial_per_vertex(axes, vertices):
+    zs = [_unit_vector(np.asarray(a, dtype=float)) for a in axes]
+    vs = [np.asarray(v, dtype=float) for v in vertices]
+    n = len(zs)
+    xs = []
+    lens = np.empty(n)
+    for k in range(n):
+        dv = vs[(k + 1) % n] - vs[k]
+        ln = np.linalg.norm(dv)
+        lens[k] = ln
+        xs.append(dv / ln if ln > 1e-12 else _unit_vector(np.cross(zs[k], zs[(k + 1) % n])))
+    thetas = np.empty(n)
+    twists = np.empty(n)
+    for k in range(n):
+        xin, xout = xs[k - 1], xs[k]
+        thetas[k] = np.arctan2(np.dot(np.cross(xin, xout), zs[k]), np.dot(xin, xout))
+        nz = zs[(k + 1) % n]
+        twists[k] = np.arctan2(np.dot(np.cross(zs[k], nz), xs[k]), np.dot(zs[k], nz))
+    return thetas, twists, lens
+
+
+def test_problem_builders_are_bit_identical_to_per_vertex_crosses():
+    # two stacked np.cross calls per cell give the bits of one call per vertex
+    rng = np.random.default_rng(2027)
+    for i in range(1000):
+        n = int(rng.integers(3, 9))
+        verts = list(rng.normal(size=(n, 3)) / np.sqrt(3))
+        got, ref = dh_from_spherical_vertices(verts), _dh_spherical_per_vertex(verts)
+        assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+        axes = list(rng.normal(size=(n, 3)))
+        points = rng.normal(size=(n, 3)) * 10 ** rng.uniform(-8, 8)
+        if i % 4 == 0:
+            points[1] = points[0]  # a zero-length side takes its direction from the hinges
+        got, ref = dh_from_spatial_joints(axes, list(points)), _dh_spatial_per_vertex(axes, list(points))
+        assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+def _recorded_residuals(monkeypatch):
+    seen = []
+    residual = LoopProblem.residual
+
+    def recorder(self, angles):
+        seen.append(tuple(np.asarray(angles, dtype=float).tolist()))
+        return residual(self, angles)
+
+    monkeypatch.setattr(LoopProblem, "residual", recorder)
+    return seen
+
+
+def _perturbed_cell(kind):
+    """A spherical or a Bennett cell, seeded a few hundredths of a radian
+    from its pose."""
+    if kind == "spherical":
+        verts, _ = _cell_vertices(SphericalIsogramSpec(np.pi / 3, np.pi / 4, "plus"), 1.0)
+        problem = problem_from_spherical_vertices(verts)
+    else:
+        from bennett8.isogram import BennettIsogramSpec, solve_bennett_isogram
+
+        alpha, beta, k = 0.9, 1.4, 1.3
+        spec = BennettIsogramSpec(alpha, beta, k * np.sin(alpha), k * np.sin(beta))
+        base = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0, 1]))
+        pose = solve_bennett_isogram(spec, base, np.zeros(3), 0.8)
+        problem = problem_from_spatial_joints([h.d for h in pose.hinges], list(pose.vertices))
+    start = np.array(problem.angles) + np.array([0.0, 0.04, -0.03, 0.05])
+    return LoopProblem(problem.arcs, 0, tuple(start), problem.offsets)
+
+
+@pytest.mark.parametrize("kind", ["spherical", "spatial"])
+def test_no_angle_vector_is_evaluated_twice(monkeypatch, kind):
+    problem = _perturbed_cell(kind)
+    seen = _recorded_residuals(monkeypatch)
+    sol = solve_loop(problem)
+    assert sol.converged and sol.iterations > 2
+    assert len(seen) == len(set(seen))
+    del seen[:]
+    assert jacobian_nullity(problem, sol) == 1
+    assert len(seen) == 2 * len(problem.arcs)
 
 
 def test_dq_unit_norm_preserved():
@@ -277,5 +443,50 @@ def test_solve_loop_keeps_to_the_seeded_branch_next_to_a_fold():
     problem = LoopProblem(arcs, 0, start, offsets)
     sol = solve_loop(problem)
     assert sol.converged and sol.iterations <= 10
+    assert max(abs(a - b) for a, b in zip(sol.angles, truth)) <= 1e-8
+    assert jacobian_nullity(problem, sol) == 1
+
+
+# Cells of spherical 8-bars where each cell is a spherical isogram (opposite
+# arcs equal) within 0.1 rad of its flat pose, seeded 0.018-0.049 rad from the
+# pose as the benchmark's oracle cross-check seeds them (seeds 73 ops 264 and
+# 928, 810 op 46, 811 op 2504, 907 op 1696). A first step of MAX_STEP carried
+# each seed to the antiparallelogram root beside the pose, 0.078-0.29 rad away.
+FOLD_CELLS = {
+    "73-264": (
+        (1.0599991274887797, 0.4545920816613058, 1.0599991274887817, 0.45459208166130777),
+        (-0.03877976692734579, -3.0730273213932238, -0.020672463937142147, -3.0724564530602643),
+        (-0.03877976692734579, -3.090659085944266, -0.0387797669273514, -3.090659085944268),
+    ),
+    "73-928": (
+        (0.9732981651915111, 0.3250745235713703, 0.973298165191511, 0.3250745235713701),
+        (-0.06061689093379332, -3.045364293444153, -0.033514509336629035, -3.040305277425163),
+        (-0.06061689093379332, -3.0694670881206667, -0.060616890933793306, -3.0694670881206667),
+    ),
+    "810-46": (
+        (2.1077205592514545, 0.04830000803729559, 2.1077205592514536, 0.048300008037294714),
+        (-0.1408045876375568, -3.019790703426376, -0.16435705829934438, -3.037243710617688),
+        (-0.1408045876375568, -2.9883388714212624, -0.1408045876375563, -2.9883388714212615),
+    ),
+    "811-2504": (
+        (0.47800166224479357, 1.5485498118551504, 0.47800166224479335, 1.5485498118551502),
+        (0.09473589414816144, 2.9413606971667914, 0.04761397929437325, 2.9414839416384404),
+        (0.09473589414816144, 2.9877697464380466, 0.09473589414816153, 2.9877697464380466),
+    ),
+    "907-1696": (
+        (0.36496340118321047, 0.6308813347098767, 0.3649634011832104, 0.6308813347098765),
+        (0.09599038044860744, 2.9978838571554993, 0.05120815464608349, 2.9915417530370725),
+        (0.09599038044860744, 3.033322932883616, 0.09599038044861548, 3.033322932883614),
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(FOLD_CELLS))
+def test_solve_loop_keeps_to_the_seeded_branch_next_to_an_isogram_fold(cell):
+    arcs, start, truth = FOLD_CELLS[cell]
+    assert np.linalg.norm(LoopProblem(arcs, 0, truth).residual(np.array(truth))) < 1e-11
+    problem = LoopProblem(arcs, 0, start)
+    sol = solve_loop(problem)
+    assert sol.converged
     assert max(abs(a - b) for a, b in zip(sol.angles, truth)) <= 1e-8
     assert jacobian_nullity(problem, sol) == 1
