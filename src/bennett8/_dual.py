@@ -92,6 +92,11 @@ def _dual_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([_cross(a, c), _cross(a, d) + _cross(b, c)], axis=-1)
 
 
+def _dual_sin(a: float, da: float) -> tuple[float, float]:
+    """sin(a + eps da) of one dual number: (sin a, da cos a)."""
+    return np.sin(a), da * np.cos(a)
+
+
 def _dual_atan2(r: tuple[np.ndarray, np.ndarray], p: tuple[np.ndarray, np.ndarray]):
     """theta + eps l = atan2(r, p) of the dual numbers r and p (pairs of real
     and dual parts), row by row, with l taken as a distance, >= 0."""

@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from . import screws
-from ._dual import SHORT_UNIT, _dual_halfturn, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
+from ._dual import SHORT_UNIT, _dual_halfturn, _dual_sin, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle
 from .screws import OrientedLine
 from .sphere import (
@@ -245,10 +245,6 @@ def phi2_from_dihedral(branch: Branch, theta_b: float) -> float:
 # ---------------------------------------------------------------------------
 # Dual-number transfer of the transmission law (Bennett cells).
 # ---------------------------------------------------------------------------
-
-
-def _dual_sin(a: float, da: float) -> tuple[float, float]:
-    return np.sin(a), da * np.cos(a)
 
 
 def _dual_law(alpha: float, beta: float, a: float, b: float, branch: Branch):

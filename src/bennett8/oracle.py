@@ -11,6 +11,11 @@ each joint k contributes Rz(theta_k) about the current joint axis, each side
 k a transfer Rx(arc_k) (spherical) or a screw about x with twist arc_k and
 translation len_k (spatial). Joint axes are the local z, side directions the
 local x of a Denavit-Hartenberg style frame chain.
+
+The closure Jacobian is exact and comes from the same walk around the loop:
+with L_k joint k's line in the base frame (the prefix product's z axis, and
+on a spatial loop its moment too), d(product)/d(theta_k) = L_k * product / 2
+(the joint-screw form of the loop's derivative).
 """
 from __future__ import annotations
 
@@ -19,9 +24,8 @@ from math import cos, sin
 
 import numpy as np
 
-# Central-difference step of the numeric Jacobians, and the rank rule: a
-# singular value below SV_RATIO times the largest counts as zero.
-FD_STEP = 1e-6
+# The rank rule: a singular value below SV_RATIO times the largest counts as
+# zero.
 SV_RATIO = 1e-7
 # Trust region of solve_loop: the largest change of any joint angle in one
 # Newton step, in radians. A full step from a seed near a fold of the loop
@@ -34,11 +38,15 @@ MAX_STEP = 0.2
 _FIRST_STEP = 0.02
 
 
-def _loop_closure_quat(thetas, arcs):
+def _loop_closure_quat(thetas, arcs, axes=None):
     """Product over the loop of Rz(theta_k) * Rx(arc_k), as one (w, x, y, z)
-    quaternion; it equals +-identity exactly when the loop closes."""
+    quaternion; it equals +-identity exactly when the loop closes. Given a
+    list ``axes``, appends each joint's axis in the base frame: the z column
+    of the product before the joint's factor."""
     w, x, y, z = 1.0, 0.0, 0.0, 0.0
     for th, al in zip(thetas, arcs):
+        if axes is not None:
+            axes.append((2.0 * (x * z + w * y), 2.0 * (y * z - w * x), w * w - x * x - y * y + z * z))
         ch, sh = cos(0.5 * th), sin(0.5 * th)
         # M *= Rz(th)
         w, x, y, z = (w * ch - z * sh, x * ch + y * sh, y * ch - x * sh, z * ch + w * sh)
@@ -48,13 +56,23 @@ def _loop_closure_quat(thetas, arcs):
     return (w, x, y, z)
 
 
-def _loop_closure_dq(thetas, arcs, lens):
+def _loop_closure_dq(thetas, arcs, lens, lines=None):
     """Spatial analogue of _loop_closure_quat: Rz(theta) followed by a screw
     about x with twist arc_k and translation len_k, multiplied around the loop.
+    Given a list ``lines``, appends each joint's line in the base frame,
+    (direction u; moment t x u): u is the z column of the product before the
+    joint's factor, t = 2 vec(dual part * conjugate real part) its translation.
     """
     # running product (w, x, y, z) + e (p, q, r, s)
     w, x, y, z, p, q, r, s = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     for th, al, ln in zip(thetas, arcs, lens):
+        if lines is not None:
+            ux, uy, uz = 2.0 * (x * z + w * y), 2.0 * (y * z - w * x), w * w - x * x - y * y + z * z
+            # (p, Q) * (w, -V) has the vector part w Q - p V - Q x V
+            tx = 2.0 * (w * q - p * x - (r * z - s * y))
+            ty = 2.0 * (w * r - p * y - (s * x - q * z))
+            tz = 2.0 * (w * s - p * z - (q * y - r * x))
+            lines.append((ux, uy, uz, ty * uz - tz * uy, tz * ux - tx * uz, tx * uy - ty * ux))
         ch, sh = cos(0.5 * th), sin(0.5 * th)
         ca, sa = cos(0.5 * al), sin(0.5 * al)
         hl = 0.5 * ln
@@ -104,24 +122,63 @@ class LoopProblem:
             raise ValueError("cyclic consistency: need one offset per side")
         if not 0 <= self.driving_index < n:
             raise ValueError("driving index out of range")
+        # Python floats: the loop products run faster on them than on numpy
+        # scalars, with the same bits
+        object.__setattr__(self, "_arcs", np.asarray(self.arcs, dtype=float).tolist())
+        offsets = None if self.offsets is None else np.asarray(self.offsets, dtype=float).tolist()
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def spatial(self) -> bool:
         return self.offsets is not None
 
-    def residual(self, angles) -> np.ndarray:
-        """Closure residual at a full joint vector (identity product = 0)."""
-        # Python floats: the loop products run faster on them than on numpy
-        # scalars, with the same bits
+    def _signed_product(self, angles, lines=None) -> list[float]:
+        """The loop product at a full joint vector, times the sign of its
+        scalar part; joint lines are appended to ``lines`` if given."""
         angles = np.asarray(angles, dtype=float).tolist()
-        arcs = np.asarray(self.arcs, dtype=float).tolist()
-        if self.offsets is None:
-            w, x, y, z = _loop_closure_quat(angles, arcs)
-            s = 1.0 if w >= 0 else -1.0
-            return np.array([s * x, s * y, s * z])
-        m = _loop_closure_dq(angles, arcs, np.asarray(self.offsets, dtype=float).tolist())
+        if self._offsets is None:
+            m = _loop_closure_quat(angles, self._arcs, lines)
+        else:
+            m = _loop_closure_dq(angles, self._arcs, self._offsets, lines)
         s = 1.0 if m[0] >= 0 else -1.0
-        return np.array([s * m[1], s * m[2], s * m[3], s * m[4], s * m[5], s * m[6], s * m[7]])
+        return [s * v for v in m]
+
+    def residual(self, angles) -> np.ndarray:
+        """Closure residual at a full joint vector (identity product = 0):
+        the signed product's vector part, and on a spatial loop its dual
+        part as well."""
+        return np.array(self._signed_product(angles)[1:])
+
+    def residual_and_jacobian(self, angles) -> tuple[np.ndarray, np.ndarray]:
+        """The residual and its exact Jacobian in every joint angle, driving
+        joint included, from one walk around the loop. Column k holds the
+        residual's components of L_k * M / 2 for the signed product M and
+        joint k's line L_k; at a closed pose that is half the joint's unit
+        axis (spherical) or Pluecker line (direction; 0; moment)."""
+        lines: list[tuple] = []
+        m = self._signed_product(angles, lines)
+        if self._offsets is None:
+            w, x, y, z = m
+            # vec((0, l) (w, v)) = w l + l x v
+            cols = [(w * a + (b * z - c * y), w * b + (c * x - a * z), w * c + (a * y - b * x))
+                    for a, b, c in lines]
+        else:
+            w, x, y, z, p, q, r, s = m
+            # (0, u; 0, n) (w, v; p, Q): real part vector w u + u x v; dual
+            # part -(u . Q + n . v) and p u + u x Q + w n + n x v
+            cols = [
+                (
+                    w * a + (b * z - c * y),
+                    w * b + (c * x - a * z),
+                    w * c + (a * y - b * x),
+                    -(a * q + b * r + c * s) - (d * x + e * y + f * z),
+                    p * a + (b * s - c * r) + w * d + (e * z - f * y),
+                    p * b + (c * q - a * s) + w * e + (f * x - d * z),
+                    p * c + (a * r - b * q) + w * f + (d * y - e * x),
+                )
+                for a, b, c, d, e, f in lines
+            ]
+        return np.array(m[1:]), 0.5 * np.array(cols).T
 
 
 @dataclass(frozen=True)
@@ -133,19 +190,6 @@ class LoopSolution:
     residual_history: tuple[float, ...] = field(default=())
 
 
-def _fd_jacobian(fn, x: np.ndarray) -> np.ndarray:
-    """Central finite differences, column per variable; fn is evaluated at
-    x +- FD_STEP only, never at x itself."""
-    cols = []
-    for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += FD_STEP
-        xm[k] -= FD_STEP
-        cols.append((fn(xp) - fn(xm)) / (2 * FD_STEP))
-    return np.column_stack(cols)
-
-
 def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) -> LoopSolution:
     """Damped Newton on the loop-closure map with the driving joint fixed.
 
@@ -154,19 +198,21 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
     radius starts at _FIRST_STEP and doubles after each accepted step, up to
     MAX_STEP.
     Non-convergence is reported, not raised: the solution carries the last
-    iterate and a converged flag. Each residual is evaluated once: the
-    accepted trial of the line search is the next iterate's residual.
+    iterate and a converged flag. The residual and the exact Jacobian come
+    from one walk around the loop, once per joint vector: the accepted trial
+    of the line search gives the next iterate both.
     """
     free = [k for k in range(len(problem.arcs)) if k != problem.driving_index]
     full = np.array(problem.angles, dtype=float)
 
-    def fn(x: np.ndarray) -> np.ndarray:
+    def fn(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = full.copy()
         v[free] = x
-        return problem.residual(v)
+        r, jac = problem.residual_and_jacobian(v)
+        return r, jac[:, free]
 
     x = full[free].copy()
-    r = fn(x)
+    r, jac = fn(x)
     radius = _FIRST_STEP
     history: list[float] = []
     it = 0
@@ -176,7 +222,6 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
         if rn < tol:
             full[free] = x
             return LoopSolution(tuple(full), rn, True, it, tuple(history))
-        jac = _fd_jacobian(fn, x)
         try:
             step = np.linalg.solve(jac, r) if jac.shape[0] == jac.shape[1] else None
         except np.linalg.LinAlgError:
@@ -186,7 +231,7 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
         lam = radius / max(float(np.max(np.abs(step))), radius)
         for _ in range(30):
             trial = x - lam * step
-            r = fn(trial)
+            r, jac = fn(trial)
             if float(np.linalg.norm(r)) < rn:
                 x = trial
                 radius = min(2 * radius, MAX_STEP)
@@ -194,7 +239,7 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
             lam /= 2
         else:
             x = x - lam * step
-            r = fn(x)
+            r, jac = fn(x)
     rn = float(np.linalg.norm(r))
     history.append(rn)
     full[free] = x
@@ -216,8 +261,7 @@ def jacobian_nullity(problem: LoopProblem, solution: LoopSolution) -> int:
     an unknown. 1 means a one-parameter motion through the pose."""
     if solution.residual_norm > 1e-9:
         raise ValueError("jacobian_nullity needs a solved pose (residual < 1e-9)")
-    angles = np.array(solution.angles, dtype=float)
-    return matrix_nullity(_fd_jacobian(problem.residual, angles))
+    return matrix_nullity(problem.residual_and_jacobian(solution.angles)[1])
 
 
 # ---------------------------------------------------------------------------

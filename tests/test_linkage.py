@@ -772,7 +772,7 @@ def _face_problem(pose, quad):
 
 def test_mobility_jacobian_faces_match_oracle(jacobian_poses):
     # each face block, on its own four joints, is the four-bar's closure
-    # Jacobian: nullity 1, as the oracle's finite differences find
+    # Jacobian: nullity 1, as the oracle's exact loop Jacobian finds
     for pose in jacobian_poses:
         jac = _mobility_jacobian(_report_inputs(pose)[8:20])
         rows = jac.shape[0] // len(CELLS)

@@ -143,6 +143,92 @@ def test_loop_products_are_bit_identical_to_the_composed_products():
             assert _bits(problem.residual(thetas)) == _bits(_reference_residual(thetas, arcs, offsets))
 
 
+def _central_differences(fn, x, step=1e-6):
+    """Reference Jacobian: central differences, one column per variable."""
+    cols = []
+    for k in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[k] += step
+        xm[k] -= step
+        cols.append((fn(xp) - fn(xm)) / (2 * step))
+    return np.column_stack(cols)
+
+
+def test_exact_jacobian_matches_central_differences():
+    # relative bound: each block of rows (rotation; dual scalar and
+    # translation) agrees to 1e-7 of its largest entry, at lengths x 1e-8 to
+    # 1e8. Loops whose product has a scalar part within 1e-4 of 0 are left
+    # out: the residual's sign flips there, so it has no derivative to
+    # difference
+    rng = np.random.default_rng(2028)
+    checked = 0
+    while checked < 2000:
+        thetas, arcs, lens = _random_loop(rng)
+        spatial = checked % 2 == 1
+        if abs(_loop_closure_quat(thetas.tolist(), arcs.tolist())[0]) < 1e-4:
+            continue
+        checked += 1
+        problem = LoopProblem(tuple(arcs), 0, tuple(thetas), tuple(lens) if spatial else None)
+        jac = problem.residual_and_jacobian(thetas)[1]
+        ref = _central_differences(problem.residual, thetas)
+        assert jac.shape == ref.shape == (7 if spatial else 3, thetas.size)
+        for rows in (slice(0, 3), slice(3, 7)):
+            scale = np.max(np.abs(ref[rows]), initial=0.0)
+            assert np.max(np.abs(jac[rows] - ref[rows]), initial=0.0) <= 1e-7 * scale
+
+
+def test_residual_with_the_jacobian_is_bit_identical_to_the_residual():
+    rng = np.random.default_rng(2029)
+    for _ in range(2000):
+        thetas, arcs, lens = _random_loop(rng)
+        for offsets in (None, tuple(lens)):
+            problem = LoopProblem(tuple(arcs), 0, tuple(thetas), offsets)
+            got = problem.residual_and_jacobian(thetas)[0]
+            assert _bits(got) == _bits(problem.residual(thetas))
+
+
+def _base_frame(z0, x_in):
+    """The loop's base frame, rows x, y, z: z is joint 0's axis z0 and x
+    the direction x_in of the side into joint 0."""
+    return np.array([x_in, np.cross(z0, x_in), z0])
+
+
+def test_jacobian_columns_at_a_closed_pose_are_half_the_joint_lines():
+    # sphere: column k is half joint k's unit axis in the base frame; space:
+    # half its Pluecker line (direction; 0; moment), moments about joint 0's
+    # vertex, at lengths x 1e-8 to 1e8
+    rng = np.random.default_rng(2030)
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        verts = rng.normal(size=(n, 3))
+        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+        thetas, arcs = dh_from_spherical_vertices(list(verts))
+        problem = LoopProblem(tuple(arcs), 0, tuple(thetas))
+        assert np.linalg.norm(problem.residual(thetas)) < 1e-12
+        frame = _base_frame(verts[0], _unit_vector(np.cross(verts[-1], verts[0])))
+        jac = problem.residual_and_jacobian(thetas)[1]
+        assert np.allclose(jac, 0.5 * frame @ verts.T, rtol=0, atol=1e-12)
+
+        scale = 10 ** rng.uniform(-8, 8)
+        while True:
+            points = rng.uniform(-1, 1, size=(n, 3))
+            axes = np.cross(points - np.roll(points, 1, axis=0), np.roll(points, -1, axis=0) - points)
+            if np.all(np.linalg.norm(axes, axis=1) > 0.05):
+                break
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        points *= scale
+        thetas, twists, lens = dh_from_spatial_joints(list(axes), list(points))
+        problem = LoopProblem(tuple(twists), 0, tuple(thetas), tuple(lens))
+        assert np.linalg.norm(problem.residual(thetas) / [1, 1, 1, scale, scale, scale, scale]) < 1e-10
+        frame = _base_frame(axes[0], _unit_vector(points[0] - points[-1]))
+        u = axes @ frame.T
+        moment = np.cross((points - points[0]) @ frame.T, u)
+        jac = problem.residual_and_jacobian(thetas)[1]
+        assert np.allclose(jac[:3], 0.5 * u.T, rtol=0, atol=1e-10)
+        assert np.allclose(jac[3], 0.0, rtol=0, atol=1e-10 * scale)
+        assert np.allclose(jac[4:], 0.5 * moment.T, rtol=0, atol=1e-10 * scale)
+
+
 def _unit_vector(v):
     return v / np.linalg.norm(v)
 
@@ -198,15 +284,17 @@ def test_problem_builders_are_bit_identical_to_per_vertex_crosses():
         assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
 
 
-def _recorded_residuals(monkeypatch):
+def _recorded_passes(monkeypatch):
+    """(angle vector, with Jacobian) of every walk around the loop, whether
+    for the residual alone or for the residual and the Jacobian."""
     seen = []
-    residual = LoopProblem.residual
+    signed_product = LoopProblem._signed_product
 
-    def recorder(self, angles):
-        seen.append(tuple(np.asarray(angles, dtype=float).tolist()))
-        return residual(self, angles)
+    def recorder(self, angles, lines=None):
+        seen.append((tuple(np.asarray(angles, dtype=float).tolist()), lines is not None))
+        return signed_product(self, angles, lines)
 
-    monkeypatch.setattr(LoopProblem, "residual", recorder)
+    monkeypatch.setattr(LoopProblem, "_signed_product", recorder)
     return seen
 
 
@@ -230,14 +318,18 @@ def _perturbed_cell(kind):
 
 @pytest.mark.parametrize("kind", ["spherical", "spatial"])
 def test_no_angle_vector_is_evaluated_twice(monkeypatch, kind):
+    # each Newton iterate and line-search trial is one walk around the loop,
+    # which gives the residual and the Jacobian together; the nullity at the
+    # solution is one more walk
     problem = _perturbed_cell(kind)
-    seen = _recorded_residuals(monkeypatch)
+    seen = _recorded_passes(monkeypatch)
     sol = solve_loop(problem)
     assert sol.converged and sol.iterations > 2
-    assert len(seen) == len(set(seen))
+    assert all(with_jacobian for _, with_jacobian in seen)
+    assert len(seen) == len({angles for angles, _ in seen})
     del seen[:]
     assert jacobian_nullity(problem, sol) == 1
-    assert len(seen) == 2 * len(problem.arcs)
+    assert seen == [(tuple(sol.angles), True)]
 
 
 def test_dq_unit_norm_preserved():
