@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from . import screws
-from ._dual import SHORT_UNIT, _dual_halfturn, _dual_sin, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
+from ._dual import SHORT_UNIT, _dual_halfturn, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle
 from .screws import OrientedLine
 from .sphere import (
@@ -77,9 +77,9 @@ class SphericalIsogramSpec:
 
 def transmission_coefficient(spec: SphericalIsogramSpec) -> float:
     """Constant ratio c21 of the halved-angle tangents along the branch: the
-    dual law (see bennett_dual_coefficient) at zero lengths."""
-    num, den = _dual_law(spec.alpha, spec.beta, 0.0, 0.0, spec.branch)
-    return float(num[0] / den[0])
+    real part of the dual law (see bennett_dual_coefficient)."""
+    num, den = _law(spec.alpha, spec.beta, spec.branch)
+    return float(num / den)
 
 
 def coupled_angle(c21: float, phi1: float) -> float:
@@ -247,18 +247,26 @@ def phi2_from_dihedral(branch: Branch, theta_b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dual_law(alpha: float, beta: float, a: float, b: float, branch: Branch):
-    """Numerator and denominator of the transmission law at the dual angles
-    alpha + eps*a and beta + eps*b, as (real, dual) pairs."""
-    # the minus branch is the plus one with beta and b negated, bit for bit
+def _law(alpha: float, beta: float, branch: Branch):
+    """Numerator and denominator of the transmission law at the angles alpha
+    and beta: sin(s beta - s alpha) and sin(alpha) + s sin(beta), with s = 1
+    on the plus branch and -1 on the minus one."""
+    # the minus branch is the plus one with beta negated, bit for bit
     sign = 1.0 if branch == "plus" else -1.0
-    sa, sa_d = _dual_sin(alpha, a)
-    sb, sb_d = _dual_sin(beta, b)
-    num = _dual_sin(sign * beta - sign * alpha, sign * b - sign * a)
-    den = (sa + sign * sb, sa_d + sign * sb_d)
-    if abs(den[0]) < _DENOM_EPS:
+    num, den = np.sin(sign * beta - sign * alpha), np.sin(alpha) + sign * np.sin(beta)
+    if abs(den) < _DENOM_EPS:
         raise DegenerateBranch(f"{branch}-branch denominator vanishes")
     return num, den
+
+
+def _dual_law(alpha: float, beta: float, a: float, b: float, branch: Branch):
+    """_law at the dual angles alpha + eps*a and beta + eps*b, as (real, dual)
+    pairs. Since sin(x + eps dx) = sin x + eps dx cos x, the real parts are
+    _law's and the dual parts its derivative along (a, b)."""
+    sign = 1.0 if branch == "plus" else -1.0
+    num, den = _law(alpha, beta, branch)
+    num_dual = (sign * b - sign * a) * np.cos(sign * beta - sign * alpha)
+    return (num, num_dual), (den, a * np.cos(alpha) + sign * (b * np.cos(beta)))
 
 
 def bennett_dual_coefficient(

@@ -312,8 +312,8 @@ _EZ = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
 def _half_angle_construction(v: ValidatedSpherical, heights, phi1: np.ndarray):
     """Arms h1..h3, bars g1..g3 and the directions of the symmetry axes
-    S1..S6 at each angle of the (N,) array phi1, as (N, 3, 6), (N, 3, 6) and
-    (N, 6, 6) stacks of dual vectors, and the angles at which two bars the
+    S1..S6 at each angle of the (N,) array phi1, as (6, 3, N), (6, 3, N) and
+    (6, 6, N) stacks of dual vectors, and the angles at which two bars the
     axes bisect coincide (see _dual_over_square). Base hinge j sits at
     height x_j on g0 (all 0 for the spherical linkage).
 
@@ -328,47 +328,47 @@ def _half_angle_construction(v: ValidatedSpherical, heights, phi1: np.ndarray):
     flip with the sign of WS. Every f_j is at a right angle to e_z, so the
     e_z terms are added to the z column.
     """
-    half = phi1[:, None] / 2
+    half = phi1 / 2
     w, s = np.cos(half), np.sin(half)
     ws = w * s
-    c = np.array([1.0, v.c21, v.c31])
+    c = np.array([[1.0], [v.c21], [v.c31]])
     cc = c * c
     ww, ccss = w * w, cc * s * s
     den = ww + ccss
     f = np.array([
         [math.sin(u), -math.cos(u), 0.0, x * math.cos(u), x * math.sin(u), 0.0] for u, x in zip(v.u, heights)
-    ])
-    arms = (2 * c * ws)[..., None] * f
-    arms[..., 2] += ww - ccss
-    arms /= den[..., None]
+    ]).T[..., None]
+    arms = 2 * c * ws * f
+    arms[2] += ww - ccss
+    arms /= den
     # a_j = (c_k^2 - c_j^2) / (D_j D_k) for the arm pair (j, k = _NEXT[j])
-    a = (cc[_NEXT] - cc) / (den * den[:, _NEXT])
+    a = (cc[_NEXT] - cc) / (den * den[_NEXT])
     cd = c / den
-    d = cd[..., None] * f - cd[:, _NEXT, None] * f[_NEXT]
-    d[..., 2] += ws * a
+    d = cd * f - cd[_NEXT] * f[:, _NEXT]
+    d[2] += ws * a
     over, coincide = _dual_over_square(d)
-    kappa_s = a[..., None] * over
+    kappa_s = a * over
     # the half-turns about S2, S3, S1 carry g0 onto g1, g2, g3
     kappa_next = kappa_s[:, _NEXT]
-    bars = -(2 * ws)[..., None] * kappa_next
-    bars[..., 2] += 1.0
+    bars = -(2 * ws) * kappa_next
+    bars[2] += 1.0
     # S4, S5, S6 bisect the bar pairs (g1, g2), (g2, g3), (g3, g1)
     axes = np.concatenate([d, kappa_s[:, _LAST] - kappa_next], axis=1)
-    return arms, bars, axes, coincide.any(axis=1)
+    return arms, bars, axes, coincide.any(axis=0)
 
 
 def _n_and_t(s: np.ndarray):
-    """For the unit symmetry axes s ((N, 6, 6), rows S1..S6): the line n they
+    """For the unit symmetry axes s ((6, 6, N), rows S1..S6): the line n they
     meet at right angles, the dual unit of S1 × S2, and the line t that
     bisects S1 and S4 oriented towards S1, the dual unit of S1 ± S4 (at least
-    sqrt 2 long), as an (N, 2, 6) stack; the rows where one of them is
-    undefined (see _dual_unit); and the rows with S1 . S4 >= 0, where t is
+    sqrt 2 long), as a (6, 2, N) stack; the angles where one of them is
+    undefined (see _dual_unit); and the angles with S1 . S4 >= 0, where t is
     the dual unit of S1 + S4. On the sphere n and t are the poles of n and
     of t1 or t2."""
-    same_side = (s[:, 0, :3] * s[:, 3, :3]).sum(axis=-1) >= 0
-    t = s[:, 0] + np.where(same_side, 1.0, -1.0)[:, None] * s[:, 3]
-    nt, short = _dual_unit(np.concatenate([_dual_cross(s[:, :1], s[:, 1:2]), t[:, None]], axis=1))
-    return nt, short.any(axis=1), same_side
+    same_side = (s[:3, 0] * s[:3, 3]).sum(axis=0) >= 0
+    t = s[:, 0] + np.where(same_side, 1.0, -1.0) * s[:, 3]
+    nt, short = _dual_unit(np.stack([_dual_cross(s[:, 0], s[:, 1]), t], axis=1))
+    return nt, short.any(axis=0), same_side
 
 
 # (element, symmetry axis S_k as k - 1, source): the half-turn about S_k
@@ -386,9 +386,9 @@ _PLACEMENT = (
 
 
 def _placement_batches():
-    """The placement table as rows of one (N, 16, 6) stack of elements per
-    angle: h1..h3 and R01..R03, then the elements in the order the table
-    places them. Per batch of half-turns: its mirrors (S_k as k - 1), its
+    """The placement table as rows of one (6, 16, N) stack of elements:
+    h1..h3 and R01..R03, then the elements in the order the table places
+    them. Per batch of half-turns: its mirrors (S_k as k - 1), its
     sources, the images that place an element and where, and the images
     that check one and against which."""
     elements = ["h1", "h2", "h3", "R01", "R02", "R03"]
@@ -417,8 +417,8 @@ _JOINT_BARS = np.concatenate([_JOINT_G, _JOINT_H])
 
 
 def _placement(v, phi1: np.ndarray, errors: list):
-    """Bars g0..g3, h0..h3 ((N, 8, 6) stacks), unit symmetry axes S1..S6 and
-    the joints ((N, 6, 6) and (N, 12, 6), joints in JOINT_KEYS order) at
+    """Bars g0..g3, h0..h3 ((6, 8, N) stacks), unit symmetry axes S1..S6 and
+    the joints ((6, 6, N) and (6, 12, N), joints in JOINT_KEYS order) at
     each angle of phi1, all as dual vectors, plus per angle the largest
     coupler and joint closure residual and the incidence, lengths in units of
     L (see _design). An angle at which an axis is undefined (two bars it
@@ -434,25 +434,25 @@ def _placement(v, phi1: np.ndarray, errors: list):
     arms, bars, axes, coincide = _half_angle_construction(ang, heights, phi1)
     _flag(errors, coincide, ClosureFailure(SHORT_SQUARE))
     units, short = _dual_unit(axes)
-    _flag(errors, short.any(axis=1), ClosureFailure(SHORT_UNIT))
+    _flag(errors, short.any(axis=0), ClosureFailure(SHORT_UNIT))
     n = len(phi1)
-    x = np.empty((n, len(_ELEMENTS), 6))
+    x = np.empty((6, len(_ELEMENTS), n))
     x[:, :3] = arms
-    x[:, 3:6] = [
+    x[:, 3:6] = np.array([
         [math.cos(u), math.sin(u), 0.0, -xj * math.sin(u), xj * math.cos(u), 0.0] for u, xj in zip(ang.u, heights)
-    ]
+    ]).T[..., None]
     gaps = []
     # one batch of half-turns moves base joints and arms, the next the joints
-    # it placed; each batch is one stack of rows, angle by angle
+    # it placed; each batch is one stack of rows at every angle
     for mirrors, sources, images_placing, placed, images_checking, checked in _PLACEMENT_BATCHES:
-        images = _dual_halfturn(units[:, mirrors].reshape(-1, 6), x[:, sources].reshape(-1, 6)).reshape(n, -1, 6)
+        images = _dual_halfturn(units[:, mirrors], x[:, sources])
         x[:, placed] = images[:, images_placing]
         gaps.append(images[:, images_checking] - x[:, checked])
-    resid = _length(weights * np.concatenate(gaps, axis=1)).max(axis=1)
-    g_h = np.empty((n, 8, 6))
-    g_h[:, 0], g_h[:, 1:4], g_h[:, 4], g_h[:, 5:] = _EZ, bars, -x[:, _ELEMENTS.index("-h0")], arms
+    resid = _length(weights[:, None, None] * np.concatenate(gaps, axis=1)).max(axis=0)
+    g_h = np.empty((6, 8, n))
+    g_h[:, 0], g_h[:, 1:4], g_h[:, 4], g_h[:, 5:] = _EZ[:, None], bars, -x[:, _ELEMENTS.index("-h0")], arms
     real, dual = _dual_dot(x[:, _JOINT_ELEMENTS_TWICE], g_h[:, _JOINT_BARS])
-    incidence = np.maximum(np.abs(real).max(axis=1), np.abs(dual).max(axis=1) * weights[3])
+    incidence = np.maximum(np.abs(real).max(axis=0), np.abs(dual).max(axis=0) * weights[3])
     return g_h, units, x[:, _JOINT_ELEMENTS], resid, incidence
 
 
@@ -506,15 +506,15 @@ def _is_aligned_angle(phi1):
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """The construction of one design at N angles, row by row.
+    """The construction of one design at N angles.
 
-    `values` holds, per angle, the dual vectors that the pose's value
-    objects hold, normalized and checked (see _values), in the order g0..g3,
-    h0..h3, the joints (hinges) in JOINT_KEYS order, S1..S6, n, t1 (t in
-    space) and on the sphere t2. `points` are the joints on the sphere and
-    the vertices in space, (N, 12, 3).
-    `errors` holds each angle's first failure, in the order the stages of
-    one pose raise them, or None."""
+    `values` holds the dual vectors that the poses' value objects hold,
+    normalized and checked (see _values), as a (6, rows, N) stack: per angle,
+    the rows g0..g3, h0..h3, the joints (hinges) in JOINT_KEYS order,
+    S1..S6, n, t1 (t in space) and on the sphere t2. `points` are the joints
+    on the sphere and the vertices in space, (3, 12, N), and `cells` the
+    cell residuals, (6, N). `errors` holds each angle's first failure, in
+    the order the stages of one pose raise them, or None."""
 
     spec: ValidatedSpherical | ValidatedSpatial
     phi1: np.ndarray
@@ -547,20 +547,20 @@ def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool, length: float
     their checks: a zero direction, and the Pluecker condition of a line,
     taken in units of the design's length L (see _design). Aligned poses
     build no symmetry element, so nothing checks theirs."""
-    d, m = lines[..., :3], lines[..., 3:]
-    norm = np.sqrt((d * d).sum(axis=-1))
+    d, m = lines[:3], lines[3:]
+    norm = np.sqrt((d * d).sum(axis=0))
     bad = norm < 1e-14
-    norm = np.where(bad, 1.0, norm)[..., None]
+    norm = np.where(bad, 1.0, norm)
     if spatial:
         d, m = d / norm, m / norm
         # summed left to right, as OrientedLine sums it, zeros' signs included
         prod = d * m
-        dm = prod[..., 0] + prod[..., 1] + prod[..., 2]
-        bad |= np.abs(dm) > PLUCKER_TOL * np.maximum(length, np.sqrt((m * m).sum(axis=-1)))
-        values = np.concatenate([d, m - dm[..., None] * d], axis=-1)
+        dm = prod[0] + prod[1] + prod[2]
+        bad |= np.abs(dm) > PLUCKER_TOL * np.maximum(length, np.sqrt((m * m).sum(axis=0)))
+        values = np.concatenate([d, m - dm * d])
     else:
-        values = np.concatenate([d / norm, m], axis=-1)
-    bad[aligned, 20:] = False
+        values = np.concatenate([d / norm, m])
+    bad[20:, aligned] = False
     return values, bad
 
 
@@ -578,7 +578,8 @@ def _held_line(x: np.ndarray) -> OrientedLine:
 
 
 def _assemble(v, phis) -> _Grid:
-    """Both linkages at every angle of phis, in one pass over (N, ...) stacks.
+    """Both linkages at every angle of phis, in one pass over (6, rows, N)
+    stacks of dual vectors.
     The aligned poses (phi1 = 0 or pi) are the construction's limit there,
     the collapsed layout on g0. Whether a pose closes does not depend on the
     unit of length: every length residual is taken in units of
@@ -591,18 +592,18 @@ def _assemble(v, phis) -> _Grid:
     if spatial:
         # sign(WS) = sign(sin phi1) orients each axis along the difference
         # of the two bars it bisects
-        s = np.where(np.sin(phi1) < 0, -1.0, 1.0)[:, None, None] * units
+        s = np.where(np.sin(phi1) < 0, -1.0, 1.0) * units
         # vertex V_ij: the point of bar g_i nearest hinge I_ij, which is where
         # the two meet at a right angle once the incidence holds; bar h_j
         # must pass through it too (g_i and h_j are parallel at the aligned
         # poses)
         gi, hj = bars[:, _JOINT_G], bars[:, _JOINT_H]
-        feet = _cross(np.array([gi[..., :3], joints[..., :3]]), np.array([gi[..., 3:], joints[..., 3:]]))
-        points = feet[0] + (feet[1] * gi[..., :3]).sum(axis=-1, keepdims=True) * gi[..., :3]
-        meet = _length(_cross(points, hj[..., :3]) - hj[..., 3:]).max(axis=1) * _design(v)[3][3]
+        feet = _cross(np.concatenate([gi[:3], joints[:3]], axis=1), np.concatenate([gi[3:], joints[3:]], axis=1))
+        points = feet[:, :12] + (feet[:, 12:] * gi[:3]).sum(axis=0) * gi[:3]
+        meet = _length(_cross(points, hj[:3]) - hj[3:]).max(axis=0) * _design(v)[3][3]
         cells, parallel = _cell_residuals(v, joints)
         _flag(errors, parallel, ParallelLines("lines are parallel (or identical)"))
-        closure = np.maximum.reduce([placement, incidence, meet, cells.max(axis=1)])
+        closure = np.maximum.reduce([placement, incidence, meet, cells.max(axis=0)])
         _flag(errors, ~(closure <= _CLOSURE_TOL), lambda i: ClosureFailure(
             f"spatial 8-bar failed to close (residual {closure[i]:.3e})"
         ))
@@ -610,45 +611,44 @@ def _assemble(v, phis) -> _Grid:
         _flag(errors, short, ClosureFailure(SHORT_UNIT))
         lines = np.concatenate([bars, joints, s, nt], axis=1)
         values, bad = _values(lines, aligned, True, _design(v)[1][2])
-        _flag(errors, bad.any(axis=1), ClosureFailure(_DEGENERATE))
+        _flag(errors, bad.any(axis=0), ClosureFailure(_DEGENERATE))
     else:
-        s = tie_break_sign(units[..., :3])[..., None] * units
+        s = tie_break_sign(units[:3]) * units
         nt, short, same_side = _n_and_t(s)
         _flag(errors, short, ClosureFailure(SHORT_UNIT))
         n, t = nt[:, :1], nt[:, 1:]
         # t1 mirrors S1 onto S4 and t2 onto -S4, so t is the pole of t2 where
         # S1 . S4 >= 0 and of t1 otherwise; n x t is the pole of the other
         n_t = np.zeros_like(t)
-        n_t[..., :3] = _cross(n[..., :3], t[..., :3])
-        side = same_side[:, None, None]
-        n_poles = np.concatenate([n, np.where(side, n_t, t), np.where(side, t, n_t)], axis=1)
-        n_poles *= tie_break_sign(n_poles[..., :3])[..., None]
+        n_t[:3] = _cross(n[:3], t[:3])
+        n_poles = np.concatenate([n, np.where(same_side, n_t, t), np.where(same_side, t, n_t)], axis=1)
+        n_poles *= tie_break_sign(n_poles[:3])
         lines = np.concatenate([bars, joints, s, n_poles], axis=1)
         values, bad = _values(lines, aligned, False, 1.0)
-        centers = np.abs((s[..., :3] * values[:, 26:27, :3]).sum(axis=-1)).max(axis=1)
+        centers = np.abs((s[:3] * values[:3, 26:27]).sum(axis=0)).max(axis=0)
         closure = np.maximum.reduce([placement, incidence, centers])
         _flag(errors, ~(closure <= _CLOSURE_TOL), lambda i: ClosureFailure(
             f"spherical 8-bar failed to close (residual {closure[i]:.3e})"
         ))
-        _flag(errors, bad.any(axis=1), ClosureFailure(_DEGENERATE))
+        _flag(errors, bad.any(axis=0), ClosureFailure(_DEGENERATE))
         cells, parallel = _cell_residuals(v, joints)
         _flag(errors, parallel, ParallelLines("lines are parallel (or identical)"))
-        points = values[:, 8:20, :3]
+        points = values[:3, 8:20]
     return _Grid(v, phi1, values, points, aligned, closure, incidence, cells, errors)
 
 
 def _pose(grid: _Grid, i: int) -> EightBarPose | SpatialEightBarPose:
-    """The pose at row i of the grid, its value objects holding the row's
-    checked values (see _values)."""
+    """The pose at angle i of the grid, its value objects holding that
+    angle's checked values (see _values)."""
     v, aligned, phi1 = grid.spec, bool(grid.aligned[i]), float(grid.phi1[i])
-    row = grid.values[i].copy()
+    row = grid.values[..., i].T.copy()
     row.setflags(write=False)
     common = dict(
         spec=v,
         aligned=aligned,
         closure_residual=float(grid.closure[i]),
         incidence_residual=float(grid.incidence[i]),
-        cell_residuals=tuple(grid.cells[i].tolist()),
+        cell_residuals=tuple(grid.cells[:, i].tolist()),
     )
     if isinstance(v, ValidatedSpatial):
         return SpatialEightBarPose(
@@ -656,7 +656,7 @@ def _pose(grid: _Grid, i: int) -> EightBarPose | SpatialEightBarPose:
             g=tuple(map(_held_line, row[:4])),
             h=tuple(map(_held_line, row[4:8])),
             hinges=dict(zip(HINGE_KEYS, map(_held_line, row[8:20]))),
-            vertices=dict(zip(HINGE_KEYS, grid.points[i])),
+            vertices=dict(zip(HINGE_KEYS, grid.points[..., i].T)),
             axes=None if aligned else tuple(map(_held_line, row[20:26])),
             n_line=None if aligned else _held_line(row[26]),
             t_line=None if aligned else _held_line(row[27]),
@@ -726,36 +726,39 @@ _CELL_NEXT_ROWS = np.roll(_CELL_ROWS, -1, axis=1)
 
 
 def _cell_residuals(v, joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closure of each cell from the joints ((..., 12, 6) stacks, rows in
+    """Closure of each cell from the joints ((6, 12, ...) stacks, rows in
     JOINT_KEYS order), lengths in units of L (see _design): opposite sides
     have equal dual angles, and the cell is the designed one (see
-    _cell_design_residuals). Returns the (..., 6) residuals and the poses
+    _cell_design_residuals). Returns the (6, ...) residuals and the poses
     with two parallel joints on one side, whose dual angle means nothing."""
     # the dual angles (theta, l) of the sides AB, BC, CD, DA of every cell
-    angle, parallel = _dual_angle(joints[..., _CELL_ROWS, :], joints[..., _CELL_NEXT_ROWS, :])
-    sides = np.stack(angle, axis=-1)
+    sides, parallel = _dual_angle(joints[:, _CELL_ROWS], joints[:, _CELL_NEXT_ROWS])
+    theta, length = sides[0], sides[1] * _design(v)[3][3]
     # the opposite sides AB, CD and BC, DA have equal dual angles
-    scaled = sides * _design(v)[3][2:4]
-    opposite = np.abs(scaled[..., :2, :] - scaled[..., 2:, :]).max(axis=(-2, -1))
-    return np.maximum(opposite, _cell_design_residuals(v, sides)), parallel.any(axis=(-2, -1))
+    opposite = np.maximum(
+        np.abs(theta[:, :2] - theta[:, 2:]).max(axis=1), np.abs(length[:, :2] - length[:, 2:]).max(axis=1)
+    )
+    return np.maximum(opposite, _cell_design_residuals(v, sides)), parallel.any(axis=(0, 1))
 
 
 def _cell_design_residuals(v, sides: np.ndarray) -> np.ndarray:
     """Distance of each cell from its design, lengths in units of L, given the
     dual angles (theta, l) of the sides AB, BC, CD, DA of the six cells, as
-    (..., 6, 4, 2) stacks. Every cell keeps the side proportion
+    (2, 6, 4, ...) stacks. Every cell keeps the side proportion
     l_AB sin(theta_BC) = l_BC sin(theta_AB). Cells 1-3 (base on g0) also
     have base and coupler (alpha_i, a_i), with a_3 = a1 + a2, and arms
     (|arm_joint_offset|, |b_i|): beta_i on the minus branch, pi - beta_i on
     the plus branch."""
     ang, lengths, b, weights = _design(v)
-    sides = sides * weights[2:4]
-    theta, length = sides[..., 0], sides[..., 1]
-    resid = np.abs(length[..., 0] * np.sin(theta[..., 1]) - length[..., 1] * np.sin(theta[..., 0]))
-    design = [[(alpha, a), (abs(arm_joint_offset(SphericalIsogramSpec(alpha, beta, branch))), abs(bi))] * 2
-              for alpha, beta, branch, a, bi in zip(ang.alphas, ang.betas, ang.branches, lengths, b)]
-    off = np.abs(sides[..., :3, :, :] - np.array(design) * weights[2:4]).max(axis=(-2, -1))
-    resid[..., :3] = np.maximum(resid[..., :3], off)
+    theta, length = sides[0], sides[1] * weights[3]
+    resid = np.abs(length[:, 0] * np.sin(theta[:, 1]) - length[:, 1] * np.sin(theta[:, 0]))
+    design = np.array([[(alpha, abs(arm_joint_offset(SphericalIsogramSpec(alpha, beta, branch)))) * 2, (a, abs(bi)) * 2]
+                       for alpha, beta, branch, a, bi in zip(ang.alphas, ang.betas, ang.branches, lengths, b)])
+    design = design.reshape(design.shape + (1,) * (theta.ndim - 2))
+    off = np.maximum(
+        np.abs(theta[:3] - design[:, 0]).max(axis=1), np.abs(length[:3] - design[:, 1] * weights[3]).max(axis=1)
+    )
+    resid[:3] = np.maximum(resid[:3], off)
     return resid
 
 
@@ -817,7 +820,7 @@ _RHOS = sorted({name for names in ("rho21", "rho54", *_ROW, *(f"{p} {q}" for _, 
                 for name in names.split() if name.startswith("rho")})
 _RHO_AXES = np.array([[int(name[3]) - 1, int(name[4]) - 1] for name in _RHOS]).T
 # the conjugate of a dual quaternion negates its two vector parts
-_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+_CONJUGATE = np.array([[1.0], [-1.0], [-1.0], [-1.0], [1.0], [-1.0], [-1.0], [-1.0]])
 _AXES_ON_N = tuple(f"rho{rho}_axis_on_N" for rho in ("61", "42", "53"))
 _KEYS = {table: tuple(row[0] for row in rows) for table, rows in (
     ("swaps", _SWAPS), ("mirrors", _MIRRORS), ("maps", _MAPS), ("products", _PRODUCTS),
@@ -864,20 +867,21 @@ def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moment-free case. Entries are distances, up to sign where orientation is
     not part of the statement; a dual scalar reads its larger part.
 
-    x is an (N, 28, 6) stack of poses' _report_inputs. Returns the (N, 55)
+    x is a (6, 28, N) stack of poses' _report_inputs. Returns the (55, N)
     values in the order of _REPORT_KEYS, and the poses where a line the
     report needs is undefined (see _dual_unit)."""
-    bars, joints, s, n, t1 = x[:, :8], x[:, 8:20], x[:, 20:26], x[:, 26], x[:, 27]
+    bars, joints, s, n, t1 = x[:, :8], x[:, 8:20], x[:, 20:26], x[:, 26:27], x[:, 27:]
 
     # the half-turn about s_k is the dual quaternion (0, s_k), and rho_XY is
     # the product sigma_X sigma_Y, the half-turn about s_Y and then about s_X
-    sig = np.zeros((len(x), 6, 8))
-    sig[..., 1:4], sig[..., 5:] = s[..., :3], s[..., 3:]
+    sig = np.zeros((8, *s.shape[1:]))
+    sig[1:4], sig[5:] = s[:3], s[3:]
     quats = dict(zip(_RHOS, np.moveaxis(_dual_qmul(sig[:, _RHO_AXES[0]], sig[:, _RHO_AXES[1]]), 1, 0)))
     # tau321 = sigma3 rho21, tau654 = sigma6 rho54; sigma3 rho21 sigma3 = rho32 rho13
-    tau321, tau654, quats["rho32 rho13"] = _dual_qmul(
-        np.array([sig[:, 2], sig[:, 5], quats["rho32"]]), np.array([quats["rho21"], quats["rho54"], quats["rho13"]])
-    )
+    tau321, tau654, quats["rho32 rho13"] = np.moveaxis(_dual_qmul(
+        np.stack([sig[:, 2], sig[:, 5], quats["rho32"]], axis=1),
+        np.stack([quats["rho21"], quats["rho54"], quats["rho13"]], axis=1),
+    ), 1, 0)
     quats["tau321"], quats["tau321 conjugate"] = tau321, tau321 * _CONJUGATE
     movers = np.stack([quats["rho61"], quats["rho42"], quats["rho53"], tau321, tau654], axis=1)
 
@@ -885,13 +889,13 @@ def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the first nine and of the movers' vector parts are the lines n^g_i,
     # n^h_i, t2 and the movers' axes
     cross = _dual_cross(
-        np.concatenate([np.broadcast_to(n[:, None], (len(x), 9, 6)), s[:, :1]], axis=1),
-        np.concatenate([bars, t1[:, None], s[:, 1:2]], axis=1),
+        np.concatenate([np.broadcast_to(n, (6, 9, x.shape[2])), s[:, :1]], axis=1),
+        np.concatenate([bars, t1, s[:, 1:2]], axis=1),
     )
-    lines, short = _dual_unit(np.concatenate([cross[:, :9], movers[..., [1, 2, 3, 5, 6, 7]]], axis=1))
-    stack = np.concatenate([s, bars, lines[:, :8], n[:, None], t1[:, None], lines[:, 8:]], axis=1)
+    lines, short = _dual_unit(np.concatenate([cross[:, :9], movers[[1, 2, 3, 5, 6, 7]]], axis=1))
+    stack = np.concatenate([s, bars, lines[:, :8], n, t1, lines[:, 8:]], axis=1)
     # the dual angle of each bar with n, its angle folded into [0, pi/2]
-    angles, offsets = _dual_atan2(_dual_norm(cross[:, :8]), _dual_dot(n[:, None], bars))
+    angles, offsets = _dual_atan2(_dual_norm(cross[:, :8]), _dual_dot(n, bars))
     angles = np.minimum(angles, np.pi - angles)
 
     images = _dual_halfturn(stack[:, _HALFTURN_ROWS[0]], stack[:, _HALFTURN_ROWS[1]])
@@ -906,31 +910,31 @@ def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # first three centres in a plane through O
     dots = np.abs(_dual_dot(
         np.concatenate([s, joints, stack[:, _PERPENDICULAR_ROWS[0]], cross[:, 9:]], axis=1),
-        np.concatenate([np.broadcast_to(n[:, None], (len(x), 18, 6)), stack[:, _PERPENDICULAR_ROWS[1]], s[:, 2:3]], axis=1),
+        np.concatenate([np.broadcast_to(n, (6, 18, x.shape[2])), stack[:, _PERPENDICULAR_ROWS[1]], s[:, 2:3]], axis=1),
     ))
     sizes = np.max(dots, axis=0)
     blocks = [
-        plus[:, : len(_SWAPS)], np.minimum(minus, plus)[:, len(_SWAPS) : maps.start], minus[:, maps],
+        plus[: len(_SWAPS)], np.minimum(minus, plus)[len(_SWAPS) : maps.start], minus[maps],
         _unsigned_gap(*pairs),
-        _unsigned_gap(stack[:, _rows("rho61", "rho42", "rho53")], n[:, None]),
-        np.max(np.abs(tau321[:, [0, 4]]), axis=1, keepdims=True),
-        np.max(np.abs(tau654[:, [0, 4]]), axis=1, keepdims=True),
-        sizes[:, 18:-1], np.max(sizes[:, :6], axis=1, keepdims=True), sizes[:, -1:],
-        *(np.max(np.ptp(dots[:, :, 6:18][:, :, rows], axis=2), axis=0)[:, None] for _, rows in _BANDS),
-        *(np.maximum(np.ptp(angles[:, rows], axis=1), np.ptp(offsets[:, rows], axis=1))[:, None]
+        _unsigned_gap(stack[:, _rows("rho61", "rho42", "rho53")], n),
+        np.max(np.abs(tau321[[0, 4]]), axis=0, keepdims=True),
+        np.max(np.abs(tau654[[0, 4]]), axis=0, keepdims=True),
+        sizes[18:-1], np.max(sizes[:6], axis=0, keepdims=True), sizes[-1:],
+        *(np.max(np.ptp(dots[:, 6:18][:, rows], axis=1), axis=0)[None] for _, rows in _BANDS),
+        *(np.maximum(np.ptp(angles[rows], axis=0), np.ptp(offsets[rows], axis=0))[None]
           for rows in (slice(0, 4), slice(4, 8))),
     ]
-    return np.concatenate(blocks, axis=1), short.any(axis=1)
+    return np.concatenate(blocks), short.any(axis=0)
 
 
 def _pose_report(pose) -> dict[str, float]:
     """The symmetry report of one non-aligned pose (see _symmetry_report)."""
     if pose.aligned:
         raise CollapsedPose("symmetry elements are undefined at the aligned pose")
-    values, short = _symmetry_report(_report_inputs(pose)[None])
+    values, short = _symmetry_report(_report_inputs(pose).T[..., None])
     if short[0]:
         raise ClosureFailure(SHORT_UNIT)
-    return dict(zip(_REPORT_KEYS, values[0].tolist()))
+    return dict(zip(_REPORT_KEYS, values[:, 0].tolist()))
 
 
 def halfturn_products_report(pose: EightBarPose) -> dict[str, float]:
@@ -989,7 +993,7 @@ def mobility_check(samples) -> list[MobilitySample]:
         if s._grid is None:
             out.append(MobilitySample(s.phi1, "assembly-failed", None))
         else:
-            screws = s._grid.values[s._row, 8:20] * _design(s._grid.spec)[3]
+            screws = s._grid.values[:, 8:20, s._row].T * _design(s._grid.spec)[3]
             out.append(MobilitySample(s.phi1, "ok", matrix_nullity(_mobility_jacobian(screws))))
     return out
 
@@ -1048,7 +1052,7 @@ class SweepSample:
         """The joints (spherical) or the vertices (spatial) of the pose in
         JOINT_KEYS order, as a (12, 3) array, read off the sweep's grid;
         None where the sample failed."""
-        return None if self._grid is None else self._grid.points[self._row]
+        return None if self._grid is None else self._grid.points[..., self._row].T
 
 
 def phi_grid(phi_from: float, phi_to: float, n: int, uniform_angle: bool = False) -> list[float]:
@@ -1081,13 +1085,13 @@ def sweep(spec, phis) -> list[SweepSample]:
     grid = _assemble(v, phis)
     errors = grid.errors
     ok = np.array([e is None for e in errors], dtype=bool) & ~grid.aligned
-    values = np.full((len(errors), 3 + len(_REPORT_KEYS)), np.nan)
-    values[:, 0], values[:, 1], values[:, 2] = grid.closure, grid.incidence, grid.cells.max(axis=1)
+    values = np.full((3 + len(_REPORT_KEYS), len(errors)), np.nan)
+    values[0], values[1], values[2] = grid.closure, grid.incidence, grid.cells.max(axis=0)
     if ok.any():
         failed = np.zeros_like(ok)
-        values[ok, 3:], failed[ok] = _symmetry_report(grid.values[ok, :28] * _design(v)[3])
+        values[3:, ok], failed[ok] = _symmetry_report(grid.values[:, :28, ok] * _design(v)[3][:, None, None])
         _flag(errors, failed, ClosureFailure(SHORT_UNIT))
-    families = np.stack([values[:, cols].max(axis=1) for cols in _FAMILY_COLUMNS], axis=1).tolist()
+    families = np.array([values[cols].max(axis=0) for cols in _FAMILY_COLUMNS]).T.tolist()
     samples: list[SweepSample] = []
     for i, (phi1, error) in enumerate(zip(phis, errors)):
         if error is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from itertools import chain
 from typing import Any
 
@@ -283,13 +284,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# what makes RFC 4180 quote a cell
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
 def dumps_csv(header: list[str], rows) -> str:
     """CSV text of a header and rows. A row is numbers, or None for an empty
     cell, then one text cell. Numbers are written with %.17g, as
     format_float writes them; a row with no empty cell goes through one
-    format."""
+    format. A text cell that holds a comma, a double quote or a line break
+    is written in double quotes, its own doubled, as RFC 4180 writes it."""
     lines = [",".join(header)]
     for *values, text in rows:
+        if text and _CSV_QUOTED.search(text):
+            text = '"' + text.replace('"', '""') + '"'
         if None in values:
             lines.append(",".join(["" if x is None else format_float(x) for x in values] + [text]))
         else:

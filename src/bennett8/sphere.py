@@ -37,8 +37,8 @@ def _as_unit(v, what: str) -> np.ndarray:
 
 def tie_break_sign(v: np.ndarray) -> np.ndarray:
     """+1 if the first coordinate exceeding _TIE_EPS in magnitude is positive,
-    else -1, and +1 where none does; row by row of (..., 3) stacks."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    else -1, and +1 where none does; of a (3,) vector or a (3, ...) stack."""
+    x, y, z = v
     first = np.where(np.abs(x) > _TIE_EPS, x, np.where(np.abs(y) > _TIE_EPS, y, z))
     return np.where(first < -_TIE_EPS, -1.0, 1.0)
 

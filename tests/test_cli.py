@@ -242,14 +242,14 @@ def test_sweep_records_no_error_next_to_the_aligned_pose(capsys):
 
 
 def test_verify_gates_the_tau_halfturns(capsys, monkeypatch):
-    # the grid's report, one row per non-aligned pose, with tau321_halfturn
-    # broken at every pose
+    # the grid's report, one column per non-aligned pose, with
+    # tau321_halfturn broken at every pose
     original = linkage._symmetry_report
-    column = linkage._REPORT_KEYS.index("tau321_halfturn")
+    row = linkage._REPORT_KEYS.index("tau321_halfturn")
 
     def broken(x):
         values, short = original(x)
-        values[:, column] = 1.0
+        values[row] = 1.0
         return values, short
 
     monkeypatch.setattr(linkage, "_symmetry_report", broken)

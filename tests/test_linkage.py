@@ -5,7 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bennett8._dual import _dual_angle, _dual_cross, _dual_halfturn, _dual_unit, _screw
+from bennett8._dual import (
+    _cross,
+    _dual_angle,
+    _dual_cross,
+    _dual_dot,
+    _dual_halfturn,
+    _dual_norm,
+    _dual_over_square,
+    _dual_qmul,
+    _dual_unit,
+    _length,
+    _qmul,
+    _screw,
+    _unsigned_gap,
+)
 from bennett8.errors import ClosureFailure, CollapsedPose, InvalidSpec
 from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_coefficient
 from bennett8.linkage import (
@@ -30,6 +44,7 @@ from bennett8.linkage import (
     _cell_design_residuals,
     _cell_residuals,
     _PLACEMENT,
+    _assemble,
     _design,
     _mobility_jacobian,
     _report_inputs,
@@ -487,9 +502,9 @@ def test_misplaced_joint_fails_closure(monkeypatch, kind, motion, joint, phi):
         def misplaced(s, x):
             image = _dual_halfturn(s, x)
             row = target - sum(done)
-            done.append(len(image))
-            if 0 <= row < len(image):
-                image[row] = _moved(image[row], motion, 1e-6 * (length if motion == "translate" else 1.0))
+            done.append(image.shape[1])
+            if 0 <= row < image.shape[1]:
+                image[:, row, 0] = _moved(image[:, row, 0], motion, 1e-6 * (length if motion == "translate" else 1.0))
             return image
 
         monkeypatch.setattr("bennett8.linkage._dual_halfturn", misplaced)
@@ -603,9 +618,47 @@ def test_dual_halfturn_is_the_line_reflection(moments):
         assert np.max(np.abs(_dual_halfturn(a, x) - want)) <= 1e-14
         assert np.max(np.abs(_dual_halfturn(-a, x) - want)) <= 1e-14
         assert np.max(np.abs(_dual_halfturn(b, _dual_halfturn(a, x)) - twice)) <= 1e-13
-        # row by row: a stack of rows is the rows one by one
-        stacked = _dual_halfturn(np.array([a, b]), np.array([x, x]))
-        assert np.array_equal(stacked, [_dual_halfturn(a, x), _dual_halfturn(b, x)])
+        # a stack of vectors is the vectors one by one, for every kernel
+        _assert_stacks_are_single_calls(np.array([a, b, x]).T, np.array([x, x, a]).T)
+
+
+def _assert_same_bits(stacked, singles) -> None:
+    """stacked[..., k] is singles[k] bit for bit, part by part of a tuple."""
+    if isinstance(stacked, tuple):
+        for j, part in enumerate(stacked):
+            _assert_same_bits(part, [single[j] for single in singles])
+        return
+    want = np.stack([np.asarray(single) for single in singles], axis=-1)
+    assert want.shape == stacked.shape and want.dtype == stacked.dtype
+    assert want.tobytes() == stacked.tobytes()
+
+
+def _assert_stacks_are_single_calls(x: np.ndarray, y: np.ndarray) -> None:
+    """Every kernel of _dual.py on the component-major (6, M) stacks x and y
+    is its M calls on single vectors, bit for bit: the 6-vectors, their
+    direction and quaternion parts, and the dual quaternions of their
+    half-turns, whose 8-component lengths numpy sums in another order."""
+    sig_x, sig_y = np.zeros((8, x.shape[1])), np.zeros((8, y.shape[1]))
+    sig_x[1:4], sig_x[5:], sig_y[1:4], sig_y[5:] = x[:3], x[3:], y[:3], y[3:]
+    products = _dual_qmul(sig_x, sig_y)
+    calls = [
+        (_cross, x[:3], y[:3]), (_dual_dot, x, y), (_dual_norm, x), (_dual_unit, x), (_dual_over_square, x),
+        (_dual_halfturn, x, y), (_dual_cross, x, y), (_dual_angle, x, y), (_qmul, x[:4], y[2:]),
+        (_dual_qmul, sig_x, sig_y), (_length, x), (_length, x[:3]), (_length, products),
+        (_unsigned_gap, x, y), (_unsigned_gap, products, sig_x), (lambda a, b: _screw(a, 0.7, -0.3, b), x, y),
+    ]
+    for kernel, *stacks in calls:
+        singles = [kernel(*(stack[:, k] for stack in stacks)) for k in range(stacks[0].shape[1])]
+        _assert_same_bits(kernel(*stacks), singles)
+
+
+@pytest.mark.parametrize("kind", ["spherical", "spatial"])
+def test_kernels_on_grid_rows_are_their_single_calls(kind):
+    # the stacks the grid runs on: every row of the demo's grid, against
+    # the same rows in another order, through both aligned poses
+    v = validate_spec(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")))
+    rows = _assemble(v, phi_grid(-np.pi, np.pi, 9) + [0.8]).values.reshape(6, -1)
+    _assert_stacks_are_single_calls(rows, rows[:, ::-1])
 
 
 def test_dual_helpers_match_their_references():
@@ -615,8 +668,9 @@ def test_dual_helpers_match_their_references():
     rng = np.random.default_rng(41)
     pairs = [random_line_pair(rng) for _ in range(50)]
     x, y = (np.array([np.r_[line.d, line.m] for line in lines]) for lines in zip(*pairs))
-    (angles, dists), parallel = _dual_angle(x, y)
-    (perpendiculars, short), (midlines, short_midlines) = _dual_unit(_dual_cross(x, y)), _dual_unit(x + y)
+    (angles, dists), parallel = _dual_angle(x.T, y.T)
+    (perpendiculars, short), (midlines, short_midlines) = _dual_unit(_dual_cross(x.T, y.T)), _dual_unit(x.T + y.T)
+    perpendiculars, midlines = perpendiculars.T, midlines.T
     assert not (parallel.any() or short.any() or short_midlines.any())
     for k, (a, b) in enumerate(pairs):
         assert np.max(np.abs(np.r_[angles[k], dists[k]] - dual_angle(a, b))) <= 1e-12
@@ -626,7 +680,7 @@ def test_dual_helpers_match_their_references():
         assert np.max(np.abs(midlines[k] - np.r_[axis.d, axis.m])) <= 1e-12
     # a parallel pair in the stack is flagged, and only it
     shifted = np.r_[x[0, :3], x[0, 3:] + np.cross([0.3, -0.2, 0.1], x[0, :3])]
-    _, parallel = _dual_angle(x, np.r_[[shifted], y[1:]])
+    _, parallel = _dual_angle(x.T, np.r_[[shifted], y[1:]].T)
     assert parallel.tolist() == [True] + [False] * 49
 
 
@@ -641,7 +695,7 @@ def _design_residual(v, pose) -> float:
     for quad, _sides in CELLS:
         hinges = [pose.hinges[f"I{k[1:]}"] for k in quad]
         sides.append([dual_angle(hinges[k], hinges[(k + 1) % 4]) for k in range(4)])
-    return float(np.max(_cell_design_residuals(v, np.array(sides))))
+    return float(np.max(_cell_design_residuals(v, np.moveaxis(np.array(sides), -1, 0))))
 
 
 def test_cells_match_their_design_through_the_band():
@@ -660,7 +714,7 @@ def test_cells_fail_against_a_changed_design(field):
     pose = assemble_spatial(spec, 0.8)
     changed = validate_spec(replace(spec, **{field: getattr(spec, field) * (1 + 1e-6)}))
     hinges = np.array([np.r_[line.d, line.m] for line in pose.hinges.values()])
-    worst = max(_cell_residuals(changed, hinges)[0])
+    worst = max(_cell_residuals(changed, hinges.T)[0])
     assert worst >= 1e-7
 
 
@@ -678,10 +732,10 @@ def test_cells_catch_unequal_opposite_sides(kind):
         joints = np.array([np.r_[pose.joints[k].v, np.zeros(3)] for k in JOINT_KEYS])
     r20, r23 = JOINT_KEYS.index("R20"), JOINT_KEYS.index("R23")
     joints[r20] = _screw(joints[r23], 1e-6, 0.0, joints[r20])
-    quads = joints[[[JOINT_KEYS.index(k) for k in quad] for quad, _ in CELLS]]
-    sides = np.stack(_dual_angle(quads, np.roll(quads, -1, axis=1))[0], axis=-1)
+    quads = joints.T[:, [[JOINT_KEYS.index(k) for k in quad] for quad, _ in CELLS]]
+    sides = np.stack(_dual_angle(quads, np.roll(quads, -1, axis=2))[0])
     assert np.max(_cell_design_residuals(v, sides)) <= 1e-12
-    residuals = _cell_residuals(v, joints)[0].tolist()
+    residuals = _cell_residuals(v, joints.T)[0].tolist()
     assert min(residuals[3:5]) >= 1e-7 and max(residuals[:3] + residuals[5:]) <= 1e-12
 
 
@@ -922,7 +976,7 @@ def test_sweep_records_per_sample_errors(monkeypatch):
     # failures at single samples are reported in place, not raised: joint
     # R13 of the third sample is moved by 1e-6 where the placement table
     # places it, in the first batch of half-turns, which runs the table's
-    # rows angle by angle. Only that sample fails closure
+    # rows at every angle. Only that sample fails closure
     phis = phi_grid(0.0, 1.0, 5, uniform_angle=True)
     want = sweep(SAMPLE, phis)
     target = next(i for i, (key, _, _) in enumerate(_PLACEMENT) if key == "R13")
@@ -931,9 +985,8 @@ def test_sweep_records_per_sample_errors(monkeypatch):
     def misplaced(s, x):
         image = _dual_halfturn(s, x)
         if not calls:
-            row = 2 * (len(image) // len(phis)) + target
-            image[row] = _moved(image[row], "rotate")
-        calls.append(len(image))
+            image[:, target, 2] = _moved(image[:, target, 2], "rotate")
+        calls.append(image.shape[1])
         return image
 
     monkeypatch.setattr("bennett8.linkage._dual_halfturn", misplaced)
@@ -995,7 +1048,7 @@ def test_sweep_matches_single_poses(kind):
             if not pose.aligned:
                 # mobility reads the joint screws off the grid: the weighted
                 # rows equal those of the pose built from them, bit for bit
-                screws = sample._grid.values[sample._row, 8:20] * _design(v)[3]
+                screws = sample._grid.values[:, 8:20, sample._row].T * _design(v)[3]
                 assert np.array_equal(screws, _report_inputs(sample.pose)[8:20]), (spec, phi)
             values = {"closure": pose.closure_residual, "incidence": pose.incidence_residual}
             values.update(cells=max(pose.cell_residuals), **(report or {}))

@@ -1,4 +1,6 @@
 """Scene serialization: exact round trip and byte-identical reruns."""
+import csv
+import io
 import json
 import os
 
@@ -269,5 +271,17 @@ def test_csv_rows_with_empty_cells():
         [-0.0, float("nan"), float("inf"), ""],
         [np.float64(0.1), 2, True, "e,f"],
     ]
-    expect = ["a,b,c,error", "0.5,,1,ClosureFailure: x", "-0,nan,inf,", "0.10000000000000001,2,1,e,f"]
+    expect = ["a,b,c,error", "0.5,,1,ClosureFailure: x", "-0,nan,inf,", '0.10000000000000001,2,1,"e,f"']
     assert scene.dumps_csv(["a", "b", "c", "error"], rows) == "\n".join(expect) + "\n"
+
+
+def test_csv_text_cells_read_back_with_their_columns():
+    # a message with a comma, a double quote or a line break is quoted as
+    # RFC 4180 quotes it, so csv.reader reads every row back with the
+    # header's columns and the message as it was
+    messages = ["", "ClosureFailure: x", "ClosureFailure: a, b", 'ParallelLines: "s1", s2', "a\nb,c", 'x"y', "\r"]
+    rows = [[0.5, None, 1.0, text] for text in messages] + [[0.25, 2.0, 3.0, text] for text in messages]
+    read = list(csv.reader(io.StringIO(scene.dumps_csv(["a", "b", "c", "error"], rows), newline="")))
+    assert read[0] == ["a", "b", "c", "error"]
+    assert [row[-1] for row in read[1:]] == messages * 2
+    assert {len(row) for row in read} == {4}

@@ -117,8 +117,8 @@ def test_compose_inverse_identity():
     rng = np.random.default_rng(7)
     q = np.array([rotation_about(random_point(rng), rng.uniform(-3, 3)).q for _ in range(50)])
     conj = q * [1, -1, -1, -1]
-    assert np.max(np.abs(_qmul(q, conj) - IDENTITY.q)) < 1e-15
-    assert np.max(np.abs(_qmul(conj, q) - IDENTITY.q)) < 1e-15
+    assert np.max(np.abs(_qmul(q.T, conj.T).T - IDENTITY.q)) < 1e-15
+    assert np.max(np.abs(_qmul(conj.T, q.T).T - IDENTITY.q)) < 1e-15
 
 
 def test_halfturn_product_doubles_angle():
