@@ -2,9 +2,9 @@
 8-bar linkage and its spatial counterpart built from six Bennett isograms.
 
 The package is organized around small immutable geometry values (points,
-oriented great circles, oriented lines, rotations), analytic cell and
-linkage solvers, and an independent numeric closure oracle used to
-cross-check every derived quantity.
+oriented great circles, oriented lines), analytic cell and linkage solvers,
+and an independent numeric closure oracle used to cross-check every derived
+quantity.
 """
 from .errors import (
     ClosureFailure,
@@ -14,7 +14,7 @@ from .errors import (
     InvalidSpec,
     ParallelLines,
 )
-from .sphere import OrientedGreatCircle, SpherePoint, SphericalRotation
+from .sphere import OrientedGreatCircle, SpherePoint
 from .screws import OrientedLine
 from .isogram import (
     BennettIsogramPose,
@@ -61,7 +61,6 @@ __all__ = [
     "ParallelLines",
     "SpherePoint",
     "OrientedGreatCircle",
-    "SphericalRotation",
     "OrientedLine",
     "SphericalIsogramSpec",
     "SphericalIsogramPose",

@@ -220,28 +220,6 @@ def isogram_symmetry_spherical(
     return s_point, OrientedGreatCircle(s_dir)
 
 
-def dihedral_angles(pose: SphericalIsogramPose) -> tuple[float, float, float, float]:
-    """Interior joint angles of the cell in the loop-closure frame convention
-    (signed about the vertex radials). Opposite angles are congruent."""
-    from .oracle import dh_from_spherical_vertices
-
-    thetas, _ = dh_from_spherical_vertices([q.v for q in pose.vertices])
-    return tuple(float(t) for t in thetas)
-
-
-def phi2_from_dihedral(branch: Branch, theta_b: float) -> float:
-    """Arm angle phi2 encoded by the loop-frame dihedral at vertex b.
-
-    The offset between the two conventions is a constant pi on the minus
-    branch (backward-folded coupler joints) and zero on the plus branch
-    (supplement-forward joints); used to compare closure-solver output with
-    the analytic transmission."""
-    _check_branch(branch)
-    shift = np.pi if branch == "minus" else 0.0
-    x = theta_b + shift
-    return float(np.arctan2(np.sin(x), np.cos(x)))
-
-
 # ---------------------------------------------------------------------------
 # Dual-number transfer of the transmission law (Bennett cells).
 # ---------------------------------------------------------------------------

@@ -58,17 +58,6 @@ class OrientedLine:
         return np.cross(self.d, self.m)
 
 
-def line_distance(l1: OrientedLine, l2: OrientedLine) -> float:
-    """Oriented-line difference: plain (d, m) distance."""
-    return float(np.linalg.norm(np.concatenate([l1.d - l2.d, l1.m - l2.m])))
-
-
-def unoriented_line_distance(l1: OrientedLine, l2: OrientedLine) -> float:
-    a = np.concatenate([l1.d, l1.m])
-    b = np.concatenate([l2.d, l2.m])
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-
-
 @dataclass(frozen=True, eq=False)
 class CommonPerpendicular:
     axis: OrientedLine
@@ -118,20 +107,3 @@ def dual_angle(l1: OrientedLine, l2: OrientedLine) -> tuple[float, float]:
         raise ParallelLines("lines are parallel (or identical)")
     moment = float(np.dot(l1.d, l2.m) + np.dot(l1.m, l2.d))
     return float(np.arctan2(nc, np.dot(l1.d, l2.d))), abs(moment) / nc
-
-
-def midline_symmetry_axis(h1: OrientedLine, h3rev: OrientedLine) -> OrientedLine:
-    """Line s whose half-turn maps oriented h1 onto oriented h3rev.
-
-    Passes through the midpoint of the shortest segment between the lines and
-    runs along the bisector of their directions.
-    """
-    cp = common_perpendicular(h1, h3rev)
-    w = h1.d + h3rev.d
-    nw = np.linalg.norm(w)
-    if nw < PARALLEL_EPS:
-        # anti-parallel directions already rejected by common_perpendicular,
-        # so this cannot trigger for valid inputs; keep as a guard
-        raise ParallelLines("direction bisector undefined")
-    mid = (cp.foot1 + cp.foot2) / 2
-    return OrientedLine.from_point_direction(mid, w / nw)

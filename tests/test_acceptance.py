@@ -14,7 +14,6 @@ from bennett8.isogram import (
     BennettIsogramSpec,
     bennett_dual_coefficient,
     coupled_angle,
-    phi2_from_dihedral,
     solve_bennett_isogram,
     solve_spherical_isogram,
     transmission_coefficient,
@@ -37,21 +36,21 @@ from bennett8.oracle import (
     solve_loop,
 )
 from bennett8.screws import OrientedLine
-from bennett8.sphere import (
-    OrientedGreatCircle,
-    SpherePoint,
-    apply as rotate,
-    halfturn_about,
-    lies_on,
-    symmetry_centers,
-    common_perpendicular_circle,
-)
+from bennett8.sphere import OrientedGreatCircle, SpherePoint
 from conftest import (
     random_circle_pair,
     random_driving_angle,
     random_eightbar_spec,
     random_isogram_spec,
     random_spatial_spec,
+)
+from reference import (
+    apply as rotate,
+    common_perpendicular_circle,
+    halfturn_about,
+    lies_on,
+    phi2_from_dihedral,
+    symmetry_centers,
 )
 from test_oracle import generic_spatial_4r
 

@@ -25,24 +25,23 @@ from bennett8.isogram import (
     bennett_dual_coefficient,
     bennett_symmetry_axis,
     coupled_angle,
-    dihedral_angles,
     isogram_symmetry_spherical,
-    phi2_from_dihedral,
     solve_bennett_isogram,
     solve_spherical_isogram,
     transmission_coefficient,
 )
 from bennett8.oracle import LoopProblem, problem_from_spherical_vertices, solve_loop
-from bennett8.screws import OrientedLine, unoriented_line_distance
-from bennett8.sphere import (
-    OrientedGreatCircle,
-    SpherePoint,
+from bennett8.screws import OrientedLine
+from bennett8.sphere import OrientedGreatCircle, SpherePoint, spherical_distance
+from conftest import random_driving_angle, random_isogram_spec, reflect_line
+from reference import (
+    apply as rotate,
+    dihedral_angles,
     halfturn_about,
     lies_on,
-    apply as rotate,
-    spherical_distance,
+    phi2_from_dihedral,
+    unoriented_line_distance,
 )
-from conftest import random_driving_angle, random_isogram_spec, reflect_line
 
 G0 = OrientedGreatCircle(np.array([0.0, 0, 1]))
 P0 = SpherePoint.of(1, 0, 0)
@@ -151,7 +150,7 @@ def test_solve_sides_and_closure():
 def test_solve_matches_the_sphere_rotations():
     # the cell's screw chain, without moments, places B, C, D and the arm
     # circles where the rotations of the sphere put them, aligned poses too
-    from bennett8.sphere import arc_point, rotation_about
+    from reference import arc_point, rotation_about
 
     rng = np.random.default_rng(15)
     for _ in range(100):
@@ -251,7 +250,7 @@ def test_symmetry_center_does_not_relabel_other_errors():
 def test_symmetry_mirror_exchanges_oriented_side_circles():
     # the polar circle of the center is the mirror of the cell: it
     # maps each side circle onto its opposite with matching orientation
-    from bennett8.sphere import reflect_in_circle
+    from reference import reflect_in_circle
 
     rng = np.random.default_rng(68)
     for _ in range(25):

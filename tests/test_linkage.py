@@ -57,16 +57,8 @@ from bennett8.oracle import (
     solve_loop,
 )
 from bennett8.scene import load_spec
-from bennett8.screws import (
-    OrientedLine,
-    common_perpendicular,
-    dual_angle,
-    line_distance,
-    midline_symmetry_axis,
-)
-from bennett8.sphere import OrientedGreatCircle, SpherePoint, reflect_in_circle
-from bennett8.sphere import apply as rotate
-from bennett8.sphere import arc_point, halfturn_about, lies_on, spherical_distance
+from bennett8.screws import OrientedLine, common_perpendicular, dual_angle
+from bennett8.sphere import OrientedGreatCircle, SpherePoint, spherical_distance
 from conftest import (
     random_eightbar_spec,
     random_line,
@@ -74,6 +66,15 @@ from conftest import (
     random_point,
     random_spatial_spec,
     reflect_line,
+)
+from reference import apply as rotate
+from reference import (
+    arc_point,
+    halfturn_about,
+    lies_on,
+    line_distance,
+    midline_symmetry_axis,
+    reflect_in_circle,
 )
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
@@ -868,7 +869,7 @@ def test_incompatible_third_cell_cannot_close():
     # length for every pose, so the compound cannot assemble
     v = validate_spec(SAMPLE)
     beta3_bad = v.betas[2] + 0.1
-    from bennett8.sphere import OrientedGreatCircle, SpherePoint, apply, rotation_about
+    from reference import apply, rotation_about
     from bennett8.isogram import arm_joint_offset
 
     g0 = OrientedGreatCircle(np.array([0.0, 0, 1]))
@@ -1060,7 +1061,7 @@ def test_sweep_matches_single_poses(kind):
 
 
 def test_bisector_circles_orthogonal_through_pole():
-    from bennett8.sphere import circle_angle
+    from reference import circle_angle
 
     pose = assemble_spherical(SAMPLE, 0.8)
     assert circle_angle(pose.t1, pose.t2) == pytest.approx(np.pi / 2, abs=1e-12)

@@ -459,7 +459,7 @@ def test_oracle_angle_extraction_matches_transmission():
     # the loop-frame dihedrals encode the arm angles through constant offsets
     # fixed by the branch: theta_A = -phi1 (+pi on the plus branch) and phi2
     # recovers from theta_B via phi2_from_dihedral
-    from bennett8.isogram import phi2_from_dihedral
+    from reference import phi2_from_dihedral
 
     rng = np.random.default_rng(40)
     for _ in range(25):

@@ -6,24 +6,21 @@ from hypothesis import strategies as st
 
 from bennett8._dual import _qmul, _unsigned_gap
 from bennett8.errors import DegenerateCircle
-from bennett8.sphere import (
-    OrientedGreatCircle,
-    SpherePoint,
+from bennett8.sphere import OrientedGreatCircle, SpherePoint, great_circle_through, spherical_distance
+from conftest import random_circle, random_circle_pair, random_point
+from reference import (
     SphericalRotation,
     antipode,
     apply,
     arc_point,
     circle_angle,
     common_perpendicular_circle,
-    great_circle_through,
     halfturn_about,
     lies_on,
     reflect_in_circle,
     rotation_about,
-    spherical_distance,
     symmetry_centers,
 )
-from conftest import random_circle, random_circle_pair, random_point
 
 EX = SpherePoint.of(1, 0, 0)
 EY = SpherePoint.of(0, 1, 0)
