@@ -67,6 +67,8 @@ def cmd_validate(args) -> int:
 
 def cmd_pose(args) -> int:
     try:
+        if args.segments < 1:
+            raise ValueError(f"--segments must be at least 1, got {args.segments}")
         spec = scene.load_spec(args.spec)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
@@ -146,6 +148,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        # written so that nan fails too
+        if not args.tol > 0:
+            raise ValueError(f"--tol must be > 0, got {args.tol}")
         spec = scene.load_spec(args.spec)
         if not isinstance(spec, (EightBarSpec, SpatialEightBarSpec)):
             raise InvalidSpec("verify expects a spherical8 or spatial8 spec")

@@ -148,10 +148,12 @@ def _cell_chain(base, a, side, phis, arm_offset):
 
 def _side_residual(spec: SphericalIsogramSpec, vertices) -> float:
     """Largest error of the side arcs ab, bc, cd, da of a cell against its
-    design: alpha on base and coupler, |arm_joint_offset| on the arms."""
+    design: alpha on base and coupler, |arm_joint_offset| on the arms; NaN
+    if any error is NaN."""
     arm = abs(arm_joint_offset(spec))
     expect = (spec.alpha, arm, spec.alpha, arm)
-    return max(abs(spherical_distance(x, y) - e) for x, y, e in zip(vertices, (*vertices[1:], vertices[0]), expect))
+    sides = zip(vertices, (*vertices[1:], vertices[0]), expect)
+    return float(np.max([abs(spherical_distance(x, y) - e) for x, y, e in sides]))
 
 
 def solve_spherical_isogram(
@@ -179,7 +181,7 @@ def solve_spherical_isogram(
     a, b, c, d = p, *(SpherePoint(x[:3]) for x in (x_b, x_c, x_d))
     arm_a, arm_b = OrientedGreatCircle(x_arm_a[:3]), OrientedGreatCircle(x_arm_b[:3])
     worst = _side_residual(spec, (a, b, c, d))
-    if worst > _CLOSURE_TOL:
+    if not worst <= _CLOSURE_TOL:
         raise ClosureFailure(
             f"isogram cell failed to close (side error {worst:.3e}); "
             "invalid branch/sign combination"
@@ -384,9 +386,12 @@ def solve_bennett_isogram(
     scale = _length_unit(spec)
     cp = screws.common_perpendicular(hinge_c, hinge_d)
     coupler, vertex_c, vertex_d = cp.axis, cp.foot1, cp.foot2
-    miss = max(_point_line_distance(vertex_c, arm_b), _point_line_distance(vertex_d, arm_a))
-    resid = max(abs(cp.angle - spec.alpha_twist), abs(cp.distance - abs(spec.a_len)) / scale, miss / scale)
-    if resid > _CLOSURE_TOL:
+    # np.max keeps a NaN term, which the test below fails
+    resid = float(np.max([
+        abs(cp.angle - spec.alpha_twist), abs(cp.distance - abs(spec.a_len)) / scale,
+        _point_line_distance(vertex_c, arm_b) / scale, _point_line_distance(vertex_d, arm_a) / scale,
+    ]))
+    if not resid <= _CLOSURE_TOL:
         raise ClosureFailure(f"Bennett cell failed to close (residual {resid:.3e})")
     vertex_a, vertex_b = foot, screws.common_perpendicular(base, hinge_b).foot1
 
@@ -426,6 +431,6 @@ def bennett_symmetry_axis(pose: BennettIsogramPose) -> OrientedLine:
         raise ClosureFailure(SHORT_UNIT)
     weight = np.r_[np.ones(3), np.full(3, 1.0 / _length_unit(pose.spec))]
     resid = _unsigned_gap(weight * _dual_halfturn(s, b), weight * d)
-    if resid > _CLOSURE_TOL:
+    if not resid <= _CLOSURE_TOL:
         raise ClosureFailure(f"the symmetry axis does not swap hinges B and D (residual {resid:.3e})")
     return _line(s)

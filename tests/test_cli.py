@@ -273,6 +273,35 @@ def test_short_grid_is_a_validation_failure(tmp_path, capsys, argv):
     assert diag == {"error": "ValueError", "message": "need at least two samples"}
 
 
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (SPH, ["pose", "{spec}", "--phi=0.7", "--segments=0"], "--segments must be at least 1, got 0"),
+        (SPH, ["pose", "{spec}", "--phi=0.7", "--segments=-1"], "--segments must be at least 1, got -1"),
+        (SPA, ["pose", "{spec}", "--phi=0.7", "--segments=-5"], "--segments must be at least 1, got -5"),
+        (SPH, ["verify", "{spec}", "--tol=0"], "--tol must be > 0, got 0.0"),
+        (SPA, ["verify", "{spec}", "--tol=-1e-8"], "--tol must be > 0, got -1e-08"),
+        (SPH, ["verify", "{spec}", "--tol=nan"], "--tol must be > 0, got nan"),
+    ],
+)
+def test_out_of_range_option_is_a_validation_failure(tmp_path, capsys, doc, argv, message):
+    path = write_spec(tmp_path, doc)
+    assert main([a.format(spec=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "demo", ["spherical_isogram_demo.json", "bennett_isogram_demo.json", "spherical8_demo.json", "spatial8_demo.json"]
+)
+def test_pose_at_nan_is_a_closure_failure(demo, capsys):
+    assert main(["pose", os.path.join(SPECS, demo), "--phi=nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ClosureFailure"
+
+
 def test_derive_round_trip(tmp_path, capsys):
     path = write_spec(tmp_path, SPA)
     assert main(["derive", path]) == 0

@@ -4,7 +4,8 @@ Every valid 8-bar spec and every phi1 give a pose that closes or one of the
 typed errors, and nothing else. The designs are drawn from the region the
 validator accepts, not from the well-conditioned one of conftest: arcs down
 to 1e-5, totals near pi, arms near the arcs, both branches and lengths from
-1e-8 to 1e8, at a grid of angles and next to both aligned poses.
+1e-8 to 1e8, at a grid of angles and next to both aligned poses. The single
+cells keep the same contract over the region their spec classes accept.
 """
 import json
 
@@ -14,13 +15,23 @@ import pytest
 from bennett8 import cli, errors, linkage, scene
 from bennett8.cli import main
 from bennett8.errors import InvalidSpec
+from bennett8.isogram import (
+    BennettIsogramSpec,
+    SphericalIsogramSpec,
+    bennett_symmetry_axis,
+    solve_bennett_isogram,
+    solve_spherical_isogram,
+)
+from bennett8.screws import OrientedLine
+from bennett8.sphere import OrientedGreatCircle, SpherePoint
 
 DESIGNS = 500
 # a 25-point grid over [-pi, pi], and angles 1e-3 to 1e-11 from 0 and +-pi
 BAND = [x for d in (1e-3, 1e-6, 1e-9, 1e-11) for x in (d, -d, np.pi - d, d - np.pi)]
 ANGLES = linkage.phi_grid(-np.pi, np.pi, 25) + BAND
 # the text of a recorded error starts with the name of its type in errors.py
-TYPED = tuple(f"{name}: " for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception))
+ERRORS = tuple(obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception))
+TYPED = tuple(f"{error.__name__}: " for error in ERRORS)
 
 
 def _arc(rng) -> float:
@@ -103,3 +114,55 @@ def test_every_sample_closes_or_carries_a_typed_error(tmp_path, capsys, kind, se
         path.write_text(json.dumps(doc))
         assert main(["pose", str(path), f"--phi={phi!r}"]) in (0, 2), (doc, phi)
         capsys.readouterr()
+
+
+CELL_DESIGNS = 80
+# ANGLES, then the aligned poses and their neighbours once more, and nan
+CELL_ANGLES = ANGLES + [0.0, np.pi, -np.pi, 1e-9, -1e-9, np.nan]
+
+
+def _cell_angle(rng) -> float:
+    """An arc or twist log-uniform from 1e-5 to pi/2 away from 0 or from pi."""
+    d = float(10 ** rng.uniform(-5, np.log10(np.pi / 2)))
+    return d if rng.random() < 0.5 else np.pi - d
+
+
+def _cell_specs(seed: int, kind: str):
+    """CELL_DESIGNS specs of one cell kind that their constructors accept;
+    Bennett lengths from 1e-8 to 1e8, in the side proportion."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < CELL_DESIGNS:
+        alpha, beta = _cell_angle(rng), _cell_angle(rng)
+        try:
+            if kind == "spherical":
+                out.append(SphericalIsogramSpec(alpha, beta, str(rng.choice(["plus", "minus"]))))
+            else:
+                a = float(10 ** rng.uniform(-8, 8) * rng.uniform(0.1, 1.0))
+                out.append(BennettIsogramSpec(alpha, beta, a, a * np.sin(beta) / np.sin(alpha)))
+        except ValueError:  # errors.DegenerateBranch is one
+            continue
+    return out
+
+
+@pytest.mark.parametrize("kind, seed", [("spherical", 2028), ("bennett", 2029)])
+def test_every_cell_pose_is_finite_or_a_typed_error(kind, seed):
+    g0, p = OrientedGreatCircle(np.array([0.0, 0.0, 1.0])), SpherePoint.of(1.0, 0.0, 0.0)
+    base = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    for spec in _cell_specs(seed, kind):
+        for phi in CELL_ANGLES:
+            try:
+                if kind == "spherical":
+                    pose = solve_spherical_isogram(spec, g0, p, phi)
+                else:
+                    pose = solve_bennett_isogram(spec, base, np.zeros(3), phi)
+            except ERRORS:
+                continue
+            points = [v.v for v in pose.vertices] if kind == "spherical" else pose.vertices
+            assert np.isfinite(points).all(), (spec, phi)
+            if kind == "bennett":
+                try:
+                    axis = bennett_symmetry_axis(pose)
+                except ERRORS:
+                    continue
+                assert np.isfinite(np.r_[axis.d, axis.m]).all(), (spec, phi)

@@ -393,6 +393,30 @@ def test_bennett_perturbed_cell_fails_closure(monkeypatch, scale):
             solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), phi)
 
 
+def test_a_nan_angle_is_a_closure_failure():
+    with pytest.raises(ClosureFailure):
+        solve_spherical_isogram(SphericalIsogramSpec(np.pi / 3, np.pi / 4, "plus"), G0, P0, np.nan)
+    with pytest.raises(ClosureFailure):
+        solve_bennett_isogram(BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0), Z_AXIS, np.zeros(3), np.nan)
+
+
+def test_a_nan_term_after_the_first_is_a_closure_failure(monkeypatch):
+    # a cell closes only where every term of its residual is <= the
+    # tolerance, so a NaN that is not the first term fails it too
+    calls = []
+
+    def nan_on_second_side(p, q):
+        calls.append((p, q))
+        return np.nan if len(calls) == 2 else spherical_distance(p, q)
+
+    monkeypatch.setattr("bennett8.isogram.spherical_distance", nan_on_second_side)
+    with pytest.raises(ClosureFailure):
+        solve_spherical_isogram(SphericalIsogramSpec(np.pi / 3, np.pi / 4, "plus"), G0, P0, 1.0)
+    monkeypatch.setattr("bennett8.isogram._point_line_distance", lambda p, line: np.nan)
+    with pytest.raises(ClosureFailure):
+        solve_bennett_isogram(BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0), Z_AXIS, np.zeros(3), 1.2)
+
+
 def test_bennett_solve_aligned_pose_collinear():
     spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0)
     pose = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), 0.0)
