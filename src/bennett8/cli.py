@@ -83,7 +83,7 @@ def cmd_pose(args) -> int:
         else:
             base = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 0.0, 1.0]))
             pose = solve_bennett_isogram(spec, base, np.zeros(3), args.phi)
-        doc = scene.scene_from_pose(pose, args.segments)
+        doc = scene._scene(pose, args.segments)
     # ParallelLines is a ValueError, but at a pose it fails verification
     except (ClosureFailure, CollapsedPose, ParallelLines) as exc:
         return _fail(exc, 2)

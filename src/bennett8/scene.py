@@ -111,17 +111,17 @@ def _vec(v) -> list[float]:
     return [float(x) for x in np.asarray(v).reshape(-1)]
 
 
-def _circle_polyline(circle: OrientedGreatCircle, segments: int) -> list[list[float]]:
+def _circle_polyline(circle: OrientedGreatCircle, segments: int) -> np.ndarray:
     n = circle.n
     seed = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(n, seed)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     ts = np.linspace(0.0, 2 * np.pi, segments + 1)
-    return (np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2).tolist()
+    return np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2
 
 
-def _line_polyline(line: OrientedLine, anchors, segments: int) -> list[list[float]]:
+def _line_polyline(line: OrientedLine, anchors, segments: int) -> np.ndarray:
     foot = line.foot()
     params = [float(np.dot(np.asarray(p) - foot, line.d)) for p in anchors]
     lo, hi = (min(params), max(params)) if params else (-1.0, 1.0)
@@ -129,7 +129,7 @@ def _line_polyline(line: OrientedLine, anchors, segments: int) -> list[list[floa
     lo -= 0.25 * span
     hi += 0.25 * span
     ts = np.linspace(lo, hi, max(segments, 2))
-    return (foot + ts[:, None] * line.d).tolist()
+    return foot + ts[:, None] * line.d
 
 
 def _circle_entry(label: str, circle: OrientedGreatCircle, segments: int) -> dict[str, Any]:
@@ -153,7 +153,20 @@ def _line_entry(label: str, line: OrientedLine, anchors, segments: int) -> dict[
 
 def scene_from_pose(pose, segments: int = 128) -> dict[str, Any]:
     """Scene document for one pose of an 8-bar linkage or of a single cell:
-    bars, joints, symmetry elements, residuals."""
+    bars, joints, symmetry elements, residuals, in plain JSON values."""
+    doc = _scene(pose, segments)
+    for entry in _polyline_entries(doc):
+        entry["polyline"] = entry["polyline"].tolist()
+    return doc
+
+
+def _scene(pose, segments: int) -> dict[str, Any]:
+    """The scene document with each polyline an (n, 3) float array, which
+    dumps_json and scene_to_obj write as they write its lists. The CLI
+    writes this form. As lists, a scene at 128 segments holds one Python
+    list per point, 1,400 to 2,100 of them; CPython's garbage collector
+    counts each, so a pose call ran about two collections, and now
+    and then a full one of 5 to 10 ms."""
     if isinstance(pose, EightBarPose):
         return _scene_spherical(pose, segments)
     if isinstance(pose, SpatialEightBarPose):
@@ -258,26 +271,26 @@ def scene_to_obj(scene: dict[str, Any]) -> str:
     Coordinates are written with %.17g, each polyline's with one format."""
     chunks: list[str] = ["# bennett8 scene export\n"]
     index = 1
-
-    def emit(label: str, polyline) -> None:
-        nonlocal index
+    for entry in _polyline_entries(scene):
+        polyline = entry["polyline"]
         n = len(polyline)
+        if isinstance(polyline, np.ndarray):
+            polyline = polyline.tolist()
         vertices = ("v %.17g %.17g %.17g\n" * n) % tuple(chain.from_iterable(polyline))
-        chunks.append(f"o {label}\n{vertices}l {' '.join(map(str, range(index, index + n)))}\n")
+        chunks.append(f"o {entry['id']}\n{vertices}l {' '.join(map(str, range(index, index + n)))}\n")
         index += n
-
-    for bar in scene["bars"]:
-        emit(bar["id"], bar["polyline"])
-    symmetry = scene.get("symmetry")
-    if symmetry:
-        for entry in symmetry.values():
-            if isinstance(entry, dict) and "polyline" in entry:
-                emit(entry["id"], entry["polyline"])
-            elif isinstance(entry, dict):
-                for sub in entry.values():
-                    if isinstance(sub, dict) and "polyline" in sub:
-                        emit(sub["id"], sub["polyline"])
     return "".join(chunks)
+
+
+def _polyline_entries(scene: dict[str, Any]):
+    """The entries of a scene that carry a polyline, in file order: the bars,
+    then the symmetry elements, one level of nesting deep."""
+    yield from scene["bars"]
+    for entry in (scene.get("symmetry") or {}).values():
+        if isinstance(entry, dict) and "polyline" in entry:
+            yield entry
+        elif isinstance(entry, dict):
+            yield from (sub for sub in entry.values() if isinstance(sub, dict) and "polyline" in sub)
 
 
 def format_float(x: float) -> str:
@@ -329,6 +342,8 @@ def _json(obj: Any, level: int) -> str:
             raise TypeError("keys must be str")
         items = sorted(obj.items())
         return _block([f"{json.dumps(key)}: {_json(value, level + 1)}" for key, value in items], level, "{}")
+    if isinstance(obj, np.ndarray):  # a polyline of _scene
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

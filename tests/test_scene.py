@@ -200,8 +200,14 @@ def _assert_writers_match(doc):
 @pytest.mark.parametrize("phi", [0.0, np.pi, -np.pi, 1e-9, 0.7])
 @pytest.mark.parametrize("demo", DEMOS)
 def test_writers_match_the_references_on_the_demos(demo, phi, segments):
-    doc = scene.scene_from_pose(_pose(scene.load_spec(os.path.join(SPECS, demo)), phi), segments)
+    pose = _pose(scene.load_spec(os.path.join(SPECS, demo)), phi)
+    doc = scene.scene_from_pose(pose, segments)
     _assert_writers_match(doc)
+    # the form the CLI writes, each polyline an (n, 3) array
+    arrays = scene._scene(pose, segments)
+    assert all(isinstance(e["polyline"], np.ndarray) for e in scene._polyline_entries(arrays))
+    _assert_same_text(scene.dumps_json(arrays), scene.dumps_json(doc))
+    _assert_same_text(scene.scene_to_obj(arrays), scene.scene_to_obj(doc))
 
 
 @pytest.mark.parametrize("seed", range(4))
