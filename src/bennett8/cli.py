@@ -114,11 +114,15 @@ def _sweep_rows(v, grid) -> tuple[list[str], list[list]]:
         header += [f"{key}_x", f"{key}_y", f"{key}_z"]
     header += [f"res_{k}" for k in linkage.FAMILIES]
     header.append("error")
+    # the point columns of every sample at once: the grid's (3, 12, N) points
+    # as N rows of x, y, z per key (SweepSample.points, raveled)
+    grid = next((s._grid for s in samples if s._grid is not None), None)
+    points = None if grid is None else grid.points.transpose(2, 1, 0).reshape(len(grid.phi1), -1).tolist()
+    no_points = [None] * (3 * len(point_keys))
     rows = []
     for s in samples:
-        points = s.points
         row = [s.phi1]
-        row += [None] * (3 * len(point_keys)) if points is None else points.ravel().tolist()
+        row += no_points if s._grid is None else points[s._row]
         families = s.families or {}
         row += [families.get(key) for key in linkage.FAMILIES]
         row.append(s.error or "")

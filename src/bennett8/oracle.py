@@ -20,7 +20,8 @@ on a spatial loop its moment too), d(product)/d(theta_k) = L_k * product / 2
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, sin
+from math import cos, hypot, sin
+from operator import mul
 
 import numpy as np
 
@@ -36,6 +37,13 @@ SV_RATIO = 1e-7
 # a seed 0.02-0.05 rad from its pose to the antiparallelogram root beside it.
 MAX_STEP = 0.2
 _FIRST_STEP = 0.02
+# A Newton step in three free joints (a four-joint loop: every cell) solves
+# its normal equations in Python floats unless their Gram determinant is at
+# most _GRAM_RATIO times the product of its diagonal. That ratio is 1 for
+# orthogonal columns and about 1 / cond(J)^2 for two near-parallel ones, and
+# the normal equations lose about as many digits as its log; below the bound
+# (cond(J) past about 1e5, ten digits lost) np.linalg.lstsq solves the step.
+_GRAM_RATIO = 1e-10
 
 
 def _loop_closure_quat(thetas, arcs, axes=None):
@@ -135,7 +143,8 @@ class LoopProblem:
     def _signed_product(self, angles, lines=None) -> list[float]:
         """The loop product at a full joint vector, times the sign of its
         scalar part; joint lines are appended to ``lines`` if given."""
-        angles = np.asarray(angles, dtype=float).tolist()
+        if not isinstance(angles, list):
+            angles = np.asarray(angles, dtype=float).tolist()
         if self._offsets is None:
             m = _loop_closure_quat(angles, self._arcs, lines)
         else:
@@ -149,36 +158,44 @@ class LoopProblem:
         part as well."""
         return np.array(self._signed_product(angles)[1:])
 
-    def residual_and_jacobian(self, angles) -> tuple[np.ndarray, np.ndarray]:
-        """The residual and its exact Jacobian in every joint angle, driving
-        joint included, from one walk around the loop. Column k holds the
-        residual's components of L_k * M / 2 for the signed product M and
-        joint k's line L_k; at a closed pose that is half the joint's unit
-        axis (spherical) or Pluecker line (direction; 0; moment)."""
+    def _residual_and_columns(self, angles) -> tuple[list[float], list[tuple]]:
+        """The residual and the Jacobian's columns, one per joint, as Python
+        floats from one walk around the loop (see residual_and_jacobian)."""
         lines: list[tuple] = []
         m = self._signed_product(angles, lines)
         if self._offsets is None:
             w, x, y, z = m
             # vec((0, l) (w, v)) = w l + l x v
-            cols = [(w * a + (b * z - c * y), w * b + (c * x - a * z), w * c + (a * y - b * x))
-                    for a, b, c in lines]
+            cols = [
+                (0.5 * (w * a + (b * z - c * y)), 0.5 * (w * b + (c * x - a * z)), 0.5 * (w * c + (a * y - b * x)))
+                for a, b, c in lines
+            ]
         else:
             w, x, y, z, p, q, r, s = m
             # (0, u; 0, n) (w, v; p, Q): real part vector w u + u x v; dual
             # part -(u . Q + n . v) and p u + u x Q + w n + n x v
             cols = [
                 (
-                    w * a + (b * z - c * y),
-                    w * b + (c * x - a * z),
-                    w * c + (a * y - b * x),
-                    -(a * q + b * r + c * s) - (d * x + e * y + f * z),
-                    p * a + (b * s - c * r) + w * d + (e * z - f * y),
-                    p * b + (c * q - a * s) + w * e + (f * x - d * z),
-                    p * c + (a * r - b * q) + w * f + (d * y - e * x),
+                    0.5 * (w * a + (b * z - c * y)),
+                    0.5 * (w * b + (c * x - a * z)),
+                    0.5 * (w * c + (a * y - b * x)),
+                    0.5 * (-(a * q + b * r + c * s) - (d * x + e * y + f * z)),
+                    0.5 * (p * a + (b * s - c * r) + w * d + (e * z - f * y)),
+                    0.5 * (p * b + (c * q - a * s) + w * e + (f * x - d * z)),
+                    0.5 * (p * c + (a * r - b * q) + w * f + (d * y - e * x)),
                 )
                 for a, b, c, d, e, f in lines
             ]
-        return np.array(m[1:]), 0.5 * np.array(cols).T
+        return m[1:], cols
+
+    def residual_and_jacobian(self, angles) -> tuple[np.ndarray, np.ndarray]:
+        """The residual and its exact Jacobian in every joint angle, driving
+        joint included, from one walk around the loop. Column k holds the
+        residual's components of L_k * M / 2 for the signed product M and
+        joint k's line L_k; at a closed pose that is half the joint's unit
+        axis (spherical) or Pluecker line (direction; 0; moment)."""
+        r, cols = self._residual_and_columns(angles)
+        return np.array(r), np.array(cols).T
 
 
 @dataclass(frozen=True)
@@ -188,6 +205,34 @@ class LoopSolution:
     converged: bool
     iterations: int
     residual_history: tuple[float, ...] = field(default=())
+
+
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def _newton_step(cols: list[tuple], r: list[float]) -> list[float]:
+    """The least-squares solution s of J s = r for the Jacobian J with the
+    given columns. Three columns (every cell) take the 3 x 3 normal equations
+    J^T J s = J^T r, solved by their adjugate in Python floats, unless the
+    Gram determinant is at most _GRAM_RATIO times the product of its diagonal
+    (near-parallel columns); those and any other number of columns take
+    np.linalg.lstsq (the minimum-norm solution)."""
+    if len(cols) == 3:
+        c0, c1, c2 = cols
+        g00, g01, g02 = _dot(c0, c0), _dot(c0, c1), _dot(c0, c2)
+        g11, g12, g22 = _dot(c1, c1), _dot(c1, c2), _dot(c2, c2)
+        a00, a01, a02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+        a11, a12, a22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+        det = g00 * a00 + g01 * a01 + g02 * a02
+        if not det <= _GRAM_RATIO * g00 * g11 * g22:
+            b0, b1, b2 = _dot(c0, r), _dot(c1, r), _dot(c2, r)
+            return [
+                (a00 * b0 + a01 * b1 + a02 * b2) / det,
+                (a01 * b0 + a11 * b1 + a12 * b2) / det,
+                (a02 * b0 + a12 * b1 + a22 * b2) / det,
+            ]
+    return np.linalg.lstsq(np.array(cols).T, np.array(r), rcond=None)[0].tolist()
 
 
 def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) -> LoopSolution:
@@ -200,50 +245,50 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
     Non-convergence is reported, not raised: the solution carries the last
     iterate and a converged flag. The residual and the exact Jacobian come
     from one walk around the loop, once per joint vector: the accepted trial
-    of the line search gives the next iterate both.
+    of the line search gives the next iterate both. Iterates, residuals and
+    Jacobian columns stay lists of Python floats, and the residual norm is
+    math.hypot: numpy calls on 3- and 7-vectors cost more than their
+    arithmetic (see _newton_step for the step).
     """
-    free = [k for k in range(len(problem.arcs)) if k != problem.driving_index]
-    full = np.array(problem.angles, dtype=float)
+    d = problem.driving_index
+    full = np.asarray(problem.angles, dtype=float).tolist()
+    driving = full[d]
 
-    def fn(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = full.copy()
-        v[free] = x
-        r, jac = problem.residual_and_jacobian(v)
-        return r, jac[:, free]
+    def joints(x: list[float]) -> list[float]:
+        return x[:d] + [driving] + x[d:]
 
-    x = full[free].copy()
-    r, jac = fn(x)
+    def fn(x: list[float]) -> tuple[list[float], list[tuple]]:
+        r, cols = problem._residual_and_columns(joints(x))
+        del cols[d]
+        return r, cols
+
+    x = full[:d] + full[d + 1:]
+    r, cols = fn(x)
+    rn = hypot(*r)
     radius = _FIRST_STEP
     history: list[float] = []
     it = 0
     for it in range(1, max_iter + 1):
-        rn = float(np.linalg.norm(r))
         history.append(rn)
         if rn < tol:
-            full[free] = x
-            return LoopSolution(tuple(full), rn, True, it, tuple(history))
-        try:
-            step = np.linalg.solve(jac, r) if jac.shape[0] == jac.shape[1] else None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            step = np.linalg.lstsq(jac, r, rcond=None)[0]
-        lam = radius / max(float(np.max(np.abs(step))), radius)
+            return LoopSolution(tuple(joints(x)), rn, True, it, tuple(history))
+        step = _newton_step(cols, r)
+        lam = radius / max(max(map(abs, step)), radius)
         for _ in range(30):
-            trial = x - lam * step
-            r, jac = fn(trial)
-            if float(np.linalg.norm(r)) < rn:
-                x = trial
+            trial = [a - lam * s for a, s in zip(x, step)]
+            r, cols = fn(trial)
+            trial_norm = hypot(*r)
+            if trial_norm < rn:
+                x, rn = trial, trial_norm
                 radius = min(2 * radius, MAX_STEP)
                 break
             lam /= 2
         else:
-            x = x - lam * step
-            r, jac = fn(x)
-    rn = float(np.linalg.norm(r))
+            x = [a - lam * s for a, s in zip(x, step)]
+            r, cols = fn(x)
+            rn = hypot(*r)
     history.append(rn)
-    full[free] = x
-    return LoopSolution(tuple(full), rn, rn < tol, it, tuple(history))
+    return LoopSolution(tuple(joints(x)), rn, rn < tol, it, tuple(history))
 
 
 def matrix_nullity(jac: np.ndarray) -> int:
@@ -270,8 +315,28 @@ def jacobian_nullity(problem: LoopProblem, solution: LoopSolution) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # components k + 1 and k + 2 at k
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n, 3) arrays: the multiplies and
+    subtractions of np.cross, so the same bits, without its axis handling."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
+
+
+def _rows_next(a: np.ndarray) -> np.ndarray:
+    """Row k + 1 of a at row k, cyclically: np.roll(a, -1, axis=0)."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _rows_prev(a: np.ndarray) -> np.ndarray:
+    """Row k - 1 of a at row k, cyclically: np.roll(a, 1, axis=0)."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, with the bits of np.linalg.norm per row."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 def dh_from_spherical_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -282,19 +347,16 @@ def dh_from_spherical_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
     x_{k-1} to x_k, arc_k the positive arc from vertex k to k+1.
     """
     vs = np.array(vertices, dtype=float)
-    n = len(vs)
-    nxt = np.roll(vs, -1, axis=0)
-    sides = np.cross(vs, nxt)  # row k: z_k x z_{k+1}
-    xs = np.array([_unit(c) for c in sides])
-    xin = np.roll(xs, 1, axis=0)
-    turns = np.cross(xin, xs)  # row k: x_{k-1} x x_k
-    # np.dot, np.linalg.norm and np.arctan2 stay per row: their bits differ
-    # from a batched or scalar form
-    thetas = np.empty(n)
-    arcs = np.empty(n)
-    for k in range(n):
-        thetas[k] = np.arctan2(np.dot(turns[k], vs[k]), np.dot(xin[k], xs[k]))
-        arcs[k] = np.arctan2(np.dot(sides[k], xs[k]), np.dot(vs[k], nxt[k]))
+    nxt = _rows_next(vs)
+    sides = _cross(vs, nxt)  # row k: z_k x z_{k+1}
+    xs = sides / _norms(sides)[:, None]
+    xin = _rows_prev(xs)
+    turns = _cross(xin, xs)  # row k: x_{k-1} x x_k
+    # one call per cell, not per row: np.vecdot runs np.dot's BLAS kernel
+    # on each row and the vector np.arctan2 the per-element loop, so the bits
+    # are those of per-row calls (tests/test_oracle.py pins both)
+    thetas = np.arctan2(np.vecdot(turns, vs), np.vecdot(xin, xs))
+    arcs = np.arctan2(np.vecdot(sides, xs), np.vecdot(vs, nxt))
     return thetas, arcs
 
 
@@ -310,27 +372,24 @@ def dh_from_spatial_joints(axes, vertices) -> tuple[np.ndarray, np.ndarray, np.n
     ``axes`` are unit hinge directions z_k, ``vertices`` the loop points V_k
     where consecutive sides meet their shared hinge (zero joint offsets).
     """
-    zs = np.array([_unit(a) for a in np.array(axes, dtype=float)])
+    zs = np.array(axes, dtype=float)
+    zs = zs / _norms(zs)[:, None]
     vs = np.array(vertices, dtype=float)
-    n = len(zs)
-    nz = np.roll(zs, -1, axis=0)
-    normals = np.cross(zs, nz)  # row k: z_k x z_{k+1}
-    dvs = np.roll(vs, -1, axis=0) - vs
-    lens = np.empty(n)
-    xs = np.empty((n, 3))
-    for k in range(n):
-        ln = np.linalg.norm(dvs[k])
-        lens[k] = ln
-        xs[k] = dvs[k] / ln if ln > 1e-12 else _unit(normals[k])
-    xin = np.roll(xs, 1, axis=0)
-    turns = np.cross(xin, xs)  # row k: x_{k-1} x x_k
-    # np.dot, np.linalg.norm and np.arctan2 stay per row: their bits differ
-    # from a batched or scalar form
-    thetas = np.empty(n)
-    twists = np.empty(n)
-    for k in range(n):
-        thetas[k] = np.arctan2(np.dot(turns[k], zs[k]), np.dot(xin[k], xs[k]))
-        twists[k] = np.arctan2(np.dot(normals[k], xs[k]), np.dot(zs[k], nz[k]))
+    nz = _rows_next(zs)
+    normals = _cross(zs, nz)  # row k: z_k x z_{k+1}
+    dvs = _rows_next(vs) - vs
+    lens = _norms(dvs)
+    # a side shorter than 1e-12 takes its direction from the hinges
+    long = lens > 1e-12
+    xs = dvs / np.where(long, lens, 1.0)[:, None]
+    if not long.all():
+        short = normals[~long]
+        xs[~long] = short / _norms(short)[:, None]
+    xin = _rows_prev(xs)
+    turns = _cross(xin, xs)  # row k: x_{k-1} x x_k
+    # per-cell calls with per-row bits, as in dh_from_spherical_vertices
+    thetas = np.arctan2(np.vecdot(turns, zs), np.vecdot(xin, xs))
+    twists = np.arctan2(np.vecdot(normals, xs), np.vecdot(zs, nz))
     return thetas, twists, lens
 
 

@@ -7,6 +7,7 @@ import pytest
 from bennett8.isogram import SphericalIsogramSpec, solve_spherical_isogram
 from bennett8.oracle import (
     LoopProblem,
+    _newton_step,
     _loop_closure_dq,
     _loop_closure_quat,
     dh_from_spatial_joints,
@@ -282,6 +283,23 @@ def test_problem_builders_are_bit_identical_to_per_vertex_crosses():
             points[1] = points[0]  # a zero-length side takes its direction from the hinges
         got, ref = dh_from_spatial_joints(axes, list(points)), _dh_spatial_per_vertex(axes, list(points))
         assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+def test_numpy_batched_forms_are_bit_identical_to_per_row_calls():
+    # the problem builders make one call per cell and rely on these: if a
+    # numpy release breaks one, the builders' bits change with it
+    rng = np.random.default_rng(2031)
+    a = rng.normal(size=(5000, 3)) * 10 ** rng.uniform(-8, 8, size=(5000, 1))
+    b = rng.normal(size=(5000, 3))
+    a[::50, 1] = 0.0
+    b[::70, 2] = -0.0
+    per_row = np.array([np.dot(u, v) for u, v in zip(a, b)])
+    assert np.vecdot(a, b).tobytes() == per_row.tobytes(), "np.vecdot differs from per-row np.dot"
+    y, x = np.vecdot(a, b), np.vecdot(b, b) * rng.choice([-1.0, 1.0], size=5000)
+    per_element = np.array([np.arctan2(v, u) for v, u in zip(y, x)])
+    assert np.arctan2(y, x).tobytes() == per_element.tobytes(), "vector np.arctan2 differs per element"
+    norms = np.array([np.linalg.norm(u) for u in a])
+    assert np.sqrt(np.vecdot(a, a)).tobytes() == norms.tobytes(), "sqrt(vecdot) differs from np.linalg.norm"
 
 
 def _recorded_passes(monkeypatch):
@@ -582,3 +600,73 @@ def test_solve_loop_keeps_to_the_seeded_branch_next_to_an_isogram_fold(cell):
     assert sol.converged
     assert max(abs(a - b) for a, b in zip(sol.angles, truth)) <= 1e-8
     assert jacobian_nullity(problem, sol) == 1
+
+
+def _lstsq_calls(monkeypatch):
+    """The Jacobians np.linalg.lstsq is called with."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def recorder(a, b, rcond=None):
+        calls.append(np.array(a))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+def test_newton_step_of_three_free_joints_matches_lstsq(monkeypatch, rows):
+    # well-conditioned Jacobians, spatial rows 3-6 scaled as lengths x 1e-8
+    # to 1e8: the normal equations in Python floats, no lstsq call
+    calls = _lstsq_calls(monkeypatch)
+    rng = np.random.default_rng(2032 + rows)
+    checked = 0
+    while checked < 500:
+        jac = rng.normal(size=(rows, 3))
+        jac[3:] *= 10 ** rng.uniform(-8, 8)
+        if np.linalg.cond(jac) > 100:
+            continue
+        checked += 1
+        r = rng.normal(size=rows) * 10 ** rng.uniform(-12, 0)
+        ref = np.linalg.lstsq(jac, r, rcond=None)[0]
+        del calls[:]
+        step = np.array(_newton_step([tuple(c) for c in jac.T.tolist()], r.tolist()))
+        assert not calls
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+def test_newton_step_with_parallel_columns_takes_lstsq(monkeypatch, rows):
+    # two equal columns: the Gram determinant is below its bound, and the
+    # step is lstsq's minimum-norm solution
+    calls = _lstsq_calls(monkeypatch)
+    rng = np.random.default_rng(2034 + rows)
+    for _ in range(20):
+        jac = rng.normal(size=(rows, 3))
+        jac[:, 2] = jac[:, 1]
+        r = rng.normal(size=rows)
+        del calls[:]
+        step = _newton_step([tuple(c) for c in jac.T.tolist()], r.tolist())
+        assert len(calls) == 1 and np.array_equal(calls[0], jac)
+        assert step == np.linalg.lstsq(jac, r, rcond=None)[0].tolist()
+        assert step[1] == pytest.approx(step[2], rel=1e-12)
+
+
+def test_solve_loop_with_four_free_joints_converges(monkeypatch):
+    # a spherical pentagon: three residuals in four free joints, each Newton
+    # step lstsq's minimum-norm solution
+    calls = _lstsq_calls(monkeypatch)
+    rng = np.random.default_rng(2036)
+    for _ in range(20):
+        verts = rng.normal(size=(5, 3))
+        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+        problem = problem_from_spherical_vertices(list(verts))
+        start = np.array(problem.angles) + np.append(0.0, rng.uniform(-0.03, 0.03, size=4))
+        seeded = LoopProblem(problem.arcs, 0, tuple(start))
+        sol = solve_loop(seeded)
+        assert sol.converged and sol.residual_norm < 1e-11
+        assert sol.angles[0] == problem.angles[0]
+        assert np.linalg.norm(seeded.residual(sol.angles)) < 1e-11
+        assert max(abs(a - b) for a, b in zip(sol.angles, problem.angles)) < 0.1
+    assert calls and all(jac.shape == (3, 4) for jac in calls)
