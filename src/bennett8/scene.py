@@ -14,6 +14,7 @@ import json
 import math
 import re
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -24,6 +25,7 @@ from .isogram import (
     BennettIsogramSpec,
     SphericalIsogramPose,
     SphericalIsogramSpec,
+    _length_unit,
     _side_residual,
 )
 from .linkage import (
@@ -111,44 +113,49 @@ def _vec(v) -> list[float]:
     return [float(x) for x in np.asarray(v).reshape(-1)]
 
 
-def _circle_polyline(circle: OrientedGreatCircle, segments: int) -> np.ndarray:
-    n = circle.n
-    seed = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(n, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product, each row with the bits np.dot gives it (a
+    row-wise sum rounds differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _circle_polylines(normals: np.ndarray, segments: int) -> np.ndarray:
+    """(k, segments + 1, 3) points around the great circles of unit normals
+    (k, 3), each from its own basis e1, e2 of the circle's plane."""
+    seeds = np.where(np.abs(normals[:, 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    e1 = np.cross(normals, seeds)
+    e1 /= np.sqrt(_dot(e1, e1))[:, None]
+    e2 = np.cross(normals, e1)
     ts = np.linspace(0.0, 2 * np.pi, segments + 1)
-    return np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2
+    return np.cos(ts)[:, None] * e1[:, None] + np.sin(ts)[:, None] * e2[:, None]
 
 
-def _line_polyline(line: OrientedLine, anchors, segments: int) -> np.ndarray:
-    foot = line.foot()
-    params = [float(np.dot(np.asarray(p) - foot, line.d)) for p in anchors]
-    lo, hi = (min(params), max(params)) if params else (-1.0, 1.0)
-    span = max(hi - lo, 1e-6)
-    lo -= 0.25 * span
-    hi += 0.25 * span
-    ts = np.linspace(lo, hi, max(segments, 2))
-    return foot + ts[:, None] * line.d
+def _line_polylines(d, m, anchors, mask, unit: float, segments: int) -> np.ndarray:
+    """(k, max(segments, 2), 3) points along the lines of Pluecker
+    coordinates d, m (k, 3): each spans the feet of its anchors (the rows of
+    anchors (a, 3) that its row of mask (k, a) picks) and a quarter of that
+    span past either end. The span is at least 1e-6 of the design's unit of
+    length, so a scene scales with the design."""
+    feet = np.cross(d, m)
+    params = _dot(anchors - feet[:, None], d[:, None])
+    lo = np.where(mask, params, np.inf).min(axis=1)
+    hi = np.where(mask, params, -np.inf).max(axis=1)
+    span = np.maximum(hi - lo, 1e-6 * unit)
+    ts = np.linspace(lo - 0.25 * span, hi + 0.25 * span, max(segments, 2), axis=1)
+    return feet[:, None] + ts[:, :, None] * d[:, None]
 
 
-def _circle_entry(label: str, circle: OrientedGreatCircle, segments: int) -> dict[str, Any]:
-    return {
-        "id": label,
-        "type": "great_circle",
-        "normal": _vec(circle.n),
-        "polyline": _circle_polyline(circle, segments),
-    }
+def _circle_entries(labels, circles, segments: int) -> list[dict[str, Any]]:
+    normals = np.array([c.n for c in circles])
+    return [{"id": label, "type": "great_circle", "normal": n, "polyline": p}
+            for label, n, p in zip(labels, normals.tolist(), _circle_polylines(normals, segments))]
 
 
-def _line_entry(label: str, line: OrientedLine, anchors, segments: int) -> dict[str, Any]:
-    return {
-        "id": label,
-        "type": "line",
-        "direction": _vec(line.d),
-        "moment": _vec(line.m),
-        "polyline": _line_polyline(line, anchors, segments),
-    }
+def _line_entries(labels, lines, anchors, mask, unit: float, segments: int) -> list[dict[str, Any]]:
+    d, m = np.array([line.d for line in lines]), np.array([line.m for line in lines])
+    polylines = _line_polylines(d, m, np.array(anchors), mask, unit, segments)
+    return [{"id": label, "type": "line", "direction": dl, "moment": ml, "polyline": p}
+            for label, dl, ml, p in zip(labels, d.tolist(), m.tolist(), polylines)]
 
 
 def scene_from_pose(pose, segments: int = 128) -> dict[str, Any]:
@@ -162,11 +169,12 @@ def scene_from_pose(pose, segments: int = 128) -> dict[str, Any]:
 
 def _scene(pose, segments: int) -> dict[str, Any]:
     """The scene document with each polyline an (n, 3) float array, which
-    dumps_json and scene_to_obj write as they write its lists. The CLI
-    writes this form. As lists, a scene at 128 segments holds one Python
-    list per point, 1,400 to 2,100 of them; CPython's garbage collector
-    counts each, so a pose call ran about two collections, and now
-    and then a full one of 5 to 10 ms."""
+    dumps_json and scene_to_obj write straight from the array. The CLI
+    writes this form. A scene's polylines are built in one array pass: all
+    its circles at once, or all its lines. As lists, a scene at 128
+    segments holds one Python list per point, 1,400 to 2,100 of them;
+    CPython's garbage collector counts each, so a pose call ran about two
+    collections, and now and then a full one of 5 to 10 ms."""
     if isinstance(pose, EightBarPose):
         return _scene_spherical(pose, segments)
     if isinstance(pose, SpatialEightBarPose):
@@ -194,54 +202,46 @@ def _eightbar_document(pose, kind: str, bars, joints, symmetry, report) -> dict[
     return _document(kind, {"phi1": pose.phi[0], "aligned": pose.aligned}, bars, joints, symmetry, residuals)
 
 
+_BARS = ("g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3")
+
+
 def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
-    bars = [_circle_entry(f"g{i}", pose.g[i], segments) for i in range(4)]
-    bars += [_circle_entry(f"h{j}", pose.h[j], segments) for j in range(4)]
+    extra = () if pose.aligned else (pose.n_circle, pose.t1, pose.t2)
+    entries = _circle_entries(_BARS + ("n", "t1", "t2"), pose.g + pose.h + extra, segments)
     joints = [{"id": key, "position": _vec(p.v)} for key, p in pose.joints.items()]
     symmetry = None if pose.aligned else {
         "centers": {f"S{k + 1}": _vec(c.v) for k, c in enumerate(pose.centers)},
-        "circle_n": _circle_entry("n", pose.n_circle, segments),
+        "circle_n": entries[8],
         "pole_N": _vec(pose.n_pole.v),
-        "t1": _circle_entry("t1", pose.t1, segments),
-        "t2": _circle_entry("t2", pose.t2, segments),
+        "t1": entries[9],
+        "t2": entries[10],
     }
-    return _eightbar_document(pose, "spherical8", bars, joints, symmetry, halfturn_products_report)
+    return _eightbar_document(pose, "spherical8", entries[:8], joints, symmetry, halfturn_products_report)
 
 
 def _scene_spatial(pose: SpatialEightBarPose, segments: int) -> dict[str, Any]:
-    verts = list(pose.vertices.values())
-    bars = []
-    for i in range(4):
-        anchors = [pose.vertices[k] for k in pose.vertices if k[1] == str(i)]
-        bars.append(_line_entry(f"g{i}", pose.g[i], anchors or verts, segments))
-    for j in range(4):
-        anchors = [pose.vertices[k] for k in pose.vertices if k[2] == str(j)]
-        bars.append(_line_entry(f"h{j}", pose.h[j], anchors or verts, segments))
-    joints = []
-    for key, line in pose.hinges.items():
-        joints.append(
-            {
-                "id": key,
-                "position": _vec(pose.vertices[key]),
-                "direction": _vec(line.d),
-            }
-        )
+    # bar g_i spans the vertices I_ij of any j, bar h_j those of any i, and
+    # a symmetry element all twelve
+    keys = list(pose.vertices)
+    mask = [[key[side] == i for key in keys] for side in (1, 2) for i in "0123"]
+    extra = () if pose.aligned else (*pose.axes, pose.n_line, pose.t_line)
+    labels = _BARS + ("s1", "s2", "s3", "s4", "s5", "s6", "n", "t")
+    entries = _line_entries(labels, pose.g + pose.h + extra, list(pose.vertices.values()),
+                            mask + [[True] * len(keys)] * len(extra), sum(pose.spec.a), segments)
+    joints = [
+        {"id": key, "position": _vec(pose.vertices[key]), "direction": _vec(line.d)}
+        for key, line in pose.hinges.items()
+    ]
     symmetry = None if pose.aligned else {
-        "axes": {
-            f"s{k + 1}": _line_entry(f"s{k + 1}", s, verts, segments)
-            for k, s in enumerate(pose.axes)
-        },
-        "line_n": _line_entry("n", pose.n_line, verts, segments),
-        "axis_t": _line_entry("t", pose.t_line, verts, segments),
+        "axes": {entry["id"]: entry for entry in entries[8:14]},
+        "line_n": entries[14],
+        "axis_t": entries[15],
     }
-    return _eightbar_document(pose, "spatial8", bars, joints, symmetry, symmetry_report_spatial)
+    return _eightbar_document(pose, "spatial8", entries[:8], joints, symmetry, symmetry_report_spatial)
 
 
 def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str, Any]:
-    bars = [
-        _circle_entry(label, circ, segments)
-        for label, circ in zip(("basis", "arm_b", "coupler", "arm_a"), pose.side_circles)
-    ]
+    bars = _circle_entries(("basis", "arm_b", "coupler", "arm_a"), pose.side_circles, segments)
     joints = [
         {"id": label, "position": _vec(p.v)} for label, p in zip(("A", "B", "C", "D"), pose.vertices)
     ]
@@ -250,11 +250,8 @@ def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str
 
 
 def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, Any]:
-    verts = list(pose.vertices)
-    bars = [
-        _line_entry(label, line, verts, segments)
-        for label, line in zip(("base", "arm_b", "coupler", "arm_a"), pose.side_lines)
-    ]
+    bars = _line_entries(("base", "arm_b", "coupler", "arm_a"), pose.side_lines, pose.vertices,
+                         np.ones((4, 4), dtype=bool), _length_unit(pose.spec), segments)
     joints = [
         {"id": label, "position": _vec(v), "direction": _vec(h.d)}
         for label, v, h in zip(("A", "B", "C", "D"), pose.vertices, pose.hinges)
@@ -274,9 +271,8 @@ def scene_to_obj(scene: dict[str, Any]) -> str:
     for entry in _polyline_entries(scene):
         polyline = entry["polyline"]
         n = len(polyline)
-        if isinstance(polyline, np.ndarray):
-            polyline = polyline.tolist()
-        vertices = ("v %.17g %.17g %.17g\n" * n) % tuple(chain.from_iterable(polyline))
+        flat = polyline.ravel().tolist() if isinstance(polyline, np.ndarray) else chain.from_iterable(polyline)
+        vertices = ("v %.17g %.17g %.17g\n" * n) % tuple(flat)
         chunks.append(f"o {entry['id']}\n{vertices}l {' '.join(map(str, range(index, index + n)))}\n")
         index += n
     return "".join(chunks)
@@ -322,7 +318,9 @@ def dumps_json(doc: Any) -> str:
     """Deterministic JSON text, the text of json.dumps(doc, sort_keys=True,
     indent=1): sorted keys, which must be strings, and floats in their
     shortest round-trip form. A list of finite floats, or of 3-float points,
-    is written with one format; every other value goes through json.dumps."""
+    and an (n, 3) float array of finite values, are written with one format;
+    strings go through encode_basestring_ascii, as json.dumps writes them,
+    and every other value through json.dumps."""
     return _json(doc, 0)
 
 
@@ -335,14 +333,20 @@ def _block(items: list[str], level: int, brackets: str = "[]") -> str:
 def _json(obj: Any, level: int) -> str:
     if type(obj) is float and math.isfinite(obj):
         return repr(obj)
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if not all(type(key) is str for key in obj):
             raise TypeError("keys must be str")
         items = sorted(obj.items())
-        return _block([f"{json.dumps(key)}: {_json(value, level + 1)}" for key, value in items], level, "{}")
-    if isinstance(obj, np.ndarray):  # a polyline of _scene
+        return _block([f"{encode_basestring_ascii(key)}: {_json(value, level + 1)}" for key, value in items],
+                      level, "{}")
+    if isinstance(obj, np.ndarray):  # an (n, 3) float polyline of _scene
+        text = _floats_format(len(obj), level, 3) % tuple(obj.ravel().tolist())
+        if "n" not in text:  # else a nan or inf, which the list form spells as JSON does
+            return text
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:

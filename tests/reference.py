@@ -191,3 +191,32 @@ def phi2_from_dihedral(branch: Branch, theta_b: float) -> float:
     shift = np.pi if branch == "minus" else 0.0
     x = theta_b + shift
     return float(np.arctan2(np.sin(x), np.cos(x)))
+
+
+# ---------------------------------------------------------------------------
+# Scene polylines, one circle or line at a time.
+# ---------------------------------------------------------------------------
+
+
+def circle_polyline(circle: OrientedGreatCircle, segments: int) -> np.ndarray:
+    n = circle.n
+    seed = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(n, seed)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    ts = np.linspace(0.0, 2 * np.pi, segments + 1)
+    return np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2
+
+
+def line_polyline(line: OrientedLine, anchors, segments: int, floor: float = 1e-6) -> np.ndarray:
+    """The line over the feet of its anchors, a quarter of their span past
+    either end. The span is at least floor: the scene writer's floor was
+    1e-6, and is now 1e-6 of the design's unit of length."""
+    foot = line.foot()
+    params = [float(np.dot(np.asarray(p) - foot, line.d)) for p in anchors]
+    lo, hi = (min(params), max(params)) if params else (-1.0, 1.0)
+    span = max(hi - lo, floor)
+    lo -= 0.25 * span
+    hi += 0.25 * span
+    ts = np.linspace(lo, hi, max(segments, 2))
+    return foot + ts[:, None] * line.d

@@ -1,5 +1,6 @@
 """Scene serialization: exact round trip and byte-identical reruns."""
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,12 +12,14 @@ from bennett8 import linkage, scene
 from bennett8.cli import main
 from bennett8.errors import InvalidSpec
 from bennett8.isogram import (
+    BennettIsogramPose,
     BennettIsogramSpec,
+    SphericalIsogramPose,
     SphericalIsogramSpec,
     solve_bennett_isogram,
     solve_spherical_isogram,
 )
-from bennett8.linkage import EightBarSpec, assemble_spatial, assemble_spherical
+from bennett8.linkage import EightBarPose, EightBarSpec, assemble_spatial, assemble_spherical
 from bennett8.screws import OrientedLine
 from bennett8.sphere import OrientedGreatCircle, SpherePoint
 
@@ -26,6 +29,7 @@ from conftest import (
     random_isogram_spec,
     random_spatial_spec,
 )
+from reference import circle_polyline, line_polyline
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")
 DEMOS = [
@@ -243,6 +247,81 @@ def test_writers_match_the_references_on_odd_values():
     _assert_same_text(scene.dumps_json(doc), _reference_json(doc))
     obj = dict(doc, bars=doc["bars"][:3])
     _assert_same_text(scene.scene_to_obj(obj), _reference_obj(obj))
+
+
+def test_array_writers_match_the_references_on_odd_values():
+    # the form the CLI writes: a polyline array that holds a nan or an inf is
+    # written as its list form is, and one of signed zeros from the array
+    spec = scene.load_spec(os.path.join(SPECS, "spherical_isogram_demo.json"))
+    doc = scene._scene(_pose(spec, 0.5), 7)
+    doc["bars"][0]["polyline"][1] = [float("nan"), -0.0, float("inf")]
+    doc["bars"][1]["polyline"][0, 2] = -float("inf")
+    doc["bars"][2]["polyline"][:] = -0.0
+    lists = dict(doc, bars=[dict(bar, polyline=bar["polyline"].tolist()) for bar in doc["bars"]])
+    _assert_same_text(scene.dumps_json(doc), _reference_json(lists))
+    _assert_same_text(scene.scene_to_obj(doc), _reference_obj(lists))
+
+
+# ---------------------------------------------------------------------------
+# The polylines against the per-circle and per-line references they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_polylines(pose, segments):
+    """A pose's scene polylines in file order, one circle or line at a time,
+    each line over the anchors the scene gives it."""
+    if isinstance(pose, EightBarPose):
+        extra = () if pose.aligned else (pose.n_circle, pose.t1, pose.t2)
+        return [circle_polyline(circle, segments) for circle in pose.g + pose.h + extra]
+    if isinstance(pose, SphericalIsogramPose):
+        return [circle_polyline(circle, segments) for circle in pose.side_circles]
+    if isinstance(pose, BennettIsogramPose):
+        floor = 1e-6 * (pose.spec.a_len + pose.spec.b_len)
+        return [line_polyline(line, pose.vertices, segments, floor) for line in pose.side_lines]
+    verts = pose.vertices
+    anchored = [(line, [p for k, p in verts.items() if k[1] == str(i)]) for i, line in enumerate(pose.g)]
+    anchored += [(line, [p for k, p in verts.items() if k[2] == str(j)]) for j, line in enumerate(pose.h)]
+    extra = () if pose.aligned else (*pose.axes, pose.n_line, pose.t_line)
+    anchored += [(line, list(verts.values())) for line in extra]
+    return [line_polyline(line, anchors, segments, 1e-6 * sum(pose.spec.a)) for line, anchors in anchored]
+
+
+@pytest.mark.parametrize("segments", [1, 7, 128])
+@pytest.mark.parametrize("phi", [0.0, np.pi, 1e-9, 0.7])
+def test_polylines_match_the_per_line_references(phi, segments):
+    # a scene builds all its circles, or all its lines, in one array pass;
+    # each polyline keeps the bits, signed zeros included
+    rng = np.random.default_rng(26)
+    specs = [scene.load_spec(os.path.join(SPECS, demo)) for demo in DEMOS]
+    specs += [make(rng) for _ in range(3) for make in (random_eightbar_spec, random_spatial_spec, random_isogram_spec)]
+    for spec in specs:
+        pose = _pose(spec, phi)
+        polylines = [entry["polyline"] for entry in scene._polyline_entries(scene._scene(pose, segments))]
+        reference = _reference_polylines(pose, segments)
+        assert len(polylines) == len(reference) >= 4
+        for got, want in zip(polylines, reference):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+@pytest.mark.parametrize(
+    "demo, lengths, phi",
+    [
+        ("spatial8_demo.json", ("a1", "a2"), 0.8),
+        ("spatial8_demo.json", ("a1", "a2"), 1e-9),
+        ("bennett_isogram_demo.json", ("a_len", "b_len"), 0.8),
+        ("bennett_isogram_demo.json", ("a_len", "b_len"), 0.0),
+    ],
+)
+def test_line_polylines_scale_with_the_unit_of_length(demo, lengths, phi, scale):
+    # a line spans at least 1e-6 of the design's unit of length L, not 1e-6
+    # in absolute terms, so a scaled design gives the scaled scene
+    spec = scene.load_spec(os.path.join(SPECS, demo))
+    scaled = dataclasses.replace(spec, **{key: getattr(spec, key) * scale for key in lengths})
+    unit = scale * sum(getattr(spec, key) for key in lengths)
+    entries = list(scene._polyline_entries(scene._scene(_pose(spec, phi), 16)))
+    for got, want in zip(scene._polyline_entries(scene._scene(_pose(scaled, phi), 16)), entries, strict=True):
+        assert np.abs(got["polyline"] - scale * want["polyline"]).max() <= 1e-9 * unit
 
 
 @pytest.mark.parametrize(
