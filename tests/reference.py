@@ -210,8 +210,8 @@ def circle_polyline(circle: OrientedGreatCircle, segments: int) -> np.ndarray:
 
 def line_polyline(line: OrientedLine, anchors, segments: int, floor: float = 1e-6) -> np.ndarray:
     """The line over the feet of its anchors, a quarter of their span past
-    either end. The span is at least floor: the scene writer's floor was
-    1e-6, and is now 1e-6 of the design's unit of length."""
+    either end. The span is at least floor, which the scene takes as 1e-6 of
+    the design's unit of length."""
     foot = line.foot()
     params = [float(np.dot(np.asarray(p) - foot, line.d)) for p in anchors]
     lo, hi = (min(params), max(params)) if params else (-1.0, 1.0)
