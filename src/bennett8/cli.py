@@ -103,10 +103,12 @@ def cmd_pose(args) -> int:
     return 0
 
 
-def _sweep_rows(v, grid) -> tuple[list[str], list[list]]:
-    """The CSV header and one row per sample: phi1, the points, the family
-    residuals (None for an empty cell), then the error text."""
-    samples = linkage.sweep(v, grid)
+def _sweep_columns(v, phis) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+    """The sweep CSV of a design over phis in dumps_csv's column form: the
+    header, the (N, 44) numbers (phi1, the points' x, y, z per key, the
+    family residuals), the mask of their empty cells, and each row's error
+    text."""
+    table = linkage._sweep_table(v, phis)
     # the keys in JOINT_KEYS order, which is sorted
     point_keys = linkage.HINGE_KEYS if isinstance(v, linkage.ValidatedSpatial) else linkage.JOINT_KEYS
     header = ["phi1"]
@@ -114,20 +116,16 @@ def _sweep_rows(v, grid) -> tuple[list[str], list[list]]:
         header += [f"{key}_x", f"{key}_y", f"{key}_z"]
     header += [f"res_{k}" for k in linkage.FAMILIES]
     header.append("error")
-    # the point columns of every sample at once: the grid's (3, 12, N) points
-    # as N rows of x, y, z per key (SweepSample.points, raveled)
-    grid = next((s._grid for s in samples if s._grid is not None), None)
-    points = None if grid is None else grid.points.transpose(2, 1, 0).reshape(len(grid.phi1), -1).tolist()
-    no_points = [None] * (3 * len(point_keys))
-    rows = []
-    for s in samples:
-        row = [s.phi1]
-        row += no_points if s._grid is None else points[s._row]
-        families = s.families or {}
-        row += [families.get(key) for key in linkage.FAMILIES]
-        row.append(s.error or "")
-        rows.append(row)
-    return header, rows
+    # the grid's (3, 12, N) points as N rows of x, y, z per key
+    grid = table.grid
+    points = grid.points.transpose(2, 1, 0).reshape(len(grid.phi1), -1)
+    numbers = np.concatenate([grid.phi1[:, None], points, table.families], axis=1)
+    empty = np.concatenate([
+        np.zeros((len(grid.phi1), 1), dtype=bool),
+        np.repeat(table.failed[:, None], points.shape[1], axis=1),
+        table.empty,
+    ], axis=1)
+    return header, numbers, empty, [text or "" for text in table.errors]
 
 
 def cmd_sweep(args) -> int:
@@ -139,12 +137,12 @@ def cmd_sweep(args) -> int:
         grid = linkage.phi_grid(args.phi_from, args.phi_to, args.samples, args.uniform_angle)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
-    header, rows = _sweep_rows(v, grid)
-    text = scene.dumps_csv(header, rows)
+    header, numbers, empty, texts = _sweep_columns(v, grid)
+    text = scene.dumps_csv(header, numbers, empty, texts)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"{len(rows)} samples written to {args.out}")
+        print(f"{len(texts)} samples written to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -163,23 +161,26 @@ def cmd_verify(args) -> int:
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
 
-    samples = linkage.sweep(v, grid)
-    families: dict[str, float] = {}
-    for s in samples:
-        for key, val in (s.families or {}).items():
-            families[key] = max(families.get(key, 0.0), val)
+    table = linkage._sweep_table(v, grid)
+    # each family's worst value over the cells that hold one; a nan is the
+    # worst value, and fails
+    worst = np.where(table.empty, 0.0, table.families).max(axis=0).tolist()
+    shown = (~table.empty.all(axis=0)).tolist()
+    lines = [
+        f"{'PASS' if value < args.tol else 'FAIL'} {key:<22} worst {format_float(value)}"
+        for key, value, show in sorted(zip(linkage.FAMILIES, worst, shown)) if show
+    ]
     # one degree of freedom is gated at regular poses; at the aligned poses
     # the spherical linkage has nullity 3 (the spatial one keeps 1)
-    regular = [s for s in samples if s.error or not linkage._is_aligned_angle(s.phi1)]
-    mob = linkage.mobility_check(regular[:: max(1, len(regular) // 5)])
-    lines = [
-        f"{'PASS' if families[key] < args.tol else 'FAIL'} {key:<22} worst {format_float(families[key])}"
-        for key in sorted(families)
-    ]
+    regular = np.flatnonzero(table.failed | ~table.grid.aligned)
+    mob = linkage.mobility_check(table.samples(regular[:: max(1, len(regular) // 5)]))
     mob_status = "PASS" if mob and all(m.status == "ok" and m.nullity == 1 for m in mob) else "FAIL"
     nullities = sorted({m.nullity for m in mob if m.status == 'ok'})
     lines.append(f"{mob_status} {'mobility':<22} nullities {nullities}")
-    lines += [f"FAIL assembly             phi={s.phi1:.6g}: {s.error}" for s in samples if s.error]
+    lines += [
+        f"FAIL assembly             phi={phi1:.6g}: {error}"
+        for phi1, error in zip(table.phis, table.errors) if error is not None
+    ]
     print("\n".join(lines))
     # the exit code is what the lines say: any FAIL is a verification failure
     return 2 if any(line.startswith("FAIL") for line in lines) else 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -975,9 +975,11 @@ def _mobility_jacobian(screws: np.ndarray) -> np.ndarray:
     column +-s for each of its joints (see _FACE_SIGNS). A hinge's screw s
     is (d, m / L) with m = V x d and L = a1 + a2, so the spectrum does not
     depend on the unit of length; on the sphere s is the unit joint vector
-    with zero moment. Any five faces form a cycle basis.
+    with zero moment. Any five faces form a cycle basis. A (..., 12, 6)
+    stack of screws gives the (..., 36, 12) stack of their Jacobians.
     """
-    return (_FACE_SIGNS[:, None, :] * screws.T).reshape(-1, len(JOINT_KEYS))
+    columns = np.swapaxes(screws, -1, -2)[..., None, :, :]
+    return (_FACE_SIGNS[:, None, :] * columns).reshape(*screws.shape[:-2], -1, len(JOINT_KEYS))
 
 
 def mobility_check(samples) -> list[MobilitySample]:
@@ -986,16 +988,20 @@ def mobility_check(samples) -> list[MobilitySample]:
     aligned poses 3 for the spherical linkage and 1 for the spatial one.
 
     The joint screws are read off the sample's row of its sweep's grid, so
-    no pose is built. A sample that failed has no row and reads
+    no pose is built, and the Jacobians of all the samples go through one
+    stacked SVD. A sample that failed has no row and reads
     "assembly-failed", as its `points` read None."""
-    out: list[MobilitySample] = []
-    for s in samples:
-        if s._grid is None:
-            out.append(MobilitySample(s.phi1, "assembly-failed", None))
-        else:
-            screws = s._grid.values[:, 8:20, s._row].T * _design(s._grid.spec)[3]
-            out.append(MobilitySample(s.phi1, "ok", matrix_nullity(_mobility_jacobian(screws))))
-    return out
+    samples = list(samples)
+    held = [s for s in samples if s._grid is not None]
+    nullities = iter(())
+    if held:
+        screws = np.stack([s._grid.values[:, 8:20, s._row].T * _design(s._grid.spec)[3] for s in held])
+        nullities = iter(matrix_nullity(_mobility_jacobian(screws)).tolist())
+    return [
+        MobilitySample(s.phi1, "assembly-failed", None) if s._grid is None
+        else MobilitySample(s.phi1, "ok", next(nullities))
+        for s in samples
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1033,7 @@ _FAMILY_COLUMNS = [
 ]
 # an aligned pose has no report, so only its pose-level families
 _POSE_FAMILIES = ("closure", "incidence", "cells")
+_REPORT_FAMILIES = np.array([key not in _POSE_FAMILIES for key in FAMILIES])
 
 
 @dataclass(eq=False)
@@ -1066,21 +1073,52 @@ def phi_grid(phi_from: float, phi_to: float, n: int, uniform_angle: bool = False
     k_hi = int(np.floor((hi - np.pi) / (2 * np.pi)))
     singular = k_lo <= k_hi
     if uniform_angle or singular:
-        return [float(x) for x in np.linspace(phi_from, phi_to, n)]
+        return np.linspace(phi_from, phi_to, n).tolist()
     ts = np.linspace(np.tan(phi_from / 2), np.tan(phi_to / 2), n)
-    return [float(2 * np.arctan(t)) for t in ts]
+    return (2 * np.arctan(ts)).tolist()
 
 
-def sweep(spec, phis) -> list[SweepSample]:
-    """Poses plus per-family residual maxima at each angle of phis, from one
+class _SweepTable(NamedTuple):
+    """A sweep of one design over N angles, as arrays.
+
+    `grid` is the construction (see _Grid), `families` the (N, 7) family
+    maxima in FAMILIES order, and `empty` the (N, 7) cells that hold no
+    value: every family of an angle that failed, and the report's families
+    at an aligned pose. Every other cell holds its value, nan included.
+    `errors` holds the text of each angle's typed error, or None, and
+    `failed` says which angles have one.
+
+    A NamedTuple: making a dataclass at import added about 0.25 MB to the
+    peak resident memory of every command."""
+
+    phis: list
+    grid: _Grid
+    families: np.ndarray
+    empty: np.ndarray
+    errors: list[str | None]
+    failed: np.ndarray
+
+    def samples(self, rows) -> list[SweepSample]:
+        """The SweepSamples of the table's rows, in the given order."""
+        out = []
+        for i in rows:
+            if self.errors[i] is not None:
+                out.append(SweepSample(self.phis[i], None, self.errors[i]))
+            else:
+                names = _POSE_FAMILIES if self.grid.aligned[i] else FAMILIES
+                out.append(SweepSample(self.phis[i], dict(zip(names, self.families[i].tolist())), None,
+                                       self.grid, int(i)))
+        return out
+
+
+def _sweep_table(v, phis) -> _SweepTable:
+    """The sweep of a validated spec at every angle of phis, from one
     construction (_assemble) and one report (_symmetry_report) over the
     whole grid.
 
-    Per-sample failures, each a typed error (see errors.py), are recorded in
-    the output and do not abort the sweep; a sample fails as assemble_* and
-    the report would fail at its angle alone.
-    """
-    v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
+    Per-angle failures, each a typed error (see errors.py), are recorded in
+    the table and do not abort the sweep; an angle fails as assemble_* and
+    the report would fail at that angle alone."""
     phis = list(phis)
     grid = _assemble(v, phis)
     errors = grid.errors
@@ -1091,12 +1129,21 @@ def sweep(spec, phis) -> list[SweepSample]:
         failed = np.zeros_like(ok)
         values[3:, ok], failed[ok] = _symmetry_report(grid.values[:, :28, ok] * _design(v)[3][:, None, None])
         _flag(errors, failed, ClosureFailure(SHORT_UNIT))
-    families = np.array([values[cols].max(axis=0) for cols in _FAMILY_COLUMNS]).T.tolist()
-    samples: list[SweepSample] = []
-    for i, (phi1, error) in enumerate(zip(phis, errors)):
-        if error is None:
-            names = _POSE_FAMILIES if grid.aligned[i] else FAMILIES
-            samples.append(SweepSample(phi1, dict(zip(names, families[i])), None, grid, i))
-        else:
-            samples.append(SweepSample(phi1, None, f"{type(error).__name__}: {error}"))
-    return samples
+    families = np.array([values[cols].max(axis=0) for cols in _FAMILY_COLUMNS]).T
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    empty = failed[:, None] | (grid.aligned[:, None] & _REPORT_FAMILIES)
+    texts = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
+    return _SweepTable(phis, grid, families, empty, texts, failed)
+
+
+def sweep(spec, phis) -> list[SweepSample]:
+    """Poses plus per-family residual maxima at each angle of phis (see
+    _sweep_table), one SweepSample per angle.
+
+    Per-sample failures, each a typed error (see errors.py), are recorded in
+    the output and do not abort the sweep; a sample fails as assemble_* and
+    the report would fail at its angle alone.
+    """
+    v = spec if isinstance(spec, (ValidatedSpherical, ValidatedSpatial)) else validate_spec(spec)
+    table = _sweep_table(v, phis)
+    return table.samples(range(len(table.phis)))

@@ -19,6 +19,7 @@ on a spatial loop its moment too), d(product)/d(theta_k) = L_k * product / 2
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from math import cos, hypot, sin
 from operator import mul
@@ -291,14 +292,21 @@ def solve_loop(problem: LoopProblem, tol: float = 1e-11, max_iter: int = 100) ->
     return LoopSolution(tuple(joints(x)), rn, rn < tol, it, tuple(history))
 
 
-def matrix_nullity(jac: np.ndarray) -> int:
+def matrix_nullity(jac: np.ndarray) -> int | np.ndarray:
     """Dimension of the null space of jac: columns minus rank, where singular
     values below SV_RATIO times the largest count as zero. For a wide matrix
-    the missing rows count toward the nullity as well."""
+    the missing rows count toward the nullity as well, and a zero matrix has
+    rank 0. jac may be a (..., m, n) stack: one SVD call then gives the
+    nullity of each matrix, as an int array of the stack's shape; a single
+    matrix gives an int."""
     sv = np.linalg.svd(jac, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return int(jac.shape[1])
-    return int(jac.shape[1]) - int(np.sum(sv >= SV_RATIO * sv[0]))
+    # the rule on each matrix's singular values, largest first, as Python
+    # floats: on the few values of one matrix that is cheaper than numpy
+    nullities = [
+        jac.shape[-1] - (sum(x >= SV_RATIO * s[0] for x in s) if s and s[0] > 0.0 else 0)
+        for s in sv.reshape(math.prod(sv.shape[:-1]), sv.shape[-1]).tolist()
+    ]
+    return nullities[0] if jac.ndim == 2 else np.array(nullities, dtype=int).reshape(sv.shape[:-1])
 
 
 def jacobian_nullity(problem: LoopProblem, solution: LoopSolution) -> int:

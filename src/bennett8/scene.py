@@ -297,20 +297,29 @@ def format_float(x: float) -> str:
 _CSV_QUOTED = re.compile('[,"\r\n]')
 
 
-def dumps_csv(header: list[str], rows) -> str:
-    """CSV text of a header and rows. A row is numbers, or None for an empty
-    cell, then one text cell. Numbers are written with %.17g, as
-    format_float writes them; a row with no empty cell goes through one
-    format. A text cell that holds a comma, a double quote or a line break
-    is written in double quotes, its own doubled, as RFC 4180 writes it."""
+def dumps_csv(header: list[str], numbers, empty, texts) -> str:
+    """CSV text of a header and N rows, each row its numbers, then one text
+    cell. numbers is an (N, k) float array, and empty the (N, k) mask of the
+    cells written empty. Numbers are written with %.17g, as format_float
+    writes them, and all with one format: each distinct magnitude (float64
+    bit pattern of |x|) once, a negative number as its magnitude after a
+    minus sign, which is how %.17g writes it (so -0 too; a nan is written
+    nan whatever its sign). A text cell that holds a comma, a double quote
+    or a line break is written in double quotes, its own doubled, as
+    RFC 4180 writes it."""
+    numbers = np.asarray(numbers, dtype=np.float64)
+    bits, where = np.unique(np.abs(numbers).view(np.int64).ravel(), return_inverse=True)
+    words = np.array((("%.17g," * len(bits)) % tuple(bits.view(np.float64).tolist())).split(",")[:-1], dtype=object)
+    # the words of the magnitudes, of the negative numbers, and the empty cell's
+    words = np.concatenate([words, "-" + words, [""]])
+    index = where.reshape(numbers.shape) + len(bits) * (np.signbit(numbers) & ~np.isnan(numbers))
+    cells = words[np.where(empty, len(words) - 1, index)].tolist()
     lines = [",".join(header)]
-    for *values, text in rows:
+    for row, text in zip(cells, texts):
         if text and _CSV_QUOTED.search(text):
             text = '"' + text.replace('"', '""') + '"'
-        if None in values:
-            lines.append(",".join(["" if x is None else format_float(x) for x in values] + [text]))
-        else:
-            lines.append(("%.17g," * len(values) + "%s") % (*values, text))
+        row.append(text)
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

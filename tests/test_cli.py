@@ -166,6 +166,28 @@ def test_verify_fails_mobility_on_unassembled_sample(tmp_path, capsys, monkeypat
     assert "FAIL mobility" in capsys.readouterr().out
 
 
+def test_verify_fails_a_nan_invariant(capsys, monkeypatch):
+    # a family whose values are nan fails verify, as the sweep CSV writes
+    # them nan: the family's worst value is nan, not 0
+    report = linkage._symmetry_report
+    rows = [linkage._REPORT_KEYS.index(key) for key in linkage.FAMILIES["products"]]
+
+    def nan_products(x):
+        values, short = report(x)
+        values[rows] = np.nan
+        return values, short
+
+    monkeypatch.setattr(linkage, "_symmetry_report", nan_products)
+    spec = os.path.join(SPECS, "spherical8_demo.json")
+    assert main(["verify", spec]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines if "products" in line] == [["FAIL", "products", "worst", "nan"]]
+    assert all(line.startswith("PASS") for line in lines if "products" not in line)
+    assert main(["sweep", spec, "--from=-1", "--to=1", "--samples=4"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [row[header.index("res_products")] for row in rows] == ["nan"] * 4
+
+
 def test_verify_spatial(tmp_path, capsys):
     path = write_spec(tmp_path, SPA)
     assert main(["verify", path, "--phi-grid", "5"]) == 0

@@ -97,7 +97,9 @@ def test_every_sample_closes_or_carries_a_typed_error(tmp_path, capsys, kind, se
     for doc, v in designs:
         # sweep raises nothing: each sample closes, or records a typed error
         # whose text keeps the CSV's columns
-        header, rows = cli._sweep_rows(v, ANGLES)
+        header, numbers, empty, texts = cli._sweep_columns(v, ANGLES)
+        rows = [[None if e else x for x, e in zip(row, mask)] + [text]
+                for row, mask, text in zip(numbers.tolist(), empty.tolist(), texts)]
         closure = header.index("res_closure")
         for row in rows:
             assert len(row) == len(header), doc
@@ -106,7 +108,7 @@ def test_every_sample_closes_or_carries_a_typed_error(tmp_path, capsys, kind, se
                 failed.setdefault(row[-1].split(":")[0], (doc, row[0]))
             else:
                 assert row[closure] <= 1e-9, (doc, row[0])
-        text = scene.dumps_csv(header, rows)
+        text = scene.dumps_csv(header, numbers, empty, texts)
         assert {line.count(",") for line in text.splitlines()} == {len(header) - 1}, doc
     # pose exits 0 (a closed pose) or 2 (a typed error) on validated specs
     path = tmp_path / "spec.json"

@@ -795,6 +795,32 @@ def test_mobility_reports_unassembled_samples(monkeypatch):
         assert (sample.phi1, sample.status, sample.nullity) == (phi1, "assembly-failed", None)
 
 
+def test_stacked_nullity_matches_single_matrices():
+    # one SVD call over a stack applies the rank rule of a single matrix to
+    # each: the mobility Jacobians of the demos and random designs, aligned
+    # poses included (nullity 3 on the sphere), and the zero-matrix and
+    # wide-matrix cases
+    rng = np.random.default_rng(75)
+    specs = [load_spec(os.path.join(SPECS, f"{kind}8_demo.json")) for kind in ("spherical", "spatial")]
+    specs += [draw(rng) for draw in (random_eightbar_spec, random_spatial_spec) for _ in range(3)]
+    for spec in specs:
+        samples = sweep(spec, [0.0, 0.4, -0.9, 1.7, np.pi, -2.6])
+        stack = np.stack([_mobility_jacobian(s._grid.values[:, 8:20, s._row].T * _design(s._grid.spec)[3])
+                          for s in samples])
+        singles = [matrix_nullity(jac) for jac in stack]
+        assert matrix_nullity(stack).tolist() == singles
+        assert [m.nullity for m in mobility_check(samples)] == singles
+        aligned = 3 if isinstance(spec, EightBarSpec) else 1
+        assert singles == [aligned, 1, 1, 1, aligned, 1]
+    wide = rng.normal(size=(3, 5))
+    cases = np.stack([np.zeros((3, 5)), wide, np.outer(wide[0], wide[0])[:3], wide[[0, 0, 1]]])
+    singles = [matrix_nullity(jac) for jac in cases]
+    assert singles == [5, 2, 4, 3]
+    assert matrix_nullity(cases).tolist() == singles
+    assert matrix_nullity(cases.reshape(2, 2, 3, 5)).tolist() == [singles[:2], singles[2:]]
+    assert matrix_nullity(np.zeros((4, 3))) == 3
+
+
 # the regular poses of acceptance criterion 6
 CRITERION_6_ANGLES = [a for a in np.linspace(-2.4, 2.4, 12) if abs(a) > 0.2][:10]
 
@@ -902,6 +928,25 @@ def test_phi_grid_endpoints_and_fallback():
     # explicit override
     grid = phi_grid(0.0, 2.0, 3, uniform_angle=True)
     assert grid == pytest.approx([0.0, 1.0, 2.0])
+
+
+def _bits(xs) -> list[int]:
+    return np.array(xs, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 25, 41, 101, 256])
+def test_phi_grid_is_the_per_sample_expressions(n):
+    # the array expressions give each sample the bits of the scalar ones,
+    # signs of zero included: tan-spaced, uniform, and the fallback of a
+    # range touching pi
+    for lo, hi in ((-3.1, 3.1), (-2.0, 2.9), (0.1, 1e-9), (-1.0, 1.0), (0.0, -0.5)):
+        ts = np.linspace(np.tan(lo / 2), np.tan(hi / 2), n)
+        assert _bits(phi_grid(lo, hi, n)) == _bits([float(2 * np.arctan(t)) for t in ts])
+        uniform = [float(x) for x in np.linspace(lo, hi, n)]
+        assert _bits(phi_grid(lo, hi, n, uniform_angle=True)) == _bits(uniform)
+    for lo, hi in ((-np.pi, np.pi), (2.8, 3.5), (-4.0, -3.0)):
+        assert _bits(phi_grid(lo, hi, n)) == _bits([float(x) for x in np.linspace(lo, hi, n)])
+    assert all(type(x) is float for x in phi_grid(-3.1, 3.1, n) + phi_grid(-np.pi, np.pi, n))
 
 
 def test_sweep_regular_through_flip_pose():

@@ -326,7 +326,8 @@ def test_line_polylines_scale_with_the_unit_of_length(demo, lengths, phi, scale)
 
 @pytest.mark.parametrize(
     "grid",
-    [(-3.1, 3.1, 101, False), (-np.pi, np.pi, 41, False), (-3.1, 3.1, 26, True)],
+    # the last grid is not symmetric about 0, so few rows mirror another
+    [(-3.1, 3.1, 101, False), (-np.pi, np.pi, 41, False), (-3.1, 3.1, 26, True), (-2.0, 2.9, 37, True)],
 )
 @pytest.mark.parametrize("demo", ["spherical8_demo.json", "spatial8_demo.json"])
 def test_sweep_csv_matches_the_reference(demo, grid, capsys):
@@ -350,6 +351,47 @@ def test_sweep_csv_matches_the_reference_on_random_designs(seed, tmp_path):
         _assert_same_text(out.read_text(), reference)
 
 
+# a spherical design whose samples all fail with ParallelLines: two joints of
+# a cell side are parallel at every angle
+PARALLEL = EightBarSpec(
+    u1=0.6393091628744207, u2=0.6398391594804055, u3=0.6398836059385323,
+    beta1=0.011723153850808979, beta2=1e-12, branch1="minus", branch2="minus",
+)
+
+
+def test_sweep_csv_matches_the_reference_where_samples_fail(tmp_path, capsys):
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(scene.dump_spec(PARALLEL)))
+    assert main(["sweep", str(path), "--from=-3.1", "--to=3.1", "--samples=21"]) == 0
+    text = capsys.readouterr().out
+    _assert_same_text(text, _reference_csv(linkage.validate_spec(PARALLEL), linkage.phi_grid(-3.1, 3.1, 21)))
+    # a failed row has its angle and its error, and every other cell empty
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        assert row[1:-1] == [""] * 43 and row[-1].startswith("ParallelLines: ")
+
+
+def test_sweep_csv_empty_cells_of_aligned_rows(capsys):
+    # at the aligned poses only the pose-level families have a value
+    path = os.path.join(SPECS, "spherical8_demo.json")
+    assert main(["sweep", path, f"--from={-np.pi!r}", f"--to={np.pi!r}", "--samples=41"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    report = [header.index(f"res_{key}") for key in ("centers", "products", "mapping", "bisector")]
+    pose = [header.index(f"res_{key}") for key in ("closure", "incidence", "cells")]
+    aligned = [row for row in rows if abs(float(row[0])) in (0.0, np.pi)]
+    assert len(aligned) == 3
+    for row in rows:
+        assert all(row[k] for k in pose) and not row[-1]
+        assert all(not row[k] for k in report) == (row in aligned)
+
+
+def _dumps_rows(header, rows) -> str:
+    """dumps_csv of rows that list their numbers, None for an empty cell,
+    then their text."""
+    numbers = [[0.0 if x is None else x for x in row[:-1]] for row in rows]
+    empty = [[x is None for x in row[:-1]] for row in rows]
+    return scene.dumps_csv(header, numbers, empty, [row[-1] for row in rows])
+
+
 def test_csv_rows_with_empty_cells():
     rows = [
         [0.5, None, 1.0, "ClosureFailure: x"],
@@ -357,7 +399,7 @@ def test_csv_rows_with_empty_cells():
         [np.float64(0.1), 2, True, "e,f"],
     ]
     expect = ["a,b,c,error", "0.5,,1,ClosureFailure: x", "-0,nan,inf,", '0.10000000000000001,2,1,"e,f"']
-    assert scene.dumps_csv(["a", "b", "c", "error"], rows) == "\n".join(expect) + "\n"
+    assert _dumps_rows(["a", "b", "c", "error"], rows) == "\n".join(expect) + "\n"
 
 
 def test_csv_text_cells_read_back_with_their_columns():
@@ -366,7 +408,40 @@ def test_csv_text_cells_read_back_with_their_columns():
     # header's columns and the message as it was
     messages = ["", "ClosureFailure: x", "ClosureFailure: a, b", 'ParallelLines: "s1", s2', "a\nb,c", 'x"y', "\r"]
     rows = [[0.5, None, 1.0, text] for text in messages] + [[0.25, 2.0, 3.0, text] for text in messages]
-    read = list(csv.reader(io.StringIO(scene.dumps_csv(["a", "b", "c", "error"], rows), newline="")))
+    read = list(csv.reader(io.StringIO(_dumps_rows(["a", "b", "c", "error"], rows), newline="")))
     assert read[0] == ["a", "b", "c", "error"]
     assert [row[-1] for row in read[1:]] == messages * 2
     assert {len(row) for row in read} == {4}
+
+
+def test_csv_signed_zeros_and_non_finite_values():
+    # 0 and -0 compare equal but are written apart; a nan is nan whatever
+    # its sign, as %.17g writes it
+    nan = float("nan")
+    rows = [
+        [0.0, -0.0, nan, -nan, "x"],
+        [-0.0, 0.0, float("inf"), -float("inf"), ""],
+        [5e-324, -5e-324, 1.0, -1.0, ""],
+    ]
+    expect = ["a,b,c,d,error", "0,-0,nan,nan,x", "-0,0,inf,-inf,", "4.9406564584124654e-324,-4.9406564584124654e-324,1,-1,"]
+    assert _dumps_rows(["a", "b", "c", "d", "error"], rows) == "\n".join(expect) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_csv_writes_each_cell_as_format_float(seed):
+    # values repeated across rows and columns, with either sign, empty
+    # cells anywhere and messages that need quoting: each cell is the text
+    # format_float gives its value
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([rng.normal(size=6), 10.0 ** rng.uniform(-300, 300, 3), [0.0, np.nan, np.inf, np.pi]])
+    shape = (int(rng.integers(1, 30)), int(rng.integers(1, 12)))
+    numbers = rng.choice(pool, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    empty = rng.random(shape) < 0.2
+    texts = [str(rng.choice(["", "ClosureFailure: x", 'a "b", c', "d\ne"])) for _ in range(shape[0])]
+    header = [f"c{k}" for k in range(shape[1])] + ["error"]
+    rows = [[None if e else x for x, e in zip(row, mask)] + [text]
+            for row, mask, text in zip(numbers.tolist(), empty.tolist(), texts)]
+    read = list(csv.reader(io.StringIO(scene.dumps_csv(header, numbers, empty, texts), newline="")))
+    assert read[0] == header
+    want = [["" if x is None else scene.format_float(x) for x in row[:-1]] + [row[-1]] for row in rows]
+    assert read[1:] == want
