@@ -104,8 +104,9 @@ def _dual_atan2(r: tuple[np.ndarray, np.ndarray], p: tuple[np.ndarray, np.ndarra
 
 
 def _dual_angle(x: np.ndarray, y: np.ndarray):
-    """screws.dual_angle of the oriented lines x and y: theta + eps l =
-    atan2(|x × y|, <x, y>) over the dual numbers, in which a dual factor of
+    """The dual angle of the oriented lines x and y, theta in [0, pi] and the
+    offset l >= 0: theta + eps l = atan2(|x × y|, <x, y>) over the dual
+    numbers (McCarthy, 1990), in which a dual factor of
     x or y cancels, so x and y need be unit lines only to rounding; and
     where x and y are parallel (|x × y| < PARALLEL_EPS), whose angle means
     nothing."""
@@ -154,6 +155,20 @@ def _length(x: np.ndarray) -> np.ndarray:
     if len(x) == 8:
         return np.sqrt(((xx[0] + xx[1]) + (xx[2] + xx[3])) + ((xx[4] + xx[5]) + (xx[6] + xx[7])))
     return np.sqrt(xx.sum(axis=0))
+
+
+def _nearest(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (3, k, ...) points of the lines g nearest the lines x, of (6, k,
+    ...) stacks of lines at right angles: the foot of g plus the foot of x
+    projected on g, which is where the two meet once they do."""
+    k = g.shape[1]
+    feet = _cross(np.concatenate([g[:3], x[:3]], axis=1), np.concatenate([g[3:], x[3:]], axis=1))
+    return feet[:, :k] + (feet[:, k:] * g[:3]).sum(axis=0) * g[:3]
+
+
+def _miss(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distance of the points p from the lines x: |p × d - m|."""
+    return _length(_cross(p, x[:3]) - x[3:])
 
 
 def _unsigned_gap(x: np.ndarray, y: np.ndarray) -> np.ndarray:

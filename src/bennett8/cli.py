@@ -67,8 +67,8 @@ def cmd_validate(args) -> int:
 
 def cmd_pose(args) -> int:
     try:
-        if args.segments < 1:
-            raise ValueError(f"--segments must be at least 1, got {args.segments}")
+        if args.segments < 3:
+            raise ValueError(f"--segments must be at least 3, got {args.segments}")
         spec = scene.load_spec(args.spec)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pose", help="assemble one pose and emit a scene file")
     p.add_argument("spec")
     p.add_argument("--phi", type=float, required=True, help="driving angle in radians")
-    p.add_argument("--segments", type=int, default=128, help="polyline samples per circle")
+    p.add_argument("--segments", type=int, default=128, help="polyline segments, at least 3: a circle gets "
+                   "segments + 1 points (first = last), a line gets segments points")
     p.add_argument("--out", help="write the scene JSON here instead of stdout")
     p.add_argument("--obj", help="also write an OBJ polyline export")
 

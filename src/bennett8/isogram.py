@@ -33,17 +33,11 @@ from typing import Literal
 
 import numpy as np
 
-from . import screws
-from ._dual import SHORT_UNIT, _dual_halfturn, _dual_unit, _dual_vector, _line, _screw, _unsigned_gap
-from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle
-from .screws import OrientedLine
-from .sphere import (
-    OrientedGreatCircle,
-    SpherePoint,
-    great_circle_through,
-    spherical_distance,
-    tie_break_sign,
-)
+from ._dual import SHORT_UNIT, _dual_angle, _dual_cross, _dual_halfturn, _dual_unit, _dual_vector, _length, _line
+from ._dual import _miss, _nearest, _screw, _unsigned_gap
+from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, DegenerateCircle, ParallelLines
+from .screws import PARALLEL_EPS, OrientedLine
+from .sphere import OrientedGreatCircle, SpherePoint, great_circle_through, tie_break_sign
 
 Branch = Literal["plus", "minus"]
 
@@ -146,14 +140,62 @@ def _cell_chain(base, a, side, phis, arm_offset):
     return b, arm_a, arm_b, _screw(arm_b, *arm_offset, b), _screw(arm_a, *arm_offset, a)
 
 
-def _side_residual(spec: SphericalIsogramSpec, vertices) -> float:
-    """Largest error of the side arcs ab, bc, cd, da of a cell against its
-    design: alpha on base and coupler, |arm_joint_offset| on the arms; NaN
-    if any error is NaN."""
-    arm = abs(arm_joint_offset(spec))
-    expect = (spec.alpha, arm, spec.alpha, arm)
-    sides = zip(vertices, (*vertices[1:], vertices[0]), expect)
-    return float(np.max([abs(spherical_distance(x, y) - e) for x, y, e in sides]))
+def _solve_cell(spec, base, a, side, phis, arm_offset):
+    """A cell closed by its one check (see _closure), or the error it fails
+    with: its hinges A, B, C, D and sides AB, BC, CD, DA as (6, 4) stacks of
+    dual vectors, from _cell_chain's inputs, and its vertices, the (3, 4)
+    points of the sides AB, AB, CD, CD nearest the hinges. The coupler CD is
+    the common perpendicular of C and D, the dual unit of C x D. On the
+    sphere the moments are 0 and the vertices the origin."""
+    b, arm_a, arm_b, c, d = _cell_chain(base, a, side, phis, arm_offset)
+    cross = _dual_cross(c, d)
+    if _length(cross[:3]) < PARALLEL_EPS:
+        raise ParallelLines("lines are parallel (or identical)")
+    coupler, _ = _dual_unit(cross)
+    # a dual unit is a line only to rounding, d . m = eps a cot(alpha) in
+    # units of length, which on a flat twist fails the absolute Pluecker
+    # check of a line near the origin: drop it
+    coupler[3:] -= (coupler[:3] * coupler[3:]).sum() * coupler[:3]
+    hinges, sides = np.stack([a, b, c, d], axis=1), np.stack([base, arm_b, coupler, arm_a], axis=1)
+    # feet of perpendicular lines stay well-conditioned where the sides turn
+    # collinear
+    vertices = _nearest(sides[:, [0, 0, 2, 2]], hinges)
+    resid = _closure(spec, hinges, sides, vertices)
+    if not resid <= _CLOSURE_TOL:
+        raise ClosureFailure(f"isogram cell failed to close (residual {resid:.3e})")
+    return hinges, sides, vertices
+
+
+def _closure(spec, hinges: np.ndarray, sides: np.ndarray, vertices: np.ndarray) -> float:
+    """The closure check of both cell kinds (see _solve_cell for its
+    inputs), lengths in units of L (see _length_unit): the largest error of
+    the dual angles of the hinges AB, BC, CD, DA against the design,
+    (alpha + eps a) on base and coupler and (arm + eps b) on the arms, and
+    of each vertex against both of its sides (vertex A ends DA and AB),
+    |V x d - m| / L; NaN if any error is NaN. On the sphere a = b = 0,
+    arm = |arm_joint_offset| and the vertex terms are 0."""
+    if isinstance(spec, SphericalIsogramSpec):
+        design, unit = (spec.alpha, abs(arm_joint_offset(spec)), 0.0, 0.0), 1.0
+    else:
+        design, unit = (spec.alpha_twist, spec.beta_twist, spec.a_len, spec.b_len), _length_unit(spec)
+    (theta, length), _ = _dual_angle(hinges, np.roll(hinges, -1, axis=1))
+    # np.max keeps a NaN term, which _solve_cell's test fails
+    return float(np.max([
+        np.abs(theta - np.tile(design[:2], 2)), np.abs(length - np.tile(design[2:], 2)) / unit,
+        _miss(vertices, np.roll(sides, 1, axis=1)) / unit, _miss(vertices, sides) / unit,
+    ]))
+
+
+def _pose_closure(pose) -> float:
+    """_closure of a solved cell, read from its pose. On the sphere the
+    hinges are the vertices and the sides the circles' poles, moment free,
+    and the vertices of _closure the origin."""
+    if isinstance(pose, SphericalIsogramPose):
+        hinges, sides = (np.pad(np.stack(x, axis=1), ((0, 3), (0, 0)))
+                         for x in ([q.v for q in pose.vertices], [g.n for g in pose.side_circles]))
+        return _closure(pose.spec, hinges, sides, np.zeros((3, 4)))
+    hinges, sides = (np.stack([_dual_vector(x) for x in lines], axis=1) for lines in (pose.hinges, pose.side_lines))
+    return _closure(pose.spec, hinges, sides, np.stack(pose.vertices, axis=1))
 
 
 def solve_spherical_isogram(
@@ -168,38 +210,20 @@ def solve_spherical_isogram(
     g0 rotated about a and b by phi1 and phi2, with angles measured from the
     aligned pose on g0. Coupler joints sit at the branch's constant arm
     offset (see arm_joint_offset): the moment-free case of the cells' screw
-    chain (_cell_chain). Side lengths and closure are verified before the
+    chain (_solve_cell). Side lengths and closure are verified before the
     pose is returned; the aligned poses are regular here.
     """
     if abs(np.dot(p.v, g0.n)) > 1e-10:
         raise ValueError("base point does not lie on the basis circle")
     phi2 = coupled_angle(transmission_coefficient(spec), phi1)
-    offset = arm_joint_offset(spec)
-    x_b, x_arm_a, x_arm_b, x_c, x_d = _cell_chain(
-        np.r_[g0.n, 0.0, 0.0, 0.0], np.r_[p.v, 0.0, 0.0, 0.0], (spec.alpha, 0.0), (phi1, phi2), (offset, 0.0)
+    hinges, sides, _ = _solve_cell(
+        spec, np.r_[g0.n, 0.0, 0.0, 0.0], np.r_[p.v, 0.0, 0.0, 0.0], (spec.alpha, 0.0), (phi1, phi2),
+        (arm_joint_offset(spec), 0.0),
     )
-    a, b, c, d = p, *(SpherePoint(x[:3]) for x in (x_b, x_c, x_d))
-    arm_a, arm_b = OrientedGreatCircle(x_arm_a[:3]), OrientedGreatCircle(x_arm_b[:3])
-    worst = _side_residual(spec, (a, b, c, d))
-    if not worst <= _CLOSURE_TOL:
-        raise ClosureFailure(
-            f"isogram cell failed to close (side error {worst:.3e}); "
-            "invalid branch/sign combination"
-        )
-    coupler = great_circle_through(d, c)
-    return SphericalIsogramPose(
-        spec=spec,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        basis_circle=g0,
-        arm_b_circle=arm_b,
-        coupler_circle=coupler,
-        arm_a_circle=arm_a,
-        phi1=phi1,
-        phi2=phi2,
-    )
+    b, c, d = (SpherePoint(x) for x in hinges[:3, 1:].T)
+    arm_b, arm_a = (OrientedGreatCircle(sides[:3, k]) for k in (1, 3))
+    # fields in the order of vertices and side_circles
+    return SphericalIsogramPose(spec, p, b, c, d, g0, arm_b, great_circle_through(d, c), arm_a, phi1, phi2)
 
 
 def isogram_symmetry_spherical(
@@ -344,10 +368,6 @@ def _reference_perpendicular(d: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _point_line_distance(p: np.ndarray, line: OrientedLine) -> float:
-    return float(np.linalg.norm(np.cross(p, line.d) - line.m))
-
-
 def solve_bennett_isogram(
     spec: BennettIsogramSpec,
     base: OrientedLine,
@@ -359,58 +379,26 @@ def solve_bennett_isogram(
     The hinge at vertex A is placed orthogonal to the base through the given
     foot (its direction is a fixed gauge); hinge B sits at dual distance
     (alpha, a) along the base. Each further arm and hinge is the screw image
-    of a line already placed (_cell_chain), the arm offset (-beta, -b). At
-    the aligned reference the arms fold backward, matching the spherical
-    convention. Loop closure is verified to 1e-9, lengths in units of a + b
-    (of 1 on zero-offset cells), before the pose is returned.
+    of a line already placed, the arm offset (-beta, -b), and the coupler is
+    the common perpendicular of hinges C and D (_solve_cell). At the aligned
+    reference the arms fold backward, matching the spherical convention.
+    Loop closure is verified to 1e-9, lengths in units of a + b (of 1 on
+    zero-offset cells), before the pose is returned.
     """
     foot = np.asarray(base_hinge_foot, dtype=float)
-    if np.linalg.norm(np.cross(base.d, foot - base.foot())) > 1e-9 * max(
-        1.0, np.linalg.norm(foot)
-    ):
+    if np.linalg.norm(np.cross(base.d, foot - base.foot())) > 1e-9 * max(1.0, np.linalg.norm(foot)):
         raise ValueError("base hinge foot does not lie on the base line")
 
     hinge_a = OrientedLine.from_point_direction(foot, _reference_perpendicular(base.d))
-    c_real, _ = bennett_dual_coefficient(
-        spec.alpha_twist, spec.beta_twist, spec.a_len, spec.b_len, "plus"
-    )
+    c_real, _ = bennett_dual_coefficient(spec.alpha_twist, spec.beta_twist, spec.a_len, spec.b_len, "plus")
     phi2 = coupled_angle(c_real, phi1)
-    hinge_b, arm_a, arm_b, hinge_c, hinge_d = map(_line, _cell_chain(
-        _dual_vector(base), _dual_vector(hinge_a), (spec.alpha_twist, spec.a_len), (phi1, phi2),
+    hinges, sides, vertices = _solve_cell(
+        spec, _dual_vector(base), _dual_vector(hinge_a), (spec.alpha_twist, spec.a_len), (phi1, phi2),
         (-spec.beta_twist, -spec.b_len),
-    ))
-
-    # the coupler is the common perpendicular of hinges C and D, with its feet
-    # C and D on them, where the arms must meet it. Feet of perpendicular
-    # lines stay well-conditioned where the sides turn collinear
-    scale = _length_unit(spec)
-    cp = screws.common_perpendicular(hinge_c, hinge_d)
-    coupler, vertex_c, vertex_d = cp.axis, cp.foot1, cp.foot2
-    # np.max keeps a NaN term, which the test below fails
-    resid = float(np.max([
-        abs(cp.angle - spec.alpha_twist), abs(cp.distance - abs(spec.a_len)) / scale,
-        _point_line_distance(vertex_c, arm_b) / scale, _point_line_distance(vertex_d, arm_a) / scale,
-    ]))
-    if not resid <= _CLOSURE_TOL:
-        raise ClosureFailure(f"Bennett cell failed to close (residual {resid:.3e})")
-    vertex_a, vertex_b = foot, screws.common_perpendicular(base, hinge_b).foot1
-
+    )
+    # fields in the order of hinges, side_lines and vertices
     return BennettIsogramPose(
-        spec=spec,
-        hinge_a=hinge_a,
-        hinge_b=hinge_b,
-        hinge_c=hinge_c,
-        hinge_d=hinge_d,
-        base_line=base,
-        arm_b_line=arm_b,
-        coupler_line=coupler,
-        arm_a_line=arm_a,
-        vertex_a=vertex_a,
-        vertex_b=vertex_b,
-        vertex_c=vertex_c,
-        vertex_d=vertex_d,
-        phi1=phi1,
-        phi2=phi2,
+        spec, hinge_a, *map(_line, hinges.T[1:]), base, *map(_line, sides.T[1:]), *vertices.T.copy(), phi1, phi2
     )
 
 

@@ -37,6 +37,8 @@ from ._dual import (
     _dual_qmul,
     _dual_unit,
     _length,
+    _miss,
+    _nearest,
     _unsigned_gap,
 )
 from .errors import ClosureFailure, CollapsedPose, DegenerateBranch, InvalidSpec, ParallelLines
@@ -597,10 +599,8 @@ def _assemble(v, phis) -> _Grid:
         # the two meet at a right angle once the incidence holds; bar h_j
         # must pass through it too (g_i and h_j are parallel at the aligned
         # poses)
-        gi, hj = bars[:, _JOINT_G], bars[:, _JOINT_H]
-        feet = _cross(np.concatenate([gi[:3], joints[:3]], axis=1), np.concatenate([gi[3:], joints[3:]], axis=1))
-        points = feet[:, :12] + (feet[:, 12:] * gi[:3]).sum(axis=0) * gi[:3]
-        meet = _length(_cross(points, hj[:3]) - hj[3:]).max(axis=0) * _design(v)[3][3]
+        points = _nearest(bars[:, _JOINT_G], joints)
+        meet = _miss(points, bars[:, _JOINT_H]).max(axis=0) * _design(v)[3][3]
         cells, parallel = _cell_residuals(v, joints)
         _flag(errors, parallel, ParallelLines("lines are parallel (or identical)"))
         closure = np.maximum.reduce([placement, incidence, meet, cells.max(axis=0)])

@@ -26,7 +26,7 @@ from .isogram import (
     SphericalIsogramPose,
     SphericalIsogramSpec,
     _length_unit,
-    _side_residual,
+    _pose_closure,
 )
 from .linkage import (
     EightBarPose,
@@ -36,8 +36,6 @@ from .linkage import (
     halfturn_products_report,
     symmetry_report_spatial,
 )
-from .screws import OrientedLine, dual_angle
-from .sphere import OrientedGreatCircle
 
 SCHEMA_VERSION = 1
 
@@ -245,7 +243,7 @@ def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str
     joints = [
         {"id": label, "position": _vec(p.v)} for label, p in zip(("A", "B", "C", "D"), pose.vertices)
     ]
-    residuals = {"closure": _side_residual(pose.spec, pose.vertices)}
+    residuals = {"closure": _pose_closure(pose)}
     return _document("spherical-isogram", {"phi1": pose.phi1, "phi2": pose.phi2}, bars, joints, None, residuals)
 
 
@@ -256,10 +254,7 @@ def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, An
         {"id": label, "position": _vec(v), "direction": _vec(h.d)}
         for label, v, h in zip(("A", "B", "C", "D"), pose.vertices, pose.hinges)
     ]
-    # opposite hinges keep equal dual angles
-    ang_ab, off_ab = dual_angle(pose.hinge_a, pose.hinge_b)
-    ang_cd, off_cd = dual_angle(pose.hinge_c, pose.hinge_d)
-    residuals = {"closure": max(abs(ang_ab - ang_cd), abs(off_ab - off_cd))}
+    residuals = {"closure": _pose_closure(pose)}
     return _document("bennett-isogram", {"phi1": pose.phi1, "phi2": pose.phi2}, bars, joints, None, residuals)
 
 

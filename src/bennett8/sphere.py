@@ -73,11 +73,6 @@ class OrientedGreatCircle:
         return SpherePoint(self.n)
 
 
-def spherical_distance(p: SpherePoint, q: SpherePoint) -> float:
-    """Central angle in [0, pi], computed with atan2 for stability near 0 and pi."""
-    return float(np.arctan2(np.linalg.norm(np.cross(p.v, q.v)), np.dot(p.v, q.v)))
-
-
 def great_circle_through(p: SpherePoint, q: SpherePoint) -> OrientedGreatCircle:
     """Connecting great circle, oriented from p toward q along the shorter arc."""
     c = np.cross(p.v, q.v)

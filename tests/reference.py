@@ -1,10 +1,11 @@
 """Independent references the tests check the package against.
 
-The package computes every half-turn, screw and cell through the dual-vector
-kernel in bennett8._dual. These are the value-object formulas of the same
-geometry (rotations as unit quaternions, reflections point by point, the
-symmetry elements from their textbook constructions), kept here because no
-code of the package calls them.
+The package computes every half-turn, screw, dual angle and cell through the
+dual-vector kernel in bennett8._dual. These are the value-object formulas of
+the same geometry (rotations as unit quaternions, reflections point by
+point, arcs and dual angles one pair at a time, the common perpendicular
+from its feet, the symmetry elements from their textbook constructions),
+kept here because no code of the package calls them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from bennett8.errors import DegenerateCircle, ParallelLines
 from bennett8.isogram import Branch, SphericalIsogramPose, _check_branch
 from bennett8.oracle import dh_from_spherical_vertices
-from bennett8.screws import PARALLEL_EPS, OrientedLine, common_perpendicular
+from bennett8.screws import PARALLEL_EPS, OrientedLine
 from bennett8.sphere import COPLANAR_EPS, OrientedGreatCircle, SpherePoint, tie_break_sign
 
 # ---------------------------------------------------------------------------
@@ -42,6 +43,11 @@ class SphericalRotation:
 
 def antipode(p: SpherePoint) -> SpherePoint:
     return SpherePoint(-p.v)
+
+
+def spherical_distance(p: SpherePoint, q: SpherePoint) -> float:
+    """Central angle in [0, pi], computed with atan2 for stability near 0 and pi."""
+    return float(np.arctan2(np.linalg.norm(np.cross(p.v, q.v)), np.dot(p.v, q.v)))
 
 
 def circle_angle(g1: OrientedGreatCircle, g2: OrientedGreatCircle) -> float:
@@ -138,6 +144,57 @@ def arc_point(g: OrientedGreatCircle, p: SpherePoint, s: float) -> SpherePoint:
 # ---------------------------------------------------------------------------
 # Lines in 3-space.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CommonPerpendicular:
+    axis: OrientedLine
+    distance: float
+    angle: float
+    foot1: np.ndarray
+    foot2: np.ndarray
+
+
+def common_perpendicular(l1: OrientedLine, l2: OrientedLine) -> CommonPerpendicular:
+    """Common perpendicular of two non-parallel lines.
+
+    The axis direction is unit(d1 x d2); distance is the gap between the
+    feet, and the angle between the oriented directions keeps the full
+    [0, pi] range.
+    """
+    c = np.cross(l1.d, l2.d)
+    nc = np.linalg.norm(c)
+    if nc < PARALLEL_EPS:
+        raise ParallelLines("lines are parallel (or identical)")
+    a = c / nc
+    o1, o2 = l1.foot(), l2.foot()
+    b = float(np.dot(l1.d, l2.d))
+    w0 = o1 - o2
+    dd = float(np.dot(l1.d, w0))
+    e = float(np.dot(l2.d, w0))
+    denom = nc * nc  # = 1 - b*b for unit directions, and > 0 past the guard
+    s = (b * e - dd) / denom
+    t = (e - b * dd) / denom
+    f1 = o1 + s * l1.d
+    f2 = o2 + t * l2.d
+    return CommonPerpendicular(
+        axis=OrientedLine.from_point_direction(f1, a),
+        distance=float(np.linalg.norm(f1 - f2)),
+        angle=float(np.arctan2(nc, b)),
+        foot1=f1,
+        foot2=f2,
+    )
+
+
+def dual_angle(l1: OrientedLine, l2: OrientedLine) -> tuple[float, float]:
+    """(angle in [0, pi], offset >= 0) between two non-parallel oriented lines:
+    theta + eps l is atan2 of the dual cross and dot products, so
+    theta = atan2(|d1 x d2|, d1 . d2) and l = |d1 . m2 + m1 . d2| / |d1 x d2|."""
+    nc = float(np.linalg.norm(np.cross(l1.d, l2.d)))
+    if nc < PARALLEL_EPS:
+        raise ParallelLines("lines are parallel (or identical)")
+    moment = float(np.dot(l1.d, l2.m) + np.dot(l1.m, l2.d))
+    return float(np.arctan2(nc, np.dot(l1.d, l2.d))), abs(moment) / nc
 
 
 def line_distance(l1: OrientedLine, l2: OrientedLine) -> float:

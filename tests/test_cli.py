@@ -298,9 +298,11 @@ def test_short_grid_is_a_validation_failure(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "doc, argv, message",
     [
-        (SPH, ["pose", "{spec}", "--phi=0.7", "--segments=0"], "--segments must be at least 1, got 0"),
-        (SPH, ["pose", "{spec}", "--phi=0.7", "--segments=-1"], "--segments must be at least 1, got -1"),
-        (SPA, ["pose", "{spec}", "--phi=0.7", "--segments=-5"], "--segments must be at least 1, got -5"),
+        (SPH, ["pose", "{spec}", "--phi=0.7", "--segments=0"], "--segments must be at least 3, got 0"),
+        (SPH, ["pose", "{spec}", "--phi=0.7", "--segments=-1"], "--segments must be at least 3, got -1"),
+        (SPA, ["pose", "{spec}", "--phi=0.7", "--segments=-5"], "--segments must be at least 3, got -5"),
+        (SPH, ["pose", "{spec}", "--phi=0.7", "--segments=1"], "--segments must be at least 3, got 1"),
+        (SPA, ["pose", "{spec}", "--phi=0.7", "--segments=2"], "--segments must be at least 3, got 2"),
         (SPH, ["verify", "{spec}", "--tol=0"], "--tol must be > 0, got 0.0"),
         (SPA, ["verify", "{spec}", "--tol=-1e-8"], "--tol must be > 0, got -1e-08"),
         (SPH, ["verify", "{spec}", "--tol=nan"], "--tol must be > 0, got nan"),

@@ -16,6 +16,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bennett8 import isogram
+from bennett8._dual import _dual_cross, _dual_unit, _screw
 from bennett8.cli import main
 from bennett8.errors import ClosureFailure, CollapsedPose, DegenerateBranch
 from bennett8.isogram import (
@@ -32,14 +34,16 @@ from bennett8.isogram import (
 )
 from bennett8.oracle import LoopProblem, problem_from_spherical_vertices, solve_loop
 from bennett8.screws import OrientedLine
-from bennett8.sphere import OrientedGreatCircle, SpherePoint, spherical_distance
+from bennett8.sphere import OrientedGreatCircle, SpherePoint
 from conftest import random_driving_angle, random_isogram_spec, reflect_line
 from reference import (
     apply as rotate,
     dihedral_angles,
+    dual_angle,
     halfturn_about,
     lies_on,
     phi2_from_dihedral,
+    spherical_distance,
     unoriented_line_distance,
 )
 
@@ -332,8 +336,6 @@ def test_bennett_spec_validates_proportion():
 def test_bennett_solve_forced_proportion_closes():
     spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0)
     pose = solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), 1.2)
-    from bennett8.screws import dual_angle
-
     ang, off = dual_angle(pose.hinge_c, pose.hinge_d)
     assert ang == pytest.approx(spec.alpha_twist, abs=1e-9)
     assert off == pytest.approx(spec.a_len, abs=1e-9)
@@ -400,21 +402,66 @@ def test_a_nan_angle_is_a_closure_failure():
         solve_bennett_isogram(BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0), Z_AXIS, np.zeros(3), np.nan)
 
 
-def test_a_nan_term_after_the_first_is_a_closure_failure(monkeypatch):
-    # a cell closes only where every term of its residual is <= the
-    # tolerance, so a NaN that is not the first term fails it too
-    calls = []
+# the demo cell of each kind, the Bennett one with its lengths scaled, and
+# the angles the faults below are injected at
+FAULT_CELLS = [("spherical", 1.0), ("bennett", 1e-8), ("bennett", 1.0), ("bennett", 1e8)]
+FAULT_PHIS = (0.5, 2.0, -2.5)
 
-    def nan_on_second_side(p, q):
-        calls.append((p, q))
-        return np.nan if len(calls) == 2 else spherical_distance(p, q)
 
-    monkeypatch.setattr("bennett8.isogram.spherical_distance", nan_on_second_side)
-    with pytest.raises(ClosureFailure):
-        solve_spherical_isogram(SphericalIsogramSpec(np.pi / 3, np.pi / 4, "plus"), G0, P0, 1.0)
-    monkeypatch.setattr("bennett8.isogram._point_line_distance", lambda p, line: np.nan)
-    with pytest.raises(ClosureFailure):
-        solve_bennett_isogram(BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0, 1.0), Z_AXIS, np.zeros(3), 1.2)
+def _solve_demo_cell(kind: str, scale: float, phi: float):
+    if kind == "spherical":
+        return solve_spherical_isogram(SphericalIsogramSpec(np.pi / 3, np.pi / 4, "plus"), G0, P0, phi)
+    spec = BennettIsogramSpec(np.pi / 2, np.pi / 6, 2.0 * scale, 1.0 * scale)
+    return solve_bennett_isogram(spec, Z_AXIS, np.zeros(3), phi)
+
+
+def _assert_fault_fails_closure(monkeypatch, kind, scale, fault):
+    """Each cell closes, and fails closure once fault changes the output of
+    _cell_chain: hinge B, the arms at A and B, and hinges C and D."""
+    for phi in FAULT_PHIS:
+        _solve_demo_cell(kind, scale, phi)
+    chain = isogram._cell_chain
+    monkeypatch.setattr("bennett8.isogram._cell_chain", lambda *args: fault(*chain(*args)))
+    for phi in FAULT_PHIS:
+        with pytest.raises(ClosureFailure):
+            _solve_demo_cell(kind, scale, phi)
+
+
+@pytest.mark.parametrize("kind, scale", FAULT_CELLS)
+def test_a_twist_off_by_1e_6_is_a_closure_failure(monkeypatch, kind, scale):
+    # hinge D turned by 1e-6 about the common perpendicular of C and D puts
+    # the twist of CD off its design by 1e-6, which the dual-angle terms see
+    def turn_d(b, arm_a, arm_b, c, d):
+        axis, _ = _dual_unit(_dual_cross(c, d))
+        return b, arm_a, arm_b, c, _screw(axis, 1e-6, 0.0, d)
+
+    _assert_fault_fails_closure(monkeypatch, kind, scale, turn_d)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_a_joint_slid_along_its_hinge_is_a_closure_failure(monkeypatch, scale):
+    # arm B slid by 1e-6 L (L = 3 scale) along hinge C, a joint offset at
+    # C: every hinge keeps its line, so every dual angle keeps its design
+    # value, and only the check of the vertices against their sides sees it
+    def slide(b, arm_a, arm_b, c, d):
+        shift = 1e-6 * 3.0 * scale * c[:3]
+        return b, arm_a, np.r_[arm_b[:3], arm_b[3:] + np.cross(shift, arm_b[:3])], c, d
+
+    _assert_fault_fails_closure(monkeypatch, "bennett", scale, slide)
+
+
+@pytest.mark.parametrize("kind, scale", FAULT_CELLS)
+def test_a_nan_term_after_the_first_is_a_closure_failure(monkeypatch, kind, scale):
+    # a cell closes only where every term of its check is <= the
+    # tolerance, so a NaN that is not the first term fails it too: a NaN
+    # hinge C on the sphere (the sides BC and CD), a NaN arm B in space (the
+    # vertices against their sides)
+    def nan(b, arm_a, arm_b, c, d):
+        if kind == "spherical":
+            return b, arm_a, arm_b, np.full(6, np.nan), d
+        return b, arm_a, np.full(6, np.nan), c, d
+
+    _assert_fault_fails_closure(monkeypatch, kind, scale, nan)
 
 
 def test_bennett_solve_aligned_pose_collinear():

@@ -57,8 +57,8 @@ from bennett8.oracle import (
     solve_loop,
 )
 from bennett8.scene import load_spec
-from bennett8.screws import OrientedLine, common_perpendicular, dual_angle
-from bennett8.sphere import OrientedGreatCircle, SpherePoint, spherical_distance
+from bennett8.screws import OrientedLine
+from bennett8.sphere import OrientedGreatCircle, SpherePoint
 from conftest import (
     random_eightbar_spec,
     random_line,
@@ -70,11 +70,14 @@ from conftest import (
 from reference import apply as rotate
 from reference import (
     arc_point,
+    common_perpendicular,
+    dual_angle,
     halfturn_about,
     lies_on,
     line_distance,
     midline_symmetry_axis,
     reflect_in_circle,
+    spherical_distance,
 )
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs")

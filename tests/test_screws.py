@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from bennett8._dual import _dual_halfturn, _dual_vector, _line, _screw
 from bennett8.errors import ParallelLines
-from bennett8.screws import OrientedLine, common_perpendicular, dual_angle
+from bennett8.screws import OrientedLine
 from conftest import random_line, random_line_pair, random_point, reflect_line, unit_vector
 from reference import apply as rotate
-from reference import line_distance, midline_symmetry_axis, rotation_about
+from reference import common_perpendicular, dual_angle, line_distance, midline_symmetry_axis, rotation_about
 
 X_AXIS = OrientedLine.from_point_direction(np.zeros(3), np.array([1.0, 0, 0]))
 Y_AXIS = OrientedLine.from_point_direction(np.zeros(3), np.array([0.0, 1, 0]))

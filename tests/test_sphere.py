@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bennett8._dual import _qmul, _unsigned_gap
 from bennett8.errors import DegenerateCircle
-from bennett8.sphere import OrientedGreatCircle, SpherePoint, great_circle_through, spherical_distance
+from bennett8.sphere import OrientedGreatCircle, SpherePoint, great_circle_through
 from conftest import random_circle, random_circle_pair, random_point
 from reference import (
     SphericalRotation,
@@ -19,6 +19,7 @@ from reference import (
     lies_on,
     reflect_in_circle,
     rotation_about,
+    spherical_distance,
     symmetry_centers,
 )
 
