@@ -89,17 +89,18 @@ def cmd_pose(args) -> int:
         return _fail(exc, 2)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, 1)
-    text = scene.dumps_json(doc)
+    text, obj = scene._scene_texts(doc, bool(args.obj))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        worst = max(doc["residuals"].values()) if doc["residuals"] else 0.0
+        # a nan is the worst residual, as verify reads it
+        worst = np.max(list(doc["residuals"].values()), initial=0.0)
         print(f"scene written to {args.out}; worst residual {format_float(worst)}")
     else:
         print(text)
     if args.obj:
         with open(args.obj, "w", encoding="utf-8") as fh:
-            fh.write(scene.scene_to_obj(doc))
+            fh.write(obj)
     return 0
 
 

@@ -259,18 +259,34 @@ def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, An
 
 
 def scene_to_obj(scene: dict[str, Any]) -> str:
-    """Wavefront OBJ text with one polyline object per bar/symmetry element.
-    Coordinates are written with %.17g, each polyline's with one format."""
-    chunks: list[str] = ["# bennett8 scene export\n"]
-    index = 1
+    """Wavefront OBJ text with one polyline object per bar/symmetry element. Each coordinate is
+    the scene JSON's text of it, its float64's shortest round-trip form, made once for both files.
+    OBJ files written with %.17g (still used for CSV and printed values) differ only in that text."""
+    return _obj(scene, {})
+
+
+def _obj(scene: dict[str, Any], vertices: dict[int, str]) -> str:
+    chunks, index = ["# bennett8 scene export\n"], 1
     for entry in _polyline_entries(scene):
-        polyline = entry["polyline"]
-        n = len(polyline)
-        flat = polyline.ravel().tolist() if isinstance(polyline, np.ndarray) else chain.from_iterable(polyline)
-        vertices = ("v %.17g %.17g %.17g\n" * n) % tuple(flat)
-        chunks.append(f"o {entry['id']}\n{vertices}l {' '.join(map(str, range(index, index + n)))}\n")
+        polyline, n = entry["polyline"], len(entry["polyline"])
+        if id(polyline) not in vertices:
+            _coordinates(polyline, vertices)
+        chunks.append(f"o {entry['id']}\n{vertices[id(polyline)]}l {' '.join(map(str, range(index, index + n)))}\n")
         index += n
     return "".join(chunks)
+
+
+def _scene_texts(doc: dict[str, Any], obj: bool) -> tuple[str, str | None]:
+    """dumps_json(doc) and, if obj, scene_to_obj(doc), from one text of each polyline coordinate."""
+    return _json(doc, 0, vertices := {} if obj else None), _obj(doc, vertices) if obj else None
+
+
+def _coordinates(polyline, vertices: dict[int, str] | None) -> tuple[str, ...]:
+    """The repr of each float64 coordinate of a polyline; given vertices, its OBJ vertex lines by its id."""
+    words = tuple(map(repr, np.asarray(polyline, dtype=np.float64).ravel().tolist()))
+    if vertices is not None:
+        vertices[id(polyline)] = ("v %s %s %s\n" * (len(words) // 3)) % words
+    return words
 
 
 def _polyline_entries(scene: dict[str, Any]):
@@ -322,10 +338,10 @@ def dumps_json(doc: Any) -> str:
     """Deterministic JSON text, the text of json.dumps(doc, sort_keys=True,
     indent=1): sorted keys, which must be strings, and floats in their
     shortest round-trip form. A list of finite floats, or of 3-float points,
-    and an (n, 3) float array of finite values, are written with one format;
-    strings go through encode_basestring_ascii, as json.dumps writes them,
-    and every other value through json.dumps."""
-    return _json(doc, 0)
+    and an (n, 3) float array of finite values, are written with one format
+    (a polyline in the coordinate text of scene_to_obj); strings go through
+    encode_basestring_ascii, and every other value through json.dumps."""
+    return _json(doc, 0, None)
 
 
 def _block(items: list[str], level: int, brackets: str = "[]") -> str:
@@ -334,7 +350,7 @@ def _block(items: list[str], level: int, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
 
 
-def _json(obj: Any, level: int) -> str:
+def _json(obj: Any, level: int, vertices: dict[int, str] | None) -> str:
     if type(obj) is float and math.isfinite(obj):
         return repr(obj)
     if type(obj) is str:
@@ -345,10 +361,10 @@ def _json(obj: Any, level: int) -> str:
         if not all(type(key) is str for key in obj):
             raise TypeError("keys must be str")
         items = sorted(obj.items())
-        return _block([f"{encode_basestring_ascii(key)}: {_json(value, level + 1)}" for key, value in items],
-                      level, "{}")
+        return _block([f"{encode_basestring_ascii(key)}: {_json(value, level + 1, vertices)}"
+                       for key, value in items], level, "{}")
     if isinstance(obj, np.ndarray):  # an (n, 3) float polyline of _scene
-        text = _floats_format(len(obj), level, 3) % tuple(obj.ravel().tolist())
+        text = _floats_format(len(obj), level, 3) % _coordinates(obj, vertices)
         if "n" not in text:  # else a nan or inf, which the list form spells as JSON does
             return text
         obj = obj.tolist()
@@ -356,13 +372,13 @@ def _json(obj: Any, level: int) -> str:
         if not obj:
             return "[]"
         text = _json_floats(obj, level)
-        return _block([_json(value, level + 1) for value in obj], level) if text is None else text
+        return _block([_json(value, level + 1, vertices) for value in obj], level) if text is None else text
     return json.dumps(obj)
 
 
 def _json_floats(items, level: int) -> str | None:
     """The JSON text of a list of finite floats, or of 3-float points, with
-    one format of %r fields; None for any other list."""
+    one format of %s fields (a float's str is its repr); None otherwise."""
     types = set(map(type, items))
     if types == {float}:
         flat, width = items, 1
@@ -379,5 +395,5 @@ def _json_floats(items, level: int) -> str | None:
 
 @functools.lru_cache(maxsize=None)
 def _floats_format(n: int, level: int, width: int) -> str:
-    field = "%r" if width == 1 else _block(["%r"] * width, level + 1)
+    field = "%s" if width == 1 else _block(["%s"] * width, level + 1)
     return _block([field] * n, level)

@@ -188,6 +188,16 @@ def test_verify_fails_a_nan_invariant(capsys, monkeypatch):
     assert [row[header.index("res_products")] for row in rows] == ["nan"] * 4
 
 
+def test_pose_out_prints_a_nan_residual(tmp_path, capsys, monkeypatch):
+    # a nan anywhere among the residuals is the worst one, as verify reads
+    # them; pose has no tolerance gate, so it still exits 0
+    monkeypatch.setattr(scene, "halfturn_products_report", lambda pose: {"a": 1e-12, "b": float("nan")})
+    out = tmp_path / "scene.json"
+    assert main(["pose", os.path.join(SPECS, "spherical8_demo.json"), "--phi=0.8", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"scene written to {out}; worst residual nan\n"
+    assert '"b": NaN' in out.read_text()
+
+
 def test_verify_spatial(tmp_path, capsys):
     path = write_spec(tmp_path, SPA)
     assert main(["verify", path, "--phi-grid", "5"]) == 0

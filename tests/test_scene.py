@@ -149,7 +149,7 @@ def _reference_obj(doc) -> str:
         lines.append(f"o {label}")
         start = index
         for p in polyline:
-            lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
+            lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
             index += 1
         lines.append("l " + " ".join(str(k) for k in range(start, index)))
 
@@ -260,6 +260,42 @@ def test_array_writers_match_the_references_on_odd_values():
     lists = dict(doc, bars=[dict(bar, polyline=bar["polyline"].tolist()) for bar in doc["bars"]])
     _assert_same_text(scene.dumps_json(doc), _reference_json(lists))
     _assert_same_text(scene.scene_to_obj(doc), _reference_obj(lists))
+
+
+def _obj_vertices(obj: str) -> dict[str, list[list[str]]]:
+    """The fields of each v line of an OBJ text, by the id of its object."""
+    objects = {}
+    for fields in map(str.split, obj.splitlines()):
+        if fields[0] == "o":
+            vertices = objects[fields[1]] = []
+        elif fields[0] == "v":
+            vertices.append(fields[1:])
+    return objects
+
+
+@pytest.mark.parametrize("segments", [128, 7, 3])
+@pytest.mark.parametrize("phi", [0.0, np.pi, 1e-9, 0.7])
+def test_obj_coordinates_are_the_scene_json_text(phi, segments):
+    # each OBJ coordinate is the text the scene JSON gives it, made once for
+    # both files, and reads back to the polyline's float64, signed zeros
+    # included
+    rng = np.random.default_rng(29)
+    specs = [scene.load_spec(os.path.join(SPECS, demo)) for demo in DEMOS]
+    specs += [make(rng) for _ in range(3) for make in (random_eightbar_spec, random_spatial_spec, random_isogram_spec)]
+    for spec in specs:
+        doc = scene._scene(_pose(spec, phi), segments)
+        text, obj = scene._scene_texts(doc, True)
+        assert (text, obj) == (scene.dumps_json(doc), scene.scene_to_obj(doc))
+        # the scene JSON's own text of each coordinate, by polyline id
+        json_text = {e["id"]: e["polyline"] for e in scene._polyline_entries(json.loads(text, parse_float=str))}
+        vertices = _obj_vertices(obj)
+        entries = list(scene._polyline_entries(doc))
+        assert list(vertices) == [e["id"] for e in entries] and len(entries) >= 4
+        for entry in entries:
+            fields = vertices[entry["id"]]
+            assert fields == json_text[entry["id"]]
+            read = np.array([[float(x) for x in point] for point in fields])
+            assert read.shape == entry["polyline"].shape and read.tobytes() == entry["polyline"].tobytes()
 
 
 # ---------------------------------------------------------------------------
