@@ -277,16 +277,17 @@ def _obj(scene: dict[str, Any], vertices: dict[int, str]) -> str:
 
 
 def _scene_texts(doc: dict[str, Any], obj: bool) -> tuple[str, str | None]:
-    """dumps_json(doc) and, if obj, scene_to_obj(doc), from one text of each polyline coordinate."""
+    """dumps_json(doc) and, if obj, scene_to_obj(doc), both from one repr of each polyline coordinate."""
     return _json(doc, 0, vertices := {} if obj else None), _obj(doc, vertices) if obj else None
 
 
-def _coordinates(polyline, vertices: dict[int, str] | None) -> tuple[str, ...]:
-    """The repr of each float64 coordinate of a polyline; given vertices, its OBJ vertex lines by its id."""
-    words = tuple(map(repr, np.asarray(polyline, dtype=np.float64).ravel().tolist()))
+def _coordinates(polyline, vertices: dict[int, str] | None) -> tuple:
+    """Coordinates for %s fields: floats (str is repr), or given vertices their repr, also kept there as v lines."""
+    flat = tuple(np.asarray(polyline, dtype=np.float64).ravel().tolist())
     if vertices is not None:
-        vertices[id(polyline)] = ("v %s %s %s\n" * (len(words) // 3)) % words
-    return words
+        flat = tuple(map(repr, flat))
+        vertices[id(polyline)] = ("v %s %s %s\n" * (len(flat) // 3)) % flat
+    return flat
 
 
 def _polyline_entries(scene: dict[str, Any]):
@@ -360,9 +361,8 @@ def _json(obj: Any, level: int, vertices: dict[int, str] | None) -> str:
             return "{}"
         if not all(type(key) is str for key in obj):
             raise TypeError("keys must be str")
-        items = sorted(obj.items())
         return _block([f"{encode_basestring_ascii(key)}: {_json(value, level + 1, vertices)}"
-                       for key, value in items], level, "{}")
+                       for key, value in sorted(obj.items())], level, "{}")
     if isinstance(obj, np.ndarray):  # an (n, 3) float polyline of _scene
         text = _floats_format(len(obj), level, 3) % _coordinates(obj, vertices)
         if "n" not in text:  # else a nan or inf, which the list form spells as JSON does
