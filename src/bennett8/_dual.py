@@ -9,7 +9,11 @@ the transference principle. With zero moments it is the spherical formula
 itself. Quaternions are (4, ...) arrays (w, x, y, z); the half-turn about
 the unit vector s is (0, s). Dual quaternions are (8, ...) arrays (real
 quaternion; dual quaternion); the half-turn about the line s = (d; m) is
-(0, d; 0, m).
+(0, d; 0, m), and the product of the half-turns about x and y is
+(-<x, y>, x × y) over the dual numbers (McCarthy, 1990), which
+_halfturn_product computes without the general product. A kernel that
+takes pairs of halves (the dual cross product, the dual-quaternion
+product) gathers them into one stack and makes one call on it.
 """
 from __future__ import annotations
 
@@ -59,11 +63,12 @@ def _dual_unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x / |x| over the dual numbers: (a/|a|, b/|a| - a (a.b)/|a|^3), and the
     vectors too short to have one, |a| < _TINY, whose quotient means nothing
     (SHORT_UNIT says why)."""
-    a, b = x[:3], x[3:]
     na, na_dual = _dual_norm(x)
     short = na < _TINY
     na = np.where(short, 1.0, na)
-    return np.concatenate([a / na, b / na - a * (na_dual / na**2)]), short
+    out = x / na
+    out[3:] -= x[:3] * (na_dual / na**2)
+    return out, short
 
 
 def _dual_over_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +79,9 @@ def _dual_over_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     aa = (a * a).sum(axis=0)
     short = aa < _TINY**2
     aa = np.where(short, 1.0, aa)
-    return np.concatenate([a / aa, b / aa - a * (2 * (a * b).sum(axis=0) / aa**2)]), short
+    out = x / aa
+    out[3:] -= a * (2 * (a * b).sum(axis=0) / aa**2)
+    return out, short
 
 
 def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -88,11 +95,31 @@ def _dual_halfturn(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# the pairs (a, c), (a, d) and (b, c) of the halves of x = (a, b) and
+# y = (c, d), gathered as (3, 3, ...) stacks: component, then pair; and
+# gathered with _cross's shifts of the components
+_PAIRS_X = np.array([[0, 0, 3], [1, 1, 4], [2, 2, 5]])
+_PAIRS_Y = np.array([[0, 3, 0], [1, 4, 1], [2, 5, 2]])
+_X_NEXT, _X_LAST, _Y_NEXT, _Y_LAST = (pairs[shift] for pairs in (_PAIRS_X, _PAIRS_Y) for shift in (_NEXT, _LAST))
+
+
 def _dual_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x × y over the dual numbers: (a × c, a × d + b × c) for x = (a, b)
-    and y = (c, d)."""
-    a, b, c, d = x[:3], x[3:], y[:3], y[3:]
-    return np.concatenate([_cross(a, c), _cross(a, d) + _cross(b, c)])
+    and y = (c, d), the three products as one _cross of the stacked pairs,
+    each operand gathered from x or y at once."""
+    r = x[_X_NEXT] * y[_Y_LAST]
+    r -= x[_X_LAST] * y[_Y_NEXT]
+    return np.concatenate([r[:, 0], r[:, 1] + r[:, 2]])
+
+
+def _halfturn_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dual quaternion of the half-turn about the unit dual vector y and
+    then about x, the product (0, x)(0, y): (-<x, y>, x × y) over the dual
+    numbers (McCarthy, 1990), as an (8, ...) stack. The dual part of -<x, y>
+    is summed as the product sums it, -(a . d) - (b . c), so the product
+    keeps _dual_qmul's bits but for the signs of zeros."""
+    dots, cross = (x[_PAIRS_X] * y[_PAIRS_Y]).sum(axis=0), _dual_cross(x, y)
+    return np.concatenate([-dots[:1], cross[:3], -dots[1:2] - dots[2:], cross[3:]])
 
 
 def _dual_atan2(r: tuple[np.ndarray, np.ndarray], p: tuple[np.ndarray, np.ndarray]):
@@ -137,14 +164,17 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.concatenate([pw * qw - (pv * qv).sum(axis=0, keepdims=True), pw * qv + qw * pv + _cross(pv, qv)])
 
 
+# the pairs (P, Q), (P, Q') and (P', Q) of the halves of p = (P, P') and
+# q = (Q, Q'), gathered as (4, 3, ...) stacks: component, then pair
+_QPAIRS_P = np.array([[0, 0, 4], [1, 1, 5], [2, 2, 6], [3, 3, 7]])
+_QPAIRS_Q = np.array([[0, 4, 0], [1, 5, 1], [2, 6, 2], [3, 7, 3]])
+
+
 def _dual_qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Dual-quaternion products p q of (8, ...) stacks:
     (P + eps P')(Q + eps Q') = P Q + eps (P Q' + P' Q), in one _qmul call."""
-    p, q = np.broadcast_arrays(p, q)
-    pq, pq_dual, p_dual_q = np.moveaxis(_qmul(
-        np.stack([p[:4], p[:4], p[4:]], axis=1), np.stack([q[:4], q[4:], q[:4]], axis=1)
-    ), 1, 0)
-    return np.concatenate([pq, pq_dual + p_dual_q])
+    r = _qmul(p[_QPAIRS_P], q[_QPAIRS_Q])
+    return np.concatenate([r[:, 0], r[:, 1] + r[:, 2]])
 
 
 def _length(x: np.ndarray) -> np.ndarray:
@@ -153,7 +183,10 @@ def _length(x: np.ndarray) -> np.ndarray:
     right on either axis, but eight along the last axis pairwise."""
     xx = x * x
     if len(x) == 8:
-        return np.sqrt(((xx[0] + xx[1]) + (xx[2] + xx[3])) + ((xx[4] + xx[5]) + (xx[6] + xx[7])))
+        # ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)), a level at a time
+        pairs = xx[0::2] + xx[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        return np.sqrt(quads[0] + quads[1])
     return np.sqrt(xx.sum(axis=0))
 
 

@@ -15,6 +15,7 @@ i != j; each bar carries three joints; the linkgraph is the cube's
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
@@ -36,6 +37,7 @@ from ._dual import (
     _dual_over_square,
     _dual_qmul,
     _dual_unit,
+    _halfturn_product,
     _length,
     _miss,
     _nearest,
@@ -312,12 +314,13 @@ _EZ = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 # arm _NEXT[j]
 
 
-def _half_angle_construction(v: ValidatedSpherical, heights, phi1: np.ndarray):
+def _half_angle_construction(v: ValidatedSpherical, f: np.ndarray, phi1: np.ndarray):
     """Arms h1..h3, bars g1..g3 and the directions of the symmetry axes
     S1..S6 at each angle of the (N,) array phi1, as (6, 3, N), (6, 3, N) and
     (6, 6, N) stacks of dual vectors, and the angles at which two bars the
-    axes bisect coincide (see _dual_over_square). Base hinge j sits at
-    height x_j on g0 (all 0 for the spherical linkage).
+    axes bisect coincide (see _dual_over_square), given the (6, 3, 1) stack
+    of the f_j below. Base hinge j sits at height x_j on g0 (all 0 for the
+    spherical linkage).
 
     Let W = cos(phi1/2), S = sin(phi1/2), D_j = W^2 + c_j^2 S^2 and
     f_j = e_j x e_z + eps x_j e_j. Since tan(phi_j/2) = c_j tan(phi1/2),
@@ -337,9 +340,6 @@ def _half_angle_construction(v: ValidatedSpherical, heights, phi1: np.ndarray):
     cc = c * c
     ww, ccss = w * w, cc * s * s
     den = ww + ccss
-    f = np.array([
-        [math.sin(u), -math.cos(u), 0.0, x * math.cos(u), x * math.sin(u), 0.0] for u, x in zip(v.u, heights)
-    ]).T[..., None]
     arms = 2 * c * ws * f
     arms[2] += ww - ccss
     arms /= den
@@ -418,7 +418,7 @@ _JOINT_H = np.array([4 + int(key[2]) for key in JOINT_KEYS])
 _JOINT_BARS = np.concatenate([_JOINT_G, _JOINT_H])
 
 
-def _placement(v, phi1: np.ndarray, errors: list):
+def _placement(design, phi1: np.ndarray, errors: list):
     """Bars g0..g3, h0..h3 ((6, 8, N) stacks), unit symmetry axes S1..S6 and
     the joints ((6, 6, N) and (6, 12, N), joints in JOINT_KEYS order) at
     each angle of phi1, all as dual vectors, plus per angle the largest
@@ -430,19 +430,21 @@ def _placement(v, phi1: np.ndarray, errors: list):
     the spherical linkage). The incidence is the largest part of <R_ij, g_i>
     and <R_ij, h_j> over the dual numbers: the real part is 0 when the joint
     is at a right angle to the bar, the dual part when the two lines meet.
-    Without moments it is |R_ij . n|."""
-    ang, lengths, _, weights = _design(v)
-    heights = (0.0, lengths[0], lengths[2])
-    arms, bars, axes, coincide = _half_angle_construction(ang, heights, phi1)
+    Without moments it is |R_ij . n|. design is the spec's _design."""
+    ang, lengths, _, weights = design
+    # f_j = e_j x e_z + eps x_j e_j (see _half_angle_construction) and R0j
+    f, base = np.array([
+        [(math.sin(u), -math.cos(u), 0.0, x * math.cos(u), x * math.sin(u), 0.0),
+         (math.cos(u), math.sin(u), 0.0, -x * math.sin(u), x * math.cos(u), 0.0)]
+        for u, x in zip(ang.u, (0.0, lengths[0], lengths[2]))
+    ]).transpose(1, 2, 0)[..., None]
+    arms, bars, axes, coincide = _half_angle_construction(ang, f, phi1)
     _flag(errors, coincide, ClosureFailure(SHORT_SQUARE))
     units, short = _dual_unit(axes)
     _flag(errors, short.any(axis=0), ClosureFailure(SHORT_UNIT))
     n = len(phi1)
     x = np.empty((6, len(_ELEMENTS), n))
-    x[:, :3] = arms
-    x[:, 3:6] = np.array([
-        [math.cos(u), math.sin(u), 0.0, -xj * math.sin(u), xj * math.cos(u), 0.0] for u, xj in zip(ang.u, heights)
-    ]).T[..., None]
+    x[:, :3], x[:, 3:6] = arms, base
     gaps = []
     # one batch of half-turns moves base joints and arms, the next the joints
     # it placed; each batch is one stack of rows at every angle
@@ -453,8 +455,8 @@ def _placement(v, phi1: np.ndarray, errors: list):
     resid = _length(weights[:, None, None] * np.concatenate(gaps, axis=1)).max(axis=0)
     g_h = np.empty((6, 8, n))
     g_h[:, 0], g_h[:, 1:4], g_h[:, 4], g_h[:, 5:] = _EZ[:, None], bars, -x[:, _ELEMENTS.index("-h0")], arms
-    real, dual = _dual_dot(x[:, _JOINT_ELEMENTS_TWICE], g_h[:, _JOINT_BARS])
-    incidence = np.maximum(np.abs(real).max(axis=0), np.abs(dual).max(axis=0) * weights[3])
+    real, dual = np.abs(_dual_dot(x[:, _JOINT_ELEMENTS_TWICE], g_h[:, _JOINT_BARS])).max(axis=1)
+    incidence = np.maximum(real, dual * weights[3])
     return g_h, units, x[:, _JOINT_ELEMENTS], resid, incidence
 
 
@@ -554,12 +556,13 @@ def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool, length: float
     bad = norm < 1e-14
     norm = np.where(bad, 1.0, norm)
     if spatial:
-        d, m = d / norm, m / norm
+        values = lines / norm
+        d, m = values[:3], values[3:]
         # summed left to right, as OrientedLine sums it, zeros' signs included
         prod = d * m
         dm = prod[0] + prod[1] + prod[2]
         bad |= np.abs(dm) > PLUCKER_TOL * np.maximum(length, np.sqrt((m * m).sum(axis=0)))
-        values = np.concatenate([d, m - dm * d])
+        m -= dm * d
     else:
         values = np.concatenate([d / norm, m])
     bad[20:, aligned] = False
@@ -589,7 +592,8 @@ def _assemble(v, phis) -> _Grid:
     spatial = isinstance(v, ValidatedSpatial)
     phi1 = np.asarray(phis, dtype=float).reshape(-1)
     errors: list = [None] * len(phi1)
-    bars, units, joints, placement, incidence = _placement(v, phi1, errors)
+    design = _design(v)
+    bars, units, joints, placement, incidence = _placement(design, phi1, errors)
     aligned = _is_aligned_angle(phi1)
     if spatial:
         # sign(WS) = sign(sin phi1) orients each axis along the difference
@@ -600,7 +604,7 @@ def _assemble(v, phis) -> _Grid:
         # must pass through it too (g_i and h_j are parallel at the aligned
         # poses)
         points = _nearest(bars[:, _JOINT_G], joints)
-        meet = _miss(points, bars[:, _JOINT_H]).max(axis=0) * _design(v)[3][3]
+        meet = _miss(points, bars[:, _JOINT_H]).max(axis=0) * design[3][3]
         cells, parallel = _cell_residuals(v, joints)
         _flag(errors, parallel, ParallelLines("lines are parallel (or identical)"))
         closure = np.maximum.reduce([placement, incidence, meet, cells.max(axis=0)])
@@ -610,7 +614,7 @@ def _assemble(v, phis) -> _Grid:
         nt, short, _ = _n_and_t(s)
         _flag(errors, short, ClosureFailure(SHORT_UNIT))
         lines = np.concatenate([bars, joints, s, nt], axis=1)
-        values, bad = _values(lines, aligned, True, _design(v)[1][2])
+        values, bad = _values(lines, aligned, True, design[1][2])
         _flag(errors, bad.any(axis=0), ClosureFailure(_DEGENERATE))
     else:
         s = tie_break_sign(units[:3]) * units
@@ -733,11 +737,10 @@ def _cell_residuals(v, joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with two parallel joints on one side, whose dual angle means nothing."""
     # the dual angles (theta, l) of the sides AB, BC, CD, DA of every cell
     sides, parallel = _dual_angle(joints[:, _CELL_ROWS], joints[:, _CELL_NEXT_ROWS])
-    theta, length = sides[0], sides[1] * _design(v)[3][3]
+    weighted = np.array(sides)
+    weighted[1] *= _design(v)[3][3]
     # the opposite sides AB, CD and BC, DA have equal dual angles
-    opposite = np.maximum(
-        np.abs(theta[:, :2] - theta[:, 2:]).max(axis=1), np.abs(length[:, :2] - length[:, 2:]).max(axis=1)
-    )
+    opposite = np.abs(weighted[:, :, :2] - weighted[:, :, 2:]).max(axis=(0, 2))
     return np.maximum(opposite, _cell_design_residuals(v, sides)), parallel.any(axis=(0, 1))
 
 
@@ -750,14 +753,19 @@ def _cell_design_residuals(v, sides: np.ndarray) -> np.ndarray:
     (|arm_joint_offset|, |b_i|): beta_i on the minus branch, pi - beta_i on
     the plus branch."""
     ang, lengths, b, weights = _design(v)
-    theta, length = sides[0], sides[1] * weights[3]
-    resid = np.abs(length[:, 0] * np.sin(theta[:, 1]) - length[:, 1] * np.sin(theta[:, 0]))
-    design = np.array([[(alpha, abs(arm_joint_offset(SphericalIsogramSpec(alpha, beta, branch)))) * 2, (a, abs(bi)) * 2]
-                       for alpha, beta, branch, a, bi in zip(ang.alphas, ang.betas, ang.branches, lengths, b)])
-    design = design.reshape(design.shape + (1,) * (theta.ndim - 2))
-    off = np.maximum(
-        np.abs(theta[:3] - design[:, 0]).max(axis=1), np.abs(length[:3] - design[:, 1] * weights[3]).max(axis=1)
-    )
+    weighted = np.array(sides)
+    weighted[1] *= weights[3]
+    # l_AB sin(theta_BC) and l_BC sin(theta_AB)
+    terms = weighted[1, :, :2] * np.sin(weighted[0, :, 1::-1])
+    resid = np.abs(terms[:, 0] - terms[:, 1])
+    # the designed (theta, l) of the sides AB, BC, CD, DA of cells 1-3
+    design = np.array([
+        [(alpha, abs(arm_joint_offset(SphericalIsogramSpec(alpha, beta, branch)))) * 2
+         for alpha, beta, branch in zip(ang.alphas, ang.betas, ang.branches)],
+        [(a, abs(bi)) * 2 for a, bi in zip(lengths, b)],
+    ])
+    design[1] *= weights[3]
+    off = np.abs(weighted[:, :3] - design.reshape(design.shape + (1,) * (weighted.ndim - 3))).max(axis=(0, 2))
     resid[:3] = np.maximum(resid[:3], off)
     return resid
 
@@ -766,14 +774,14 @@ def _cell_design_residuals(v, sides: np.ndarray) -> np.ndarray:
 # The symmetry report of both linkages
 # ---------------------------------------------------------------------------
 
-# Rows of the stack of dual vectors the report works on: the axes S1..S6,
-# the bars, the common perpendiculars n^g_i, n^h_i of n with each bar (on the
-# sphere the points where n meets the circles), the lines n, t1, t2, and the
-# axes of rho61, rho42, rho53 and of tau321, tau654.
+# Rows of the stack of dual vectors the report works on: its input (see
+# _report_inputs), then the common perpendiculars n^g_i, n^h_i of n with each
+# bar (on the sphere the points where n meets the circles), the line t2, the
+# axes of rho61, rho42, rho53 and of tau321, tau654, and S1 x S2.
 _ROW = {name: k for k, name in enumerate((
-    "S1", "S2", "S3", "S4", "S5", "S6", "g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3",
+    "g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3", *JOINT_KEYS, "S1", "S2", "S3", "S4", "S5", "S6", "n", "t1",
     "n^g0", "n^g1", "n^g2", "n^g3", "n^h0", "n^h1", "n^h2", "n^h3",
-    "n", "t1", "t2", "rho61", "rho42", "rho53", "tau321", "tau654",
+    "t2", "rho61", "rho42", "rho53", "tau321", "tau654", "S1xS2",
 ))}
 # (key, mirror, element, image): the half-turn about the mirror carries the
 # element onto the image reversed
@@ -811,14 +819,21 @@ _PERPENDICULAR = (
     ("tau654_axis_in_g1", "tau654", "g1"), ("tau654_axis_in_n", "tau654", "n"),
 )
 # four joints with one angle (one dual angle in space) to n, up to orientation
-_BANDS = tuple((f"joint_band_{quad[0][1:]}", [JOINT_KEYS.index(k) for k in quad]) for quad in (
+_BANDS = tuple((f"joint_band_{quad[0][1:]}", quad) for quad in (
     ("R10", "R01", "R23", "R32"), ("R20", "R02", "R31", "R13"), ("R30", "R03", "R12", "R21"),
 ))
 # the products rho_XY = sigma_X sigma_Y the report reads: the factors of
 # tau321 = sigma3 rho21 and tau654 = sigma6 rho54, the movers' rows, and _PRODUCTS
 _RHOS = sorted({name for names in ("rho21", "rho54", *_ROW, *(f"{p} {q}" for _, p, q in _PRODUCTS))
                 for name in names.split() if name.startswith("rho")})
-_RHO_AXES = np.array([[int(name[3]) - 1, int(name[4]) - 1] for name in _RHOS]).T
+# Rows of the report's (8, rows, N) stack of dual quaternions: the rho_XY,
+# the half-turns sigma3 and sigma6, the products tau321, tau654 and
+# rho32 rho13, and the conjugate of tau321.
+_QUAT = {name: k for k, name in enumerate((
+    *_RHOS, "sigma3", "sigma6", "tau321", "tau654", "rho32 rho13", "tau321 conjugate",
+))}
+# the quaternion and dual-quaternion vector parts of the rows
+_VECTOR_PARTS = np.array([1, 2, 3, 5, 6, 7])
 # the conjugate of a dual quaternion negates its two vector parts
 _CONJUGATE = np.array([[1.0], [-1.0], [-1.0], [-1.0], [1.0], [-1.0], [-1.0], [-1.0]])
 _AXES_ON_N = tuple(f"rho{rho}_axis_on_N" for rho in ("61", "42", "53"))
@@ -838,13 +853,41 @@ def _rows(*names: str) -> list[int]:
     return [_ROW[name] for name in names]
 
 
-# the tables as rows of the stack: one batch of half-turns (the swaps, the
-# mirrors and the first half-turn of each map) with their targets, the
-# second half-turn of each map, and the pairs of perpendicular lines
+def _quats(*names: str) -> list[int]:
+    return [_QUAT[name] for name in names]
+
+
+_BARS = ("g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3")
+_AXES = ("S1", "S2", "S3", "S4", "S5", "S6")
+# the tables as rows of the stacks: the factors of each rho_XY, and of
+# tau321, tau654 and rho32 rho13; the rows each _PRODUCTS pair compares, the
+# movers rho61, rho42, rho53, tau321, tau654, and the two half-turns tau
+_RHO_FACTORS = tuple(_rows(*(f"S{name[k]}" for name in _RHOS)) for k in (3, 4))
+_TAU_FACTORS = (_quats("sigma3", "sigma6", "rho32"), _quats("rho21", "rho54", "rho13"))
+_PRODUCT_ROWS = np.array([_quats(*column) for column in list(zip(*_PRODUCTS))[1:]])
+_MOVERS = _quats("rho61", "rho42", "rho53", "tau321", "tau654")
+_TAUS = _quats("tau321", "tau654")
+# n x g_i, n x h_i, n x t1 and S1 x S2
+_CROSS_ROWS = (_rows(*["n"] * 9, "S1"), _rows(*_BARS, "t1", "S2"))
+# one batch of half-turns (the swaps, the mirrors and the first half-turn of
+# each map) with their targets, and the second half-turn of each map
 _HALFTURNS = _SWAPS + _MIRRORS + tuple((key, a, e, image) for key, a, _, e, image in _MAPS)
 _HALFTURN_ROWS = tuple(_rows(*column) for column in list(zip(*_HALFTURNS))[1:])
 _SECOND_HALFTURNS = _rows(*(b for _, _, b, _, _ in _MAPS))
-_PERPENDICULAR_ROWS = tuple(_rows(*column) for column in list(zip(*_PERPENDICULAR))[1:])
+# the pairs of the dual inner products: the table of perpendicular lines,
+# S1..S6 with n, S1 x S2 with S3 (whose vanishing puts the first three
+# centres in a plane through O), the joints with n, band by band, and the
+# bars with n
+_BAND_JOINTS = [key for _, quad in _BANDS for key in quad]
+_DOT_ROWS = (
+    _rows(*(e for _, e, _ in _PERPENDICULAR), *_AXES, "S1xS2", *_BAND_JOINTS, *_BARS),
+    _rows(*(line for _, _, line in _PERPENDICULAR), *["n"] * 6, "S3", *["n"] * (len(_BAND_JOINTS) + len(_BARS))),
+)
+# the runs of those rows whose largest value is one report value: each
+# perpendicular pair, S1..S6 (the centres on n) and S1 x S2 with S3
+_SIZE_RUNS = [0, 1, 2, 3, 4, 10, 11]
+_BAND_DOTS = slice(_SIZE_RUNS[-1], _SIZE_RUNS[-1] + len(_BAND_JOINTS))
+_BAR_DOTS = slice(_BAND_DOTS.stop, None)
 
 
 def _report_inputs(pose) -> np.ndarray:
@@ -870,59 +913,46 @@ def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x is a (6, 28, N) stack of poses' _report_inputs. Returns the (55, N)
     values in the order of _REPORT_KEYS, and the poses where a line the
     report needs is undefined (see _dual_unit)."""
-    bars, joints, s, n, t1 = x[:, :8], x[:, 8:20], x[:, 20:26], x[:, 26:27], x[:, 27:]
+    n = x[:, _ROW["n"] : _ROW["n"] + 1]
 
     # the half-turn about s_k is the dual quaternion (0, s_k), and rho_XY is
-    # the product sigma_X sigma_Y, the half-turn about s_Y and then about s_X
-    sig = np.zeros((8, *s.shape[1:]))
-    sig[1:4], sig[5:] = s[:3], s[3:]
-    quats = dict(zip(_RHOS, np.moveaxis(_dual_qmul(sig[:, _RHO_AXES[0]], sig[:, _RHO_AXES[1]]), 1, 0)))
-    # tau321 = sigma3 rho21, tau654 = sigma6 rho54; sigma3 rho21 sigma3 = rho32 rho13
-    tau321, tau654, quats["rho32 rho13"] = np.moveaxis(_dual_qmul(
-        np.stack([sig[:, 2], sig[:, 5], quats["rho32"]], axis=1),
-        np.stack([quats["rho21"], quats["rho54"], quats["rho13"]], axis=1),
-    ), 1, 0)
-    quats["tau321"], quats["tau321 conjugate"] = tau321, tau321 * _CONJUGATE
-    movers = np.stack([quats["rho61"], quats["rho42"], quats["rho53"], tau321, tau654], axis=1)
-
-    # n x g_i, n x h_i, n x t1 and S1 x S2 in one batch; the dual units of
-    # the first nine and of the movers' vector parts are the lines n^g_i,
-    # n^h_i, t2 and the movers' axes
-    cross = _dual_cross(
-        np.concatenate([np.broadcast_to(n, (6, 9, x.shape[2])), s[:, :1]], axis=1),
-        np.concatenate([bars, t1, s[:, 1:2]], axis=1),
+    # the product sigma_X sigma_Y, the half-turn about s_Y and then about s_X;
+    # tau321 = sigma3 rho21, tau654 = sigma6 rho54, sigma3 rho21 sigma3 = rho32 rho13
+    quats = np.zeros((8, len(_QUAT), x.shape[2]))
+    quats[:, : len(_RHOS)] = _halfturn_product(x[:, _RHO_FACTORS[0]], x[:, _RHO_FACTORS[1]])
+    quats[_VECTOR_PARTS[:, None], _quats("sigma3", "sigma6")] = x[:, _rows("S3", "S6")]
+    quats[:, _quats("tau321", "tau654", "rho32 rho13")] = _dual_qmul(
+        quats[:, _TAU_FACTORS[0]], quats[:, _TAU_FACTORS[1]]
     )
-    lines, short = _dual_unit(np.concatenate([cross[:, :9], movers[[1, 2, 3, 5, 6, 7]]], axis=1))
-    stack = np.concatenate([s, bars, lines[:, :8], n, t1, lines[:, 8:]], axis=1)
-    # the dual angle of each bar with n, its angle folded into [0, pi/2]
-    angles, offsets = _dual_atan2(_dual_norm(cross[:, :8]), _dual_dot(n, bars))
-    angles = np.minimum(angles, np.pi - angles)
+    quats[:, _QUAT["tau321 conjugate"]] = quats[:, _QUAT["tau321"]] * _CONJUGATE
+
+    # the dual units of n x g_i, n x h_i, n x t1 and of the movers' vector
+    # parts are the lines n^g_i, n^h_i, t2 and the movers' axes
+    cross = _dual_cross(x[:, _CROSS_ROWS[0]], x[:, _CROSS_ROWS[1]])
+    lines, short = _dual_unit(np.concatenate([cross[:, :9], quats[_VECTOR_PARTS[:, None], _MOVERS]], axis=1))
+    stack = np.concatenate([x, lines, cross[:, 9:]], axis=1)
 
     images = _dual_halfturn(stack[:, _HALFTURN_ROWS[0]], stack[:, _HALFTURN_ROWS[1]])
     maps = slice(len(_SWAPS) + len(_MIRRORS), None)
     images[:, maps] = _dual_halfturn(stack[:, _SECOND_HALFTURNS], images[:, maps])
     targets = stack[:, _HALFTURN_ROWS[2]]
     minus, plus = _length(images - targets), _length(images + targets)
-    pairs = (np.stack([quats[key] for key in column], axis=1) for column in list(zip(*_PRODUCTS))[1:])
+    pairs = quats[:, _PRODUCT_ROWS]
 
-    # dual inner products: S1..S6 and the joints with n, the table of
-    # perpendicular lines, and S1 x S2 with S3, whose vanishing puts the
-    # first three centres in a plane through O
-    dots = np.abs(_dual_dot(
-        np.concatenate([s, joints, stack[:, _PERPENDICULAR_ROWS[0]], cross[:, 9:]], axis=1),
-        np.concatenate([np.broadcast_to(n, (6, 18, x.shape[2])), stack[:, _PERPENDICULAR_ROWS[1]], s[:, 2:3]], axis=1),
-    ))
-    sizes = np.max(dots, axis=0)
+    real, dual = _dual_dot(stack[:, _DOT_ROWS[0]], stack[:, _DOT_ROWS[1]])
+    dots = np.abs((real, dual))
+    # the dual angle of each bar with n, its angle folded into [0, pi/2]
+    angles, offsets = _dual_atan2(_dual_norm(cross[:, :8]), (real[_BAR_DOTS], dual[_BAR_DOTS]))
+    # the joint bands and the bar cohorts g0..g3, h0..h3: the spread of each
+    # run of four rows, the larger of its real and dual parts
+    runs = np.concatenate([dots[:, _BAND_DOTS], (np.minimum(angles, np.pi - angles), offsets)], axis=1)
     blocks = [
         plus[: len(_SWAPS)], np.minimum(minus, plus)[len(_SWAPS) : maps.start], minus[maps],
-        _unsigned_gap(*pairs),
+        _unsigned_gap(pairs[:, 0], pairs[:, 1]),
         _unsigned_gap(stack[:, _rows("rho61", "rho42", "rho53")], n),
-        np.max(np.abs(tau321[[0, 4]]), axis=0, keepdims=True),
-        np.max(np.abs(tau654[[0, 4]]), axis=0, keepdims=True),
-        sizes[18:-1], np.max(sizes[:6], axis=0, keepdims=True), sizes[-1:],
-        *(np.max(np.ptp(dots[:, 6:18][:, rows], axis=1), axis=0)[None] for _, rows in _BANDS),
-        *(np.maximum(np.ptp(angles[rows], axis=0), np.ptp(offsets[rows], axis=0))[None]
-          for rows in (slice(0, 4), slice(4, 8))),
+        np.abs(quats[[[0], [4]], _TAUS]).max(axis=0),
+        np.maximum.reduceat(dots, _SIZE_RUNS, axis=1)[:, :-1].max(axis=0),
+        np.ptp(runs.reshape(2, -1, 4, x.shape[2]), axis=2).max(axis=0),
     ]
     return np.concatenate(blocks), short.any(axis=0)
 
@@ -995,7 +1025,11 @@ def mobility_check(samples) -> list[MobilitySample]:
     held = [s for s in samples if s._grid is not None]
     nullities = iter(())
     if held:
-        screws = np.stack([s._grid.values[:, 8:20, s._row].T * _design(s._grid.spec)[3] for s in held])
+        # one gather per run of samples from one sweep: one for all of verify's
+        screws = np.concatenate([
+            (grid.values[:, 8:20, [s._row for s in run]] * _design(grid.spec)[3][:, None, None]).T
+            for grid, run in itertools.groupby(held, key=lambda s: s._grid)
+        ])
         nullities = iter(matrix_nullity(_mobility_jacobian(screws)).tolist())
     return [
         MobilitySample(s.phi1, "assembly-failed", None) if s._grid is None
@@ -1026,11 +1060,11 @@ FAMILIES: dict[str, tuple[str, ...]] = {
 }
 
 
-# the families of a pose as columns of its pose-level residuals (closure,
-# incidence, largest cell residual) followed by its report's values
-_FAMILY_COLUMNS = [
-    [("closure", "incidence", "cells", *_REPORT_KEYS).index(key) for key in keys] for keys in FAMILIES.values()
-]
+# the invariants of a pose as rows of its pose-level residuals (closure,
+# incidence, largest cell residual) followed by its report's values, family
+# by family, and where each family's run of rows starts
+_FAMILY_ROWS = [("closure", "incidence", "cells", *_REPORT_KEYS).index(key) for keys in FAMILIES.values() for key in keys]
+_FAMILY_STARTS = [0, *itertools.accumulate(map(len, FAMILIES.values()))][:-1]
 # an aligned pose has no report, so only its pose-level families
 _POSE_FAMILIES = ("closure", "incidence", "cells")
 _REPORT_FAMILIES = np.array([key not in _POSE_FAMILIES for key in FAMILIES])
@@ -1129,7 +1163,7 @@ def _sweep_table(v, phis) -> _SweepTable:
         failed = np.zeros_like(ok)
         values[3:, ok], failed[ok] = _symmetry_report(grid.values[:, :28, ok] * _design(v)[3][:, None, None])
         _flag(errors, failed, ClosureFailure(SHORT_UNIT))
-    families = np.array([values[cols].max(axis=0) for cols in _FAMILY_COLUMNS]).T
+    families = np.maximum.reduceat(values[_FAMILY_ROWS], _FAMILY_STARTS).T
     failed = np.array([e is not None for e in errors], dtype=bool)
     empty = failed[:, None] | (grid.aligned[:, None] & _REPORT_FAMILIES)
     texts = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]

@@ -15,6 +15,7 @@ from bennett8._dual import (
     _dual_over_square,
     _dual_qmul,
     _dual_unit,
+    _halfturn_product,
     _length,
     _qmul,
     _screw,
@@ -641,14 +642,17 @@ def _assert_stacks_are_single_calls(x: np.ndarray, y: np.ndarray) -> None:
     """Every kernel of _dual.py on the component-major (6, M) stacks x and y
     is its M calls on single vectors, bit for bit: the 6-vectors, their
     direction and quaternion parts, and the dual quaternions of their
-    half-turns, whose 8-component lengths numpy sums in another order."""
+    half-turns, whose 8-component lengths numpy sums in another order. The
+    product of two half-turns is _dual_qmul's product of the dual
+    quaternions (0, x) and (0, y), bit for bit but for the signs of zeros."""
     sig_x, sig_y = np.zeros((8, x.shape[1])), np.zeros((8, y.shape[1]))
     sig_x[1:4], sig_x[5:], sig_y[1:4], sig_y[5:] = x[:3], x[3:], y[:3], y[3:]
     products = _dual_qmul(sig_x, sig_y)
+    assert np.abs(_halfturn_product(x, y)).tobytes() == np.abs(products).tobytes()
     calls = [
         (_cross, x[:3], y[:3]), (_dual_dot, x, y), (_dual_norm, x), (_dual_unit, x), (_dual_over_square, x),
         (_dual_halfturn, x, y), (_dual_cross, x, y), (_dual_angle, x, y), (_qmul, x[:4], y[2:]),
-        (_dual_qmul, sig_x, sig_y), (_length, x), (_length, x[:3]), (_length, products),
+        (_dual_qmul, sig_x, sig_y), (_halfturn_product, x, y), (_length, x), (_length, x[:3]), (_length, products),
         (_unsigned_gap, x, y), (_unsigned_gap, products, sig_x), (lambda a, b: _screw(a, 0.7, -0.3, b), x, y),
     ]
     for kernel, *stacks in calls:
@@ -806,6 +810,7 @@ def test_stacked_nullity_matches_single_matrices():
     rng = np.random.default_rng(75)
     specs = [load_spec(os.path.join(SPECS, f"{kind}8_demo.json")) for kind in ("spherical", "spatial")]
     specs += [draw(rng) for draw in (random_eightbar_spec, random_spatial_spec) for _ in range(3)]
+    runs = []
     for spec in specs:
         samples = sweep(spec, [0.0, 0.4, -0.9, 1.7, np.pi, -2.6])
         stack = np.stack([_mobility_jacobian(s._grid.values[:, 8:20, s._row].T * _design(s._grid.spec)[3])
@@ -815,6 +820,15 @@ def test_stacked_nullity_matches_single_matrices():
         assert [m.nullity for m in mobility_check(samples)] == singles
         aligned = 3 if isinstance(spec, EightBarSpec) else 1
         assert singles == [aligned, 1, 1, 1, aligned, 1]
+        runs.append((samples, singles))
+    # samples of different sweeps in one call, interleaved and then one
+    # sweep's in a row, with a failed one
+    mixed = [sample for pair in zip(*(samples for samples, _ in runs)) for sample in pair] + runs[0][0]
+    want = [nullity for pair in zip(*(singles for _, singles in runs)) for nullity in pair] + runs[0][1]
+    failed = SweepSample(0.1, None, "ClosureFailure: x")
+    got = mobility_check(mixed[:3] + [failed] + mixed[3:])
+    assert [m.nullity for m in got] == want[:3] + [None] + want[3:]
+    assert got[3].status == "assembly-failed"
     wide = rng.normal(size=(3, 5))
     cases = np.stack([np.zeros((3, 5)), wide, np.outer(wide[0], wide[0])[:3], wide[[0, 0, 1]]])
     singles = [matrix_nullity(jac) for jac in cases]
@@ -1064,12 +1078,20 @@ def _elements(pose) -> np.ndarray:
     return np.concatenate(vectors)
 
 
+def _same_bits(x, y) -> bool:
+    """x and y hold the same floats, bit for bit, every nan equal to every
+    other nan."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    both_nan = np.isnan(x) & np.isnan(y)
+    return x.shape == y.shape and np.where(both_nan, 0.0, x).tobytes() == np.where(both_nan, 0.0, y).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["spherical", "spatial"])
 def test_sweep_matches_single_poses(kind):
     # one construction over the grid gives, angle by angle, the pose, the
     # families and the error of assemble_* and the report at that angle
-    # alone: the demo, 12 seed-5 conftest designs and the 20 ill-conditioned
-    # designs, through both aligned poses and next to them
+    # alone, bit for bit: the demo, 12 seed-5 conftest designs and the 20
+    # ill-conditioned designs, through both aligned poses and next to them
     spatial = kind == "spatial"
     assemble = assemble_spatial if spatial else assemble_spherical
     report_of = symmetry_report_spatial if spatial else halfturn_products_report
@@ -1093,7 +1115,7 @@ def test_sweep_matches_single_poses(kind):
                 assert sample.pose is None and sample.points is None and sample.families is None
                 continue
             assert sample.pose.aligned == pose.aligned, (spec, phi)
-            assert np.max(np.abs(_elements(sample.pose) - _elements(pose))) <= 1e-13, (spec, phi)
+            assert _same_bits(_elements(sample.pose), _elements(pose)), (spec, phi)
             if not pose.aligned:
                 # mobility reads the joint screws off the grid: the weighted
                 # rows equal those of the pose built from them, bit for bit
@@ -1103,9 +1125,9 @@ def test_sweep_matches_single_poses(kind):
             values.update(cells=max(pose.cell_residuals), **(report or {}))
             want = {name: max(values[k] for k in keys) for name, keys in FAMILIES.items() if keys[0] in values}
             assert list(sample.families) == list(want), (spec, phi)
-            assert max(abs(sample.families[k] - want[k]) for k in want) <= 1e-13, (spec, phi, sample.families)
+            assert _same_bits(list(sample.families.values()), list(want.values())), (spec, phi, sample.families)
             points = [pose.vertices[k] for k in HINGE_KEYS] if spatial else [pose.joints[k].v for k in JOINT_KEYS]
-            assert np.max(np.abs(sample.points - points)) <= 1e-13 * (sum(v.a) if spatial else 1.0), (spec, phi)
+            assert _same_bits(sample.points, points), (spec, phi)
 
 
 def test_bisector_circles_orthogonal_through_pole():
