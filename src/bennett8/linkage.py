@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -466,38 +466,94 @@ def _placement(design, phi1: np.ndarray, errors: list):
 
 
 @dataclass(frozen=True, eq=False)
-class EightBarPose:
-    spec: ValidatedSpherical
+class _EightBarPose:
+    """A pose of either 8-bar linkage: its angle's checked row of
+    _Grid.values, a read-only (rows, 6) array (see _Grid for the rows), its
+    joints (spherical) or vertices (spatial) in JOINT_KEYS order, a
+    read-only (12, 3) array, and its residuals. The named elements of each
+    kind are built from the row the first time they are read."""
+
+    spec: ValidatedSpherical | ValidatedSpatial
     phi: tuple[float, float, float]
-    g: tuple[OrientedGreatCircle, ...]
-    h: tuple[OrientedGreatCircle, ...]
-    joints: Mapping[str, SpherePoint]
-    centers: tuple[SpherePoint, ...] | None
-    n_circle: OrientedGreatCircle | None
-    n_pole: SpherePoint | None
-    t1: OrientedGreatCircle | None
-    t2: OrientedGreatCircle | None
+    row: np.ndarray
+    points: np.ndarray
     aligned: bool
     closure_residual: float
     incidence_residual: float
     cell_residuals: tuple[float, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class SpatialEightBarPose:
-    spec: ValidatedSpatial
-    phi: tuple[float, float, float]
-    g: tuple[OrientedLine, ...]
-    h: tuple[OrientedLine, ...]
-    hinges: Mapping[str, OrientedLine]
-    vertices: Mapping[str, np.ndarray]
-    axes: tuple[OrientedLine, ...] | None
-    n_line: OrientedLine | None
-    t_line: OrientedLine | None
-    aligned: bool
-    closure_residual: float
-    incidence_residual: float
-    cell_residuals: tuple[float, ...]
+def _held(cls, **fields):
+    """A value object holding rows of _Grid.values as they are: _values
+    normalized and checked them as the object's constructor would."""
+    obj = object.__new__(cls)
+    for name, x in fields.items():
+        object.__setattr__(obj, name, x)
+    return obj
+
+
+def _circle(x: np.ndarray) -> OrientedGreatCircle:
+    return _held(OrientedGreatCircle, n=x[:3])
+
+
+def _point(x: np.ndarray) -> SpherePoint:
+    return _held(SpherePoint, v=x[:3])
+
+
+def _line(x: np.ndarray) -> OrientedLine:
+    return _held(OrientedLine, d=x[:3], m=x[3:])
+
+
+def _element(make, rows, keys=None) -> functools.cached_property:
+    """A pose's element, made from its row at the index rows, or its tuple of
+    elements at the slice rows (a dict under keys). Rows from 20 on are
+    symmetry elements, which an aligned pose does not have: they read None
+    there."""
+
+    def read(pose):
+        first = rows if isinstance(rows, int) else rows.start
+        if pose.aligned and first >= 20:
+            return None
+        if isinstance(rows, int):
+            return make(pose.row[rows])
+        elements = map(make, pose.row[rows])
+        return tuple(elements) if keys is None else dict(zip(keys, elements))
+
+    return functools.cached_property(read)
+
+
+class EightBarPose(_EightBarPose):
+    """A pose of the spherical 8-bar. Its elements: the circles g and h, the
+    joints (SpherePoint by JOINT_KEYS), the centers S1..S6, the circles
+    n_circle, t1, t2 and the pole N of n_circle (None at the aligned poses)."""
+
+    g = _element(_circle, slice(0, 4))
+    h = _element(_circle, slice(4, 8))
+    joints = _element(_point, slice(8, 20), JOINT_KEYS)
+    centers = _element(_point, slice(20, 26))
+    n_circle = _element(_circle, 26)
+    # built by SpherePoint's constructor, which normalizes the row again
+    n_pole = _element(lambda x: SpherePoint(x[:3]), 26)
+    t1 = _element(_circle, 27)
+    t2 = _element(_circle, 28)
+
+
+class SpatialEightBarPose(_EightBarPose):
+    """A pose of the spatial 8-bar. Its elements: the lines g and h, the
+    hinges (OrientedLine by HINGE_KEYS) and their vertices (rows of points),
+    the axes s1..s6 and the lines n_line, t_line (None at the aligned
+    poses)."""
+
+    g = _element(_line, slice(0, 4))
+    h = _element(_line, slice(4, 8))
+    hinges = _element(_line, slice(8, 20), HINGE_KEYS)
+    axes = _element(_line, slice(20, 26))
+    n_line = _element(_line, 26)
+    t_line = _element(_line, 27)
+
+    @functools.cached_property
+    def vertices(self) -> dict[str, np.ndarray]:
+        return dict(zip(HINGE_KEYS, self.points))
 
 
 def _phis(v: ValidatedSpherical, phi1: float) -> tuple[float, float, float]:
@@ -512,10 +568,11 @@ def _is_aligned_angle(phi1):
 class _Grid:
     """The construction of one design at N angles.
 
-    `values` holds the dual vectors that the poses' value objects hold,
-    normalized and checked (see _values), as a (6, rows, N) stack: per angle,
-    the rows g0..g3, h0..h3, the joints (hinges) in JOINT_KEYS order,
-    S1..S6, n, t1 (t in space) and on the sphere t2. `points` are the joints
+    `values` holds the dual vectors of the poses, normalized and checked
+    (see _values), as a (6, rows, N) stack: per angle, the rows g0..g3,
+    h0..h3, the joints (hinges) in JOINT_KEYS order, S1..S6, n, t1 (t in
+    space) and on the sphere t2. A pose is its angle's column (see _pose).
+    `points` are the joints
     on the sphere and the vertices in space, (3, 12, N), and `cells` the
     cell residuals, (6, N). `errors` holds each angle's first failure, in
     the order the stages of one pose raise them, or None."""
@@ -546,11 +603,11 @@ _DEGENERATE = "a line or point of the pose has no direction or fails the Pluecke
 
 def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool, length: float) -> tuple[np.ndarray, np.ndarray]:
     """The construction's rows of dual vectors (see _Grid) normalized as the
-    pose's value objects normalize them (OrientedLine in space; SpherePoint,
-    OrientedGreatCircle on the sphere), bit for bit, and the rows that fail
-    their checks: a zero direction, and the Pluecker condition of a line,
-    taken in units of the design's length L (see _design). Aligned poses
-    build no symmetry element, so nothing checks theirs."""
+    value objects' constructors normalize them (OrientedLine in space;
+    SpherePoint, OrientedGreatCircle on the sphere), bit for bit, and the
+    rows that fail their checks: a zero direction, and the Pluecker condition
+    of a line, taken in units of the design's length L (see _design). Aligned
+    poses have no symmetry element, so nothing checks theirs."""
     d, m = lines[:3], lines[3:]
     norm = np.sqrt((d * d).sum(axis=0))
     bad = norm < 1e-14
@@ -567,19 +624,6 @@ def _values(lines: np.ndarray, aligned: np.ndarray, spatial: bool, length: float
         values = np.concatenate([d / norm, m])
     bad[20:, aligned] = False
     return values, bad
-
-
-def _held(cls, **fields):
-    """A value object holding rows of _Grid.values as they are: _values
-    normalized and checked them as the object's constructor would."""
-    obj = object.__new__(cls)
-    for name, x in fields.items():
-        object.__setattr__(obj, name, x)
-    return obj
-
-
-def _held_line(x: np.ndarray) -> OrientedLine:
-    return _held(OrientedLine, d=x[:3], m=x[3:])
 
 
 def _assemble(v, phis) -> _Grid:
@@ -642,50 +686,15 @@ def _assemble(v, phis) -> _Grid:
 
 
 def _pose(grid: _Grid, i: int) -> EightBarPose | SpatialEightBarPose:
-    """The pose at angle i of the grid, its value objects holding that
-    angle's checked values (see _values)."""
-    v, aligned, phi1 = grid.spec, bool(grid.aligned[i]), float(grid.phi1[i])
-    row = grid.values[..., i].T.copy()
+    """The pose at angle i of the grid: that angle's checked row (see
+    _values), points and residuals."""
+    v = grid.spec
+    row, points = grid.values[..., i].T.copy(), grid.points[..., i].T.copy()
     row.setflags(write=False)
-    common = dict(
-        spec=v,
-        aligned=aligned,
-        closure_residual=float(grid.closure[i]),
-        incidence_residual=float(grid.incidence[i]),
-        cell_residuals=tuple(grid.cells[:, i].tolist()),
-    )
-    if isinstance(v, ValidatedSpatial):
-        return SpatialEightBarPose(
-            phi=_phis(v.angular, phi1),
-            g=tuple(map(_held_line, row[:4])),
-            h=tuple(map(_held_line, row[4:8])),
-            hinges=dict(zip(HINGE_KEYS, map(_held_line, row[8:20]))),
-            vertices=dict(zip(HINGE_KEYS, grid.points[..., i].T)),
-            axes=None if aligned else tuple(map(_held_line, row[20:26])),
-            n_line=None if aligned else _held_line(row[26]),
-            t_line=None if aligned else _held_line(row[27]),
-            **common,
-        )
-
-    def circle(x):
-        return _held(OrientedGreatCircle, n=x[:3])
-
-    def point(x):
-        return _held(SpherePoint, v=x[:3])
-
-    n_circle = None if aligned else circle(row[26])
-    return EightBarPose(
-        phi=_phis(v, phi1),
-        g=tuple(map(circle, row[:4])),
-        h=tuple(map(circle, row[4:8])),
-        joints=dict(zip(JOINT_KEYS, map(point, row[8:20]))),
-        centers=None if aligned else tuple(map(point, row[20:26])),
-        n_circle=n_circle,
-        n_pole=None if aligned else n_circle.pole(),
-        t1=None if aligned else circle(row[27]),
-        t2=None if aligned else circle(row[28]),
-        **common,
-    )
+    points.setflags(write=False)
+    cls = SpatialEightBarPose if isinstance(v, ValidatedSpatial) else EightBarPose
+    return cls(v, _phis(_design(v)[0], float(grid.phi1[i])), row, points, bool(grid.aligned[i]),
+               float(grid.closure[i]), float(grid.incidence[i]), tuple(grid.cells[:, i].tolist()))
 
 
 def _assemble_one(v, phi1: float):
@@ -774,10 +783,10 @@ def _cell_design_residuals(v, sides: np.ndarray) -> np.ndarray:
 # The symmetry report of both linkages
 # ---------------------------------------------------------------------------
 
-# Rows of the stack of dual vectors the report works on: its input (see
-# _report_inputs), then the common perpendiculars n^g_i, n^h_i of n with each
-# bar (on the sphere the points where n meets the circles), the line t2, the
-# axes of rho61, rho42, rho53 and of tau321, tau654, and S1 x S2.
+# Rows of the stack of dual vectors the report works on: its input (a pose's
+# first 28 rows, see _Grid), then the common perpendiculars n^g_i, n^h_i of n
+# with each bar (on the sphere the points where n meets the circles), the
+# line t2, the axes of rho61, rho42, rho53 and of tau321, tau654, and S1 x S2.
 _ROW = {name: k for k, name in enumerate((
     "g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3", *JOINT_KEYS, "S1", "S2", "S3", "S4", "S5", "S6", "n", "t1",
     "n^g0", "n^g1", "n^g2", "n^g3", "n^h0", "n^h1", "n^h2", "n^h3",
@@ -890,18 +899,6 @@ _BAND_DOTS = slice(_SIZE_RUNS[-1], _SIZE_RUNS[-1] + len(_BAND_JOINTS))
 _BAR_DOTS = slice(_BAND_DOTS.stop, None)
 
 
-def _report_inputs(pose) -> np.ndarray:
-    """Rows g0..g3, h0..h3, the joints in JOINT_KEYS order, S1..S6, n and t1
-    (the line t in space) of a pose as dual vectors, weighted by _design."""
-    if isinstance(pose, SpatialEightBarPose):
-        hinges = (pose.hinges[f"I{k[1:]}"] for k in JOINT_KEYS)
-        lines = (*pose.g, *pose.h, *hinges, *pose.axes, pose.n_line, pose.t_line)
-        return np.array([(x.d, x.m) for x in lines]).reshape(-1, 6) * _design(pose.spec)[3]
-    vectors = [c.n for c in (*pose.g, *pose.h)] + [pose.joints[k].v for k in JOINT_KEYS]
-    vectors += [p.v for p in pose.centers] + [pose.n_circle.n, pose.t1.n]
-    return np.array([(v, (0.0, 0.0, 0.0)) for v in vectors]).reshape(-1, 6)
-
-
 def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the half-turn product identities and the derived
     symmetry statements at non-aligned poses of either linkage, over dual
@@ -910,9 +907,9 @@ def _symmetry_report(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moment-free case. Entries are distances, up to sign where orientation is
     not part of the statement; a dual scalar reads its larger part.
 
-    x is a (6, 28, N) stack of poses' _report_inputs. Returns the (55, N)
-    values in the order of _REPORT_KEYS, and the poses where a line the
-    report needs is undefined (see _dual_unit)."""
+    x is a (6, 28, N) stack of poses' first 28 rows, weighted by _design.
+    Returns the (55, N) values in the order of _REPORT_KEYS, and the poses
+    where a line the report needs is undefined (see _dual_unit)."""
     n = x[:, _ROW["n"] : _ROW["n"] + 1]
 
     # the half-turn about s_k is the dual quaternion (0, s_k), and rho_XY is
@@ -961,7 +958,7 @@ def _pose_report(pose) -> dict[str, float]:
     """The symmetry report of one non-aligned pose (see _symmetry_report)."""
     if pose.aligned:
         raise CollapsedPose("symmetry elements are undefined at the aligned pose")
-    values, short = _symmetry_report(_report_inputs(pose).T[..., None])
+    values, short = _symmetry_report((pose.row[:28] * _design(pose.spec)[3]).T[..., None])
     if short[0]:
         raise ClosureFailure(SHORT_UNIT)
     return dict(zip(_REPORT_KEYS, values[:, 0].tolist()))

@@ -29,6 +29,8 @@ from .isogram import (
     _pose_closure,
 )
 from .linkage import (
+    HINGE_KEYS,
+    JOINT_KEYS,
     EightBarPose,
     EightBarSpec,
     SpatialEightBarPose,
@@ -36,6 +38,7 @@ from .linkage import (
     halfturn_products_report,
     symmetry_report_spatial,
 )
+from .sphere import _as_unit
 
 SCHEMA_VERSION = 1
 
@@ -143,15 +146,14 @@ def _line_polylines(d, m, anchors, mask, unit: float, segments: int) -> np.ndarr
     return feet[:, None] + ts[:, :, None] * d[:, None]
 
 
-def _circle_entries(labels, circles, segments: int) -> list[dict[str, Any]]:
-    normals = np.array([c.n for c in circles])
+def _circle_entries(labels, normals: np.ndarray, segments: int) -> list[dict[str, Any]]:
     return [{"id": label, "type": "great_circle", "normal": n, "polyline": p}
             for label, n, p in zip(labels, normals.tolist(), _circle_polylines(normals, segments))]
 
 
-def _line_entries(labels, lines, anchors, mask, unit: float, segments: int) -> list[dict[str, Any]]:
-    d, m = np.array([line.d for line in lines]), np.array([line.m for line in lines])
-    polylines = _line_polylines(d, m, np.array(anchors), mask, unit, segments)
+def _line_entries(labels, lines: np.ndarray, anchors, mask, unit: float, segments: int) -> list[dict[str, Any]]:
+    d, m = lines[:, :3], lines[:, 3:]
+    polylines = _line_polylines(d, m, anchors, mask, unit, segments)
     return [{"id": label, "type": "line", "direction": dl, "moment": ml, "polyline": p}
             for label, dl, ml, p in zip(labels, d.tolist(), m.tolist(), polylines)]
 
@@ -192,11 +194,11 @@ def _document(kind: str, angles: dict[str, Any], bars, joints, symmetry, residua
 def _eightbar_document(pose, kind: str, bars, joints, symmetry, report) -> dict[str, Any]:
     """Scene document of an 8-bar pose. Its residuals are the symmetry report
     (none at the aligned poses), then the pose-level closure, incidence and
-    largest cell residual."""
+    largest cell residual, a nan if any is one."""
     residuals = {} if pose.aligned else dict(report(pose))
     residuals["closure"] = pose.closure_residual
     residuals["incidence"] = pose.incidence_residual
-    residuals["cells"] = max(pose.cell_residuals)
+    residuals["cells"] = float(np.max(pose.cell_residuals))
     return _document(kind, {"phi1": pose.phi[0], "aligned": pose.aligned}, bars, joints, symmetry, residuals)
 
 
@@ -204,13 +206,15 @@ _BARS = ("g0", "g1", "g2", "g3", "h0", "h1", "h2", "h3")
 
 
 def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
-    extra = () if pose.aligned else (pose.n_circle, pose.t1, pose.t2)
-    entries = _circle_entries(_BARS + ("n", "t1", "t2"), pose.g + pose.h + extra, segments)
-    joints = [{"id": key, "position": _vec(p.v)} for key, p in pose.joints.items()]
+    # the rows of g0..g3, h0..h3 and of n, t1, t2 (see linkage._Grid)
+    circles = pose.row[:8] if pose.aligned else pose.row[[*range(8), 26, 27, 28]]
+    entries = _circle_entries(_BARS + ("n", "t1", "t2"), circles[:, :3], segments)
+    joints = [{"id": key, "position": p} for key, p in zip(JOINT_KEYS, pose.points.tolist())]
     symmetry = None if pose.aligned else {
-        "centers": {f"S{k + 1}": _vec(c.v) for k, c in enumerate(pose.centers)},
+        "centers": {f"S{k + 1}": c for k, c in enumerate(pose.row[20:26, :3].tolist())},
         "circle_n": entries[8],
-        "pole_N": _vec(pose.n_pole.v),
+        # N as SpherePoint normalizes it again
+        "pole_N": _as_unit(pose.row[26, :3], "SpherePoint").tolist(),
         "t1": entries[9],
         "t2": entries[10],
     }
@@ -219,16 +223,16 @@ def _scene_spherical(pose: EightBarPose, segments: int) -> dict[str, Any]:
 
 def _scene_spatial(pose: SpatialEightBarPose, segments: int) -> dict[str, Any]:
     # bar g_i spans the vertices I_ij of any j, bar h_j those of any i, and
-    # a symmetry element all twelve
-    keys = list(pose.vertices)
-    mask = [[key[side] == i for key in keys] for side in (1, 2) for i in "0123"]
-    extra = () if pose.aligned else (*pose.axes, pose.n_line, pose.t_line)
+    # a symmetry element all twelve; the rows of g0..g3, h0..h3 and of
+    # s1..s6, n, t (see linkage._Grid)
+    lines = pose.row[:8] if pose.aligned else np.concatenate([pose.row[:8], pose.row[20:28]])
+    mask = [[key[side] == i for key in HINGE_KEYS] for side in (1, 2) for i in "0123"]
     labels = _BARS + ("s1", "s2", "s3", "s4", "s5", "s6", "n", "t")
-    entries = _line_entries(labels, pose.g + pose.h + extra, list(pose.vertices.values()),
-                            mask + [[True] * len(keys)] * len(extra), sum(pose.spec.a), segments)
+    entries = _line_entries(labels, lines, pose.points, mask + [[True] * len(HINGE_KEYS)] * (len(lines) - 8),
+                            sum(pose.spec.a), segments)
     joints = [
-        {"id": key, "position": _vec(pose.vertices[key]), "direction": _vec(line.d)}
-        for key, line in pose.hinges.items()
+        {"id": key, "position": p, "direction": d}
+        for key, p, d in zip(HINGE_KEYS, pose.points.tolist(), pose.row[8:20, :3].tolist())
     ]
     symmetry = None if pose.aligned else {
         "axes": {entry["id"]: entry for entry in entries[8:14]},
@@ -239,7 +243,8 @@ def _scene_spatial(pose: SpatialEightBarPose, segments: int) -> dict[str, Any]:
 
 
 def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str, Any]:
-    bars = _circle_entries(("basis", "arm_b", "coupler", "arm_a"), pose.side_circles, segments)
+    normals = np.array([c.n for c in pose.side_circles])
+    bars = _circle_entries(("basis", "arm_b", "coupler", "arm_a"), normals, segments)
     joints = [
         {"id": label, "position": _vec(p.v)} for label, p in zip(("A", "B", "C", "D"), pose.vertices)
     ]
@@ -248,7 +253,8 @@ def _scene_spherical_cell(pose: SphericalIsogramPose, segments: int) -> dict[str
 
 
 def _scene_bennett_cell(pose: BennettIsogramPose, segments: int) -> dict[str, Any]:
-    bars = _line_entries(("base", "arm_b", "coupler", "arm_a"), pose.side_lines, pose.vertices,
+    lines = np.array([np.r_[line.d, line.m] for line in pose.side_lines])
+    bars = _line_entries(("base", "arm_b", "coupler", "arm_a"), lines, np.array(pose.vertices),
                          np.ones((4, 4), dtype=bool), _length_unit(pose.spec), segments)
     joints = [
         {"id": label, "position": _vec(v), "direction": _vec(h.d)}

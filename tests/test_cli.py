@@ -252,6 +252,20 @@ def test_verify_builds_no_pose(demo, capsys, monkeypatch):
     assert "PASS mobility               nullities [1]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("demo", ["spherical8_demo.json", "spatial8_demo.json"])
+def test_pose_builds_no_value_object(demo, tmp_path, capsys, monkeypatch):
+    # the report and the scene read the pose's row and points, so no
+    # element of the pose is built, with or without an OBJ export
+    runs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(linkage, "_held", lambda cls, **fields: pytest.fail(f"{cls.__name__} built"))
+        for extra in ([], ["--obj", str(tmp_path / "scene.obj")]):
+            assert main(["pose", os.path.join(SPECS, demo), "--phi=0.8", *extra]) == 0
+            runs.append(capsys.readouterr().out)
+    assert runs[:2] == runs[2:]
+
+
 def test_pose_next_to_the_aligned_pose(capsys):
     # the line n turns parallel to the bars next to the aligned pose, and
     # the report still holds there

@@ -26,7 +26,6 @@ from bennett8.isogram import SphericalIsogramSpec, coupled_angle, transmission_c
 from bennett8.linkage import (
     CELLS,
     FAMILIES,
-    HINGE_KEYS,
     JOINT_KEYS,
     EightBarSpec,
     SpatialEightBarPose,
@@ -48,7 +47,6 @@ from bennett8.linkage import (
     _assemble,
     _design,
     _mobility_jacobian,
-    _report_inputs,
 )
 from bennett8.oracle import (
     jacobian_nullity,
@@ -546,13 +544,14 @@ _BAR_MOVES = [
 ]
 
 
-def _moved_families(kind: str, field: str, index: int, motion: str) -> list[dict[str, float]]:
+def _moved_families(kind: str, row: int, motion: str) -> list[dict[str, float]]:
     """The centers, products, mapping and bisector families of the demo at
-    phi1 = 0.8 and -2.2 with element `index` of the pose's tuple `field`
-    moved by 1e-6. A translation is made in two directions, and each family
-    reads the larger residual: each family is blind to some slides, the
-    centers to an axis sliding along n, the bisector to a bar sliding along
-    its common perpendicular with n."""
+    phi1 = 0.8 and -2.2 with the element in row `row` of the pose (see
+    linkage._Grid) moved by 1e-6, and normalized as its value object's
+    constructor normalizes it. A translation is made in two directions, and
+    each family reads the larger residual: each family is blind to some
+    slides, the centers to an axis sliding along n, the bisector to a bar
+    sliding along its common perpendicular with n."""
     spatial = kind == "spatial"
     v = validate_spec(load_spec(os.path.join(SPECS, f"{kind}8_demo.json")))
     report = symmetry_report_spatial if spatial else halfturn_products_report
@@ -561,15 +560,13 @@ def _moved_families(kind: str, field: str, index: int, motion: str) -> list[dict
         pose = (assemble_spatial if spatial else assemble_spherical)(v, phi)
         families = dict.fromkeys(("centers", "products", "mapping", "bisector"), 0.0)
         for w in ((0.3, -0.5, 0.8), (0.8, 0.3, -0.5))[: 2 if motion == "translate" else 1]:
-            elements = list(getattr(pose, field))
-            old = elements[index]
+            rows = pose.row.copy()
             if spatial:
-                moved = _moved(np.r_[old.d, old.m], motion, w=w)
-                elements[index] = OrientedLine(moved[:3], moved[3:])
+                line = OrientedLine(*np.split(_moved(rows[row], motion, w=w), 2))
+                rows[row] = np.r_[line.d, line.m]
             else:
-                vector = old.n if isinstance(old, OrientedGreatCircle) else old.v
-                elements[index] = type(old)(_moved(np.r_[vector, np.zeros(3)], motion, w=w)[:3])
-            rep = report(replace(pose, **{field: tuple(elements)}))
+                rows[row, :3] = SpherePoint(_moved(rows[row], motion, w=w)[:3]).v
+            rep = report(replace(pose, row=rows))
             for name in families:
                 families[name] = max(families[name], *(rep[k] for k in FAMILIES[name]))
         out.append(families)
@@ -583,7 +580,7 @@ def test_moved_bar_fails_the_rotations_about_n(kind, motion, bar):
     # on g_i and h_i: a bar moved by 1e-6 must fail both families, and the
     # half-turn swaps of the products family, which leave out h0
     failing = ("mapping", "bisector") if bar == "h0" else ("products", "mapping", "bisector")
-    for families in _moved_families(kind, bar[0], int(bar[1]), motion):
+    for families in _moved_families(kind, int(bar[1]) + (4 if bar[0] == "h" else 0), motion):
         assert min(families[name] for name in failing) >= 1e-7, families
 
 
@@ -593,8 +590,7 @@ def test_moved_axis_fails_every_symmetry_family(kind, motion, axis):
     # each axis s_k lies on n, takes part in the half-turn products and in
     # a rotation about N, and t1, t2 swap it with its partner: moved by
     # 1e-6, it fails all four families
-    field = "axes" if kind == "spatial" else "centers"
-    for families in _moved_families(kind, field, axis, motion):
+    for families in _moved_families(kind, 20 + axis, motion):
         assert min(families.values()) >= 1e-7, families
 
 
@@ -794,6 +790,10 @@ def test_mobility_reports_unassembled_samples(monkeypatch):
     # failed has none, and certifies nothing
     ok = sweep(SAMPLE, [0.5])[0]
     assert ok.pose is ok.pose and ok.points is not None  # built from the row once
+    # and so is each element of a pose
+    assert ok.pose.joints is ok.pose.joints
+    spatial = sweep(SAMPLE_SPATIAL, [0.5])[0].pose
+    assert spatial.hinges is spatial.hinges
     monkeypatch.setattr("bennett8.linkage._CLOSURE_TOL", -1.0)
     failed = sweep(SAMPLE, [0.5, -0.5])
     assert all(isinstance(s, SweepSample) and s.error.startswith("ClosureFailure:") for s in failed)
@@ -859,6 +859,11 @@ def jacobian_poses(request):
     return [assemble(spec, phi) for spec in specs for phi in CRITERION_6_ANGLES]
 
 
+def _screws(pose) -> np.ndarray:
+    """The joint screws of a pose, its joint rows weighted by _design."""
+    return pose.row[8:20] * _design(pose.spec)[3]
+
+
 def _face_problem(pose, quad):
     if isinstance(pose, SpatialEightBarPose):
         hinges = [f"I{k[1:]}" for k in quad]
@@ -872,7 +877,7 @@ def test_mobility_jacobian_faces_match_oracle(jacobian_poses):
     # each face block, on its own four joints, is the four-bar's closure
     # Jacobian: nullity 1, as the oracle's exact loop Jacobian finds
     for pose in jacobian_poses:
-        jac = _mobility_jacobian(_report_inputs(pose)[8:20])
+        jac = _mobility_jacobian(_screws(pose))
         rows = jac.shape[0] // len(CELLS)
         for face, (quad, _sides) in enumerate(CELLS):
             block = jac[rows * face : rows * (face + 1), [JOINT_KEYS.index(k) for k in quad]]
@@ -883,7 +888,7 @@ def test_mobility_jacobian_faces_match_oracle(jacobian_poses):
 def test_mobility_jacobian_spectrum_gap(jacobian_poses):
     # one zero singular value, well separated from the other eleven
     for pose in jacobian_poses:
-        sv = np.linalg.svd(_mobility_jacobian(_report_inputs(pose)[8:20]), compute_uv=False)
+        sv = np.linalg.svd(_mobility_jacobian(_screws(pose)), compute_uv=False)
         assert sv.size == len(JOINT_KEYS)
         assert sv[11] / sv[0] < 1e-10
         assert sv[10] / sv[0] > 1e-4
@@ -892,7 +897,7 @@ def test_mobility_jacobian_spectrum_gap(jacobian_poses):
 def test_mobility_jacobian_spectrum_ignores_length_unit():
     def ratios(scale):
         spec = replace(SAMPLE_SPATIAL, a1=scale * SAMPLE_SPATIAL.a1, a2=scale * SAMPLE_SPATIAL.a2)
-        screws = _report_inputs(assemble_spatial(spec, 0.9))[8:20]
+        screws = _screws(assemble_spatial(spec, 0.9))
         sv = np.linalg.svd(_mobility_jacobian(screws), compute_uv=False)
         return sv[:11] / sv[0]
 
@@ -904,7 +909,7 @@ def test_mobility_jacobian_needs_the_loop_signs(jacobian_poses):
     # without the crossing signs the joint screws are independent: the
     # nullity 1 comes from the sign convention, not from the screws alone
     for pose in jacobian_poses:
-        assert matrix_nullity(np.abs(_mobility_jacobian(_report_inputs(pose)[8:20]))) == 0
+        assert matrix_nullity(np.abs(_mobility_jacobian(_screws(pose)))) == 0
 
 
 def test_incompatible_third_cell_cannot_close():
@@ -1060,24 +1065,6 @@ def test_sweep_records_per_sample_errors(monkeypatch):
         assert samples[k].error is None and samples[k].families == want[k].families
 
 
-def _elements(pose) -> np.ndarray:
-    """The bars, the joints (hinges and vertices in space) and, where the
-    pose is not aligned, the axes, n and t of a pose as one vector, lengths
-    in units of L = a1 + a2."""
-    if isinstance(pose, SpatialEightBarPose):
-        length = sum(pose.spec.a)
-        lines = [*pose.g, *pose.h, *(pose.hinges[k] for k in HINGE_KEYS)]
-        if not pose.aligned:
-            lines += [*pose.axes, pose.n_line, pose.t_line]
-        parts = [np.r_[line.d, line.m / length] for line in lines]
-        return np.concatenate(parts + [pose.vertices[k] / length for k in HINGE_KEYS])
-    vectors = [c.n for c in (*pose.g, *pose.h)] + [pose.joints[k].v for k in JOINT_KEYS]
-    if not pose.aligned:
-        vectors += [p.v for p in pose.centers] + [c.n for c in (pose.n_circle, pose.t1, pose.t2)]
-        vectors.append(pose.n_pole.v)
-    return np.concatenate(vectors)
-
-
 def _same_bits(x, y) -> bool:
     """x and y hold the same floats, bit for bit, every nan equal to every
     other nan."""
@@ -1115,19 +1102,19 @@ def test_sweep_matches_single_poses(kind):
                 assert sample.pose is None and sample.points is None and sample.families is None
                 continue
             assert sample.pose.aligned == pose.aligned, (spec, phi)
-            assert _same_bits(_elements(sample.pose), _elements(pose)), (spec, phi)
+            # the elements, n's pole too, are built from the row and the points
+            assert _same_bits(sample.pose.row, pose.row) and _same_bits(sample.pose.points, pose.points), (spec, phi)
             if not pose.aligned:
                 # mobility reads the joint screws off the grid: the weighted
-                # rows equal those of the pose built from them, bit for bit
+                # rows equal those of the pose alone, bit for bit
                 screws = sample._grid.values[:, 8:20, sample._row].T * _design(v)[3]
-                assert np.array_equal(screws, _report_inputs(sample.pose)[8:20]), (spec, phi)
+                assert np.array_equal(screws, _screws(pose)), (spec, phi)
             values = {"closure": pose.closure_residual, "incidence": pose.incidence_residual}
             values.update(cells=max(pose.cell_residuals), **(report or {}))
             want = {name: max(values[k] for k in keys) for name, keys in FAMILIES.items() if keys[0] in values}
             assert list(sample.families) == list(want), (spec, phi)
             assert _same_bits(list(sample.families.values()), list(want.values())), (spec, phi, sample.families)
-            points = [pose.vertices[k] for k in HINGE_KEYS] if spatial else [pose.joints[k].v for k in JOINT_KEYS]
-            assert _same_bits(sample.points, points), (spec, phi)
+            assert _same_bits(sample.points, pose.points), (spec, phi)
 
 
 def test_bisector_circles_orthogonal_through_pole():

@@ -222,6 +222,16 @@ def test_writers_match_the_references_on_random_designs(seed):
             _assert_writers_match(scene.scene_from_pose(_pose(spec, phi), 16))
 
 
+@pytest.mark.parametrize("demo", ["spherical8_demo.json", "spatial8_demo.json"])
+def test_scene_shows_a_nan_cell_residual(demo):
+    # the largest cell residual is a nan where any is one, first or not,
+    # and a Python float where all are finite
+    pose = _pose(scene.load_spec(os.path.join(SPECS, demo)), 0.8)
+    assert type(scene.scene_from_pose(pose, 8)["residuals"]["cells"]) is float
+    nan = dataclasses.replace(pose, cell_residuals=(0.0, float("nan"), 1e-16, 0.0, 0.0, 0.0))
+    assert np.isnan(scene.scene_from_pose(nan, 8)["residuals"]["cells"])
+
+
 class _Float(float):
     def __repr__(self):
         return "F"
@@ -320,6 +330,35 @@ def _reference_polylines(pose, segments):
     extra = () if pose.aligned else (*pose.axes, pose.n_line, pose.t_line)
     anchored += [(line, list(verts.values())) for line in extra]
     return [line_polyline(line, anchors, segments, 1e-6 * sum(pose.spec.a)) for line, anchors in anchored]
+
+
+@pytest.mark.parametrize("kind", ["spherical", "spatial"])
+def test_scene_vectors_are_the_pose_elements(kind):
+    # the scene reads the pose's row and points: each vector it writes is
+    # the one the pose's element holds, bit for bit, and N is the pole that
+    # SpherePoint makes of n, normalized again (which moves a bit of N at
+    # some of these poses)
+    rng = np.random.default_rng(31)
+    draw = random_eightbar_spec if kind == "spherical" else random_spatial_spec
+    for spec in [draw(rng) for _ in range(30)]:
+        for phi in (0.0, *np.linspace(-3, 3, 9)):
+            pose = _pose(spec, phi)
+            doc = scene.scene_from_pose(pose, 3)
+            entries = list(scene._polyline_entries(doc))
+            if kind == "spherical":
+                circles = pose.g + pose.h + (() if pose.aligned else (pose.n_circle, pose.t1, pose.t2))
+                got = [e["normal"] for e in entries] + [j["position"] for j in doc["joints"]]
+                want = [c.n for c in circles] + [pose.joints[k].v for k in linkage.JOINT_KEYS]
+                if not pose.aligned:
+                    got += [*doc["symmetry"]["centers"].values(), doc["symmetry"]["pole_N"]]
+                    want += [p.v for p in pose.centers] + [pose.n_pole.v]
+            else:
+                lines = pose.g + pose.h + (() if pose.aligned else (*pose.axes, pose.n_line, pose.t_line))
+                got = [e["direction"] + e["moment"] for e in entries]
+                got += [j["position"] + j["direction"] for j in doc["joints"]]
+                want = [np.r_[line.d, line.m] for line in lines]
+                want += [np.r_[pose.vertices[k], pose.hinges[k].d] for k in linkage.HINGE_KEYS]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (spec, phi)
 
 
 @pytest.mark.parametrize("segments", [1, 7, 128])
